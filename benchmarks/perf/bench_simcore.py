@@ -1,16 +1,22 @@
 #!/usr/bin/env python
 """Simulator-core microbenchmark and timing-regression gate.
 
-Measures two things and writes them to ``BENCH_simcore.json`` at the
-repo root (committed, so the perf trajectory is tracked across PRs):
+Measures three things and writes them to ``BENCH_simcore.json`` at the
+repo root.  That file is git-ignored: CI uploads it as an artifact, and
+the ``perf-history`` job appends it to a cached ``BENCH_history.jsonl``
+(``python -m repro.obs.history append-bench``) to track the trajectory:
 
 * **single-point throughput** — wall time and events/second for one
-  all-to-all simulation (the PR's acceptance point is the 512-node
-  ``8x8x8`` adaptive-routing run at ``--scale paper``; ``--scale ci``
-  uses a ``4x4x4`` point small enough for a smoke job);
+  all-to-all simulation (the acceptance point is the 512-node ``8x8x8``
+  adaptive-routing run at ``--scale paper``; ``--scale ci`` uses a
+  ``4x4x4`` point small enough for a smoke job);
+* **analytics-off overhead** — the default path against the bare core
+  (see ``--check`` below);
 * **sweep scaling** — wall time for a cold message-size sweep at
   ``jobs=1`` vs ``jobs=4`` through :mod:`repro.runner`, with the cache
-  disabled so every point actually simulates.
+  disabled so every point actually simulates.  On a machine with fewer
+  CPUs than workers the record says ``"status": "skipped"`` and carries
+  no speedup: such a ratio measures only multiprocessing overhead.
 
 ``--check`` compares the measured single-point throughput against the
 committed ``baseline.json`` for the same scale and exits non-zero on a
@@ -252,6 +258,23 @@ SWEEP_WORKERS = 4
 
 def bench_sweep_scaling(scale: str) -> dict:
     spec, sizes, seed = SWEEPS[scale]
+    # The worker/CPU counts are stamped into the record so a reader (and
+    # --check) can tell a real scaling regression from a machine that
+    # simply cannot express jobs-level parallelism.
+    record = {
+        "name": f"sweep_scaling_{scale}",
+        "shape": spec,
+        "points": len(sizes),
+        "workers": SWEEP_WORKERS,
+        "cpus": os.cpu_count() or 1,
+    }
+    if record["cpus"] < SWEEP_WORKERS:
+        record["status"] = "skipped"
+        record["reason"] = (
+            f"{record['cpus']} cpu(s) cannot express "
+            f"{SWEEP_WORKERS} workers"
+        )
+        return record
     shape = TorusShape.parse(spec)
     # Cache off: both runs must execute every simulation for the
     # comparison to measure the pool, not the cache.
@@ -263,19 +286,10 @@ def bench_sweep_scaling(scale: str) -> dict:
         run_points(pts, jobs=jobs)
         timings[jobs] = time.perf_counter() - t0
     os.environ.pop("REPRO_CACHE", None)
-    # The worker/CPU counts are stamped into the record so a reader (and
-    # --check) can tell a real scaling regression from a machine that
-    # simply cannot express jobs-level parallelism.
-    return {
-        "name": f"sweep_scaling_{scale}",
-        "shape": spec,
-        "points": len(sizes),
-        "workers": SWEEP_WORKERS,
-        "cpus": os.cpu_count() or 1,
-        "wall_s_jobs1": round(timings[1], 4),
-        "wall_s_jobs4": round(timings[SWEEP_WORKERS], 4),
-        "parallel_speedup": round(timings[1] / timings[SWEEP_WORKERS], 2),
-    }
+    record["wall_s_jobs1"] = round(timings[1], 4)
+    record["wall_s_jobs4"] = round(timings[SWEEP_WORKERS], 4)
+    record["parallel_speedup"] = round(timings[1] / timings[SWEEP_WORKERS], 2)
+    return record
 
 
 def check(report: dict, baseline_path: Path) -> int:
@@ -297,6 +311,9 @@ def check(report: dict, baseline_path: Path) -> int:
         )
     failures = []
     for bench in report["benchmarks"]:
+        if bench.get("status") == "skipped":
+            print(f"  {bench['name']}: skipped ({bench['reason']})")
+            continue
         if "overhead_frac" in bench:
             # Self-contained gate (no baseline needed): the default
             # analytics-off path may not exceed the bare core by more
@@ -334,17 +351,6 @@ def check(report: dict, baseline_path: Path) -> int:
                 )
                 failures.append(bench["name"] + ":events")
         elif "parallel_speedup" in bench:
-            workers = bench.get("workers", SWEEP_WORKERS)
-            cpus = bench.get("cpus", 0)
-            if cpus < workers:
-                # A machine with fewer CPUs than sweep workers measures
-                # only multiprocessing overhead; its ~1.0 "speedup" says
-                # nothing about pool scaling, so there is nothing to gate.
-                print(
-                    f"  {bench['name']}: skipped "
-                    f"({cpus} cpu(s) cannot express {workers} workers)"
-                )
-                continue
             base_sp = base.get("parallel_speedup")
             if not base_sp or base.get("cpus", 0) < base.get(
                 "workers", SWEEP_WORKERS

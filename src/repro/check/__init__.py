@@ -33,16 +33,10 @@ from repro.check.differential import (
     functional_leg,
     model_leg,
 )
-from repro.check.oracle import (
-    CheckedFaultyTorusNetwork,
-    CheckedTorusNetwork,
-    InvariantError,
-)
+from repro.check.oracle import InvariantError
 
 __all__ = [
     "CheckConfig",
-    "CheckedFaultyTorusNetwork",
-    "CheckedTorusNetwork",
     "DifferentialReport",
     "InvariantError",
     "ToleranceBands",

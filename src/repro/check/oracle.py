@@ -5,8 +5,9 @@ the fault layer (:mod:`repro.net.faultsim`) and the observability layer
 (:mod:`repro.net.instrumented`) hold it: the plain network classes contain
 **no** checking code and no ``if enabled`` branches.  When a
 :class:`~repro.check.config.CheckConfig` asks for verification,
-:func:`repro.net.faultsim.build_network` returns one of the subclasses
-below instead.
+:func:`repro.net.faultsim.build_network` layers :class:`_CheckedMixin`
+over the network class it would otherwise build (outermost, so the
+oracles see the state after every other layer ran).
 
 Every override calls ``super()`` *first* and then only **reads** state, so
 a checked run makes exactly the decisions — and produces exactly the
@@ -47,22 +48,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.model.machine import MachineParams
-from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.net.errors import SimulationError
-from repro.net.faults import FaultPlan
-from repro.net.faultsim import FaultyTorusNetwork
-from repro.net.instrumented import (
-    _OBS_SLOTS,
-    InstrumentedFaultyTorusNetwork,
-    InstrumentedTorusNetwork,
-)
 from repro.net.packet import PacketSpec
-from repro.net.simulator import TICK_UNSCALE, TorusNetwork
+from repro.net.simulator import TICK_UNSCALE
 from repro.net.trace import SimulationResult
 from repro.check.config import CheckConfig
-from repro.obs.config import ObsConfig
 from repro.strategies.data import (
     PHASE_DIRECT,
     PHASE_TPS1,
@@ -90,7 +80,7 @@ class InvariantError(SimulationError):
         )
 
 
-#: Slots shared by the concrete checked classes.
+#: Slots of every checked class (see ``faultsim._network_class``).
 _CHK_SLOTS = (
     "check",
     "_chk_seen_seqs",
@@ -442,73 +432,3 @@ class _CheckedMixin:
         if chk.conservation:
             self._chk_conservation()
         return super()._result()
-
-
-class CheckedTorusNetwork(_CheckedMixin, TorusNetwork):
-    """Pristine torus network with invariant oracles layered on."""
-
-    __slots__ = _CHK_SLOTS
-
-    def __init__(
-        self,
-        shape: TorusShape,
-        params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
-        check: Optional[CheckConfig] = None,
-    ) -> None:
-        super().__init__(shape, params, config)
-        self._init_check(check if check is not None else CheckConfig())
-
-
-class CheckedFaultyTorusNetwork(_CheckedMixin, FaultyTorusNetwork):
-    """Fault-degraded torus network with invariant oracles layered on."""
-
-    __slots__ = _CHK_SLOTS
-
-    def __init__(
-        self,
-        shape: TorusShape,
-        params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
-        faults: Optional[FaultPlan] = None,
-        check: Optional[CheckConfig] = None,
-    ) -> None:
-        super().__init__(shape, params, config, faults)
-        self._init_check(check if check is not None else CheckConfig())
-
-
-class CheckedInstrumentedTorusNetwork(_CheckedMixin, InstrumentedTorusNetwork):
-    """Oracles stacked over the observability-instrumented network."""
-
-    __slots__ = _CHK_SLOTS
-
-    def __init__(
-        self,
-        shape: TorusShape,
-        params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
-        obs: Optional[ObsConfig] = None,
-        check: Optional[CheckConfig] = None,
-    ) -> None:
-        super().__init__(shape, params, config, obs)
-        self._init_check(check if check is not None else CheckConfig())
-
-
-class CheckedInstrumentedFaultyTorusNetwork(
-    _CheckedMixin, InstrumentedFaultyTorusNetwork
-):
-    """Oracles stacked over the instrumented fault-degraded network."""
-
-    __slots__ = _CHK_SLOTS
-
-    def __init__(
-        self,
-        shape: TorusShape,
-        params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
-        faults: Optional[FaultPlan] = None,
-        obs: Optional[ObsConfig] = None,
-        check: Optional[CheckConfig] = None,
-    ) -> None:
-        super().__init__(shape, params, config, faults, obs)
-        self._init_check(check if check is not None else CheckConfig())

@@ -22,9 +22,11 @@ with everything a :class:`~repro.net.faults.FaultPlan` demands:
   completes with exactly-once delivery semantics.
 
 The zero-fault path stays on the base class: :func:`build_network` only
-instantiates this subclass for a non-empty plan, and the base class's hot
-loop carries **no** fault branches (the overrides below are copies with the
-fault logic woven in, not hooks called per event).
+instantiates this subclass for a non-empty plan, and the base class's fused
+hot loop carries **no** fault branches (the overrides below are copies with
+the fault logic woven in, not hooks called per event).  A fault run has no
+loop of its own: the overrides send it through the base class's generic
+dispatch loop, which also serves the retransmission and outage event kinds.
 
 Like the base class, all state is struct-of-arrays: packets are integer
 handles into the shared :class:`~repro.net.packet.PacketPool`, the
@@ -35,10 +37,9 @@ event times are 2**64-scaled ticks (see the base module docstring).
 
 from __future__ import annotations
 
-import gc
+import functools
 import itertools
 from dataclasses import replace
-from heapq import heappop
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -48,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.config import NetworkConfig
-from repro.net.errors import DeadlockError, SimulationError
+from repro.net.errors import SimulationError
 from repro.net.faults import (
     FaultPlan,
     FaultRoutingTable,
@@ -60,13 +61,8 @@ from repro.net.program import NodeProgram
 from repro.net.simulator import (
     _ADAPTIVE,
     _EV_ARRIVE,
-    _EV_CPU_DONE,
-    _EV_CPU_WAKE,
-    _EV_FIFO_FREE,
-    _EV_LINK_FREE,
     _EV_OUTAGE,
     _EV_RETX,
-    _EV_TOKEN,
     TICK_SCALE,
     TorusNetwork,
 )
@@ -440,99 +436,52 @@ class FaultyTorusNetwork(TorusNetwork):
         )
 
     # ------------------------------------------------------------------ #
-    # main loop (copy of the base loop + fault event kinds)
+    # main loop
     # ------------------------------------------------------------------ #
 
     def run(self, program: NodeProgram) -> SimulationResult:
-        self._program = program
-        dead = self._dead_set
-        for u in range(self._p):
-            if u in dead:
-                # A dead node's CPU never runs.  A plan that asks it to
-                # inject is a strategy bug — surface it immediately.
-                if next(iter(program.injection_plan(u)), None) is not None:
-                    raise SimulationError(
-                        f"program injects from dead node {u}; strategies "
-                        f"must be built with the fault plan"
-                    )
-                continue
-            self._plan_iter[u] = iter(program.injection_plan(u))
-            self._pace[u] = program.pace_cycles(u) * TICK_SCALE
-            self._cpu_maybe_start(u)
+        # A dead node's CPU never runs.  A plan that asks it to inject is
+        # a strategy bug — surface it before the first event.
+        for u in sorted(self._dead_set):
+            if next(iter(program.injection_plan(u)), None) is not None:
+                raise SimulationError(
+                    f"program injects from dead node {u}; strategies "
+                    f"must be built with the fault plan"
+                )
+        # The overrides above route the base run() through its generic
+        # dispatch loop, which also serves the RETX and OUTAGE kinds.
+        return super().run(program)
 
-        max_cycles = self.config.max_cycles
-        max_cycles_t = max_cycles * TICK_SCALE
-        max_events = self.config.max_events
-        st = self.stats
-        n_events = 0
-        imm = self._immediate
-        imm_pop = imm.popleft
-        imm_extend = imm.extend
-        theap = self._theap
-        bucket_pop = self._buckets.pop
-        link_busy = self._link_busy
-        tokens = self._tokens
-        fifo_free = self._fifo_free
-        pmask = self._pmask
-        now = self._now
 
-        # Calendar drain, as in the base loop (see its docstring).
-        gc_was = gc.isenabled()
-        gc.disable()
-        try:
-            while True:
-                if imm:
-                    kind, a, b, c = imm_pop()
-                elif theap:
-                    self._now = now = heappop(theap)
-                    imm_extend(bucket_pop(now))
-                    kind, a, b, c = imm_pop()
-                else:
-                    break
-                n_events += 1
-                if kind == _EV_ARRIVE:
-                    self._on_arrive(a, b, c)
-                elif kind == _EV_TOKEN:
-                    tokens[a] += 1
-                    if b >= 0 and pmask[b]:
-                        self._arbitrate_link(b, c)
-                elif kind == _EV_LINK_FREE:
-                    if pmask[a]:
-                        self._arbitrate_link(a, b)
-                elif kind == _EV_CPU_DONE:
-                    self._cpu_complete(a)
-                elif kind == _EV_FIFO_FREE:
-                    fifo_free[a] += 1
-                    self._cpu_maybe_start(b)
-                elif kind == _EV_CPU_WAKE:
-                    self._cpu_maybe_start(a)
-                elif kind == _EV_RETX:
-                    self._on_retx(b, c)
-                else:  # _EV_OUTAGE: hold the link busy until the window ends
-                    if b > link_busy[a]:
-                        link_busy[a] = b
-                if now > max_cycles_t:
-                    raise self._limit_error(
-                        f"simulation exceeded {max_cycles:.3g} cycles",
-                        n_events,
-                    )
-                if n_events > max_events:
-                    raise self._limit_error(
-                        f"simulation exceeded {max_events} events", n_events
-                    )
-        finally:
-            if gc_was:
-                gc.enable()
+@functools.lru_cache(maxsize=None)
+def _network_class(base: type, observed: bool, checked: bool) -> type:
+    """The network class for one fault × obs × check combination.
 
-        st.events_processed = n_events
-        self._check_quiescent()
-        expected = program.expected_final_deliveries()
-        if st.final_deliveries != expected:
-            raise DeadlockError(
-                f"completed with {st.final_deliveries} final deliveries, "
-                f"expected {expected}"
-            )
-        return self._result()
+    The single statement of the layer order: invariant oracles over
+    observation hooks over *base* (:class:`TorusNetwork` or
+    :class:`FaultyTorusNetwork`), each layer reaching the next through
+    ``super()``.  Built once per combination, named after the layers
+    (``CheckedInstrumentedFaultyTorusNetwork``, ...).  The mixins are
+    imported here, not at module top: both modules import this one.
+    """
+    cls = base
+    if observed:
+        from repro.net.instrumented import _OBS_SLOTS, _InstrumentedMixin
+
+        cls = type(
+            "Instrumented" + cls.__name__,
+            (_InstrumentedMixin, cls),
+            {"__slots__": _OBS_SLOTS},
+        )
+    if checked:
+        from repro.check.oracle import _CHK_SLOTS, _CheckedMixin
+
+        cls = type(
+            "Checked" + cls.__name__,
+            (_CheckedMixin, cls),
+            {"__slots__": _CHK_SLOTS},
+        )
+    return cls
 
 
 def build_network(
@@ -545,47 +494,28 @@ def build_network(
 ) -> TorusNetwork:
     """Instantiate the right network for *faults*, *obs* and *check*.
 
-    The zero-fault path (no plan, or an empty plan) returns the plain
+    The zero-fault path (no plan, or an empty plan) builds on the plain
     :class:`TorusNetwork` — identical code, identical results, no fault
     branches in the hot loop.  Likewise observability: only an
-    :class:`~repro.obs.config.ObsConfig` with tracing or metrics enabled
-    selects the instrumented subclasses, and only a
+    :class:`~repro.obs.config.ObsConfig` with something enabled layers
+    the observation hooks on, and only a
     :class:`~repro.check.config.CheckConfig` with at least one oracle on
-    selects the checked subclasses; otherwise the plain classes run
-    exactly as before.
+    layers the invariant oracles on; with both off the result is exactly
+    :class:`TorusNetwork` or :class:`FaultyTorusNetwork`.
     """
     no_faults = faults is None or faults.is_empty
-    want_obs = obs is not None and obs.enabled
-    if check is not None and check.enabled:
-        from repro.check.oracle import (
-            CheckedFaultyTorusNetwork,
-            CheckedInstrumentedFaultyTorusNetwork,
-            CheckedInstrumentedTorusNetwork,
-            CheckedTorusNetwork,
-        )
-
-        if want_obs:
-            if no_faults:
-                return CheckedInstrumentedTorusNetwork(
-                    shape, params, config, obs, check
-                )
-            return CheckedInstrumentedFaultyTorusNetwork(
-                shape, params, config, faults, obs, check
-            )
-        if no_faults:
-            return CheckedTorusNetwork(shape, params, config, check)
-        return CheckedFaultyTorusNetwork(shape, params, config, faults, check)
-    if want_obs:
-        from repro.net.instrumented import (
-            InstrumentedFaultyTorusNetwork,
-            InstrumentedTorusNetwork,
-        )
-
-        if no_faults:
-            return InstrumentedTorusNetwork(shape, params, config, obs)
-        return InstrumentedFaultyTorusNetwork(
-            shape, params, config, faults, obs
-        )
-    if no_faults:
-        return TorusNetwork(shape, params, config)
-    return FaultyTorusNetwork(shape, params, config, faults)
+    observed = obs is not None and obs.enabled
+    checked = check is not None and check.enabled
+    cls = _network_class(
+        TorusNetwork if no_faults else FaultyTorusNetwork, observed, checked
+    )
+    net = (
+        cls(shape, params, config)
+        if no_faults
+        else cls(shape, params, config, faults)
+    )
+    if observed:
+        net._init_obs(obs)
+    if checked:
+        net._init_check(check)
+    return net

@@ -1,4 +1,4 @@
-"""Observability-instrumented variants of the torus network.
+"""Observability hooks for the torus network.
 
 The zero-overhead-when-disabled contract (DESIGN.md section 10) is held
 structurally, the same way the fault layer holds it: the plain
@@ -7,8 +7,9 @@ structurally, the same way the fault layer holds it: the plain
 code, no registry lookups and no ``if enabled`` branches — an
 un-instrumented run executes byte-for-byte the code it executed before
 this module existed.  When an :class:`~repro.obs.config.ObsConfig` asks
-for tracing or metrics, :func:`repro.net.faultsim.build_network` returns
-one of the subclasses below instead.
+for tracing or metrics, :func:`repro.net.faultsim.build_network` layers
+:class:`_InstrumentedMixin` over the network class it would otherwise
+build (``InstrumentedTorusNetwork`` / ``InstrumentedFaultyTorusNetwork``).
 
 Every override here calls ``super()`` *first* and then only reads state
 (ring-buffer queue depths, stats deltas, the packet pool's columns), so
@@ -39,14 +40,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict
-from typing import Optional
 
-from repro.model.machine import MachineParams
-from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
-from repro.net.faults import FaultPlan
-from repro.net.faultsim import FaultyTorusNetwork
-from repro.net.simulator import TICK_UNSCALE, TorusNetwork
+from repro.net.simulator import TICK_UNSCALE
 from repro.net.trace import SimulationResult
 from repro.obs.config import ObsConfig
 from repro.obs.metrics import MetricsRegistry
@@ -55,16 +50,16 @@ from repro.strategies.data import kind_of_tag
 
 _AXIS_NAMES = ("x", "y", "z")
 
-#: Slots shared by both concrete instrumented classes.
+#: Slots of every instrumented class (see ``faultsim._network_class``).
 _OBS_SLOTS = (
     "obs", "tracer", "metrics", "_axis_ts", "_lat_hist",
     # link-stats layer (ObsConfig.link_stats): per-link wire bytes,
     # per-(link, vc) packet counts, per-link stall cycles + open
-    # want-since tick, per-link drops, per-node retransmissions, and
-    # per-phase per-axis busy cycles.
+    # want-since tick, per-link drops and per-node retransmissions.
     "_ls_on", "_ls_bytes", "_ls_vc_packets", "_ls_stall", "_ls_want",
-    "_ls_drops", "_ls_retx", "_ls_phase_busy",
-    # phase profiler (ObsConfig.profile) + its host-clock stamp.
+    "_ls_drops", "_ls_retx",
+    # phase profiler (ObsConfig.profile, and the per-phase busy table of
+    # ObsConfig.link_stats) + its host-clock stamp.
     "_prof", "_prof_t0",
 )
 
@@ -114,9 +109,9 @@ class _InstrumentedMixin:
             self._ls_want: list[float] = [-1.0] * (p * ndirs)
             self._ls_drops: list[int] = [0] * (p * ndirs)
             self._ls_retx: list[int] = [0] * p
-            # phase marker -> per-axis busy cycles.
-            self._ls_phase_busy: dict[str, list[float]] = {}
-        if obs.profile:
+        # One per-(phase, axis) busy table serves both the link-stats
+        # and the profile payloads; only the latter reports the rest.
+        if obs.link_stats or obs.profile:
             from repro.obs.profile import PhaseProfiler
 
             self._prof = PhaseProfiler(self._ndim)
@@ -125,7 +120,7 @@ class _InstrumentedMixin:
         self._prof_t0 = None
 
     def run(self, program):
-        if self._prof is not None:
+        if self.obs.profile:
             self._prof_t0 = (time.perf_counter(), time.process_time())
         return super().run(program)
 
@@ -172,11 +167,6 @@ class _InstrumentedMixin:
                 self._ls_want[li] = -1.0
             if st.lost_packets > lost0:
                 self._ls_drops[li] += 1
-            ph = kind_of_tag(self._P_tag[h]) or "untagged"
-            rec = self._ls_phase_busy.get(ph)
-            if rec is None:
-                rec = self._ls_phase_busy[ph] = [0.0] * self._ndim
-            rec[d >> 1] += dur
         if self._prof is not None:
             self._prof.on_launch(
                 kind_of_tag(self._P_tag[h]) or "untagged",
@@ -325,7 +315,7 @@ class _InstrumentedMixin:
         res = super()._result()
         payload: dict = {}
         prof_payload = None
-        if self._prof is not None:
+        if self.obs.profile:
             st = self.stats
             wall = cpu = None
             if self._prof_t0 is not None:
@@ -399,7 +389,7 @@ class _InstrumentedMixin:
                 "retx_by_node": list(self._ls_retx),
                 "phase_busy": {
                     k: list(v)
-                    for k, v in sorted(self._ls_phase_busy.items())
+                    for k, v in sorted(self._prof.busy.items())
                 },
                 "injected_wire_bytes": st.injected_wire_bytes,
             }
@@ -408,36 +398,3 @@ class _InstrumentedMixin:
         if payload:
             res.extras["obs"] = payload
         return res
-
-
-class InstrumentedTorusNetwork(_InstrumentedMixin, TorusNetwork):
-    """Pristine torus network with tracing/metrics layered on."""
-
-    __slots__ = _OBS_SLOTS
-
-    def __init__(
-        self,
-        shape: TorusShape,
-        params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
-        obs: Optional[ObsConfig] = None,
-    ) -> None:
-        super().__init__(shape, params, config)
-        self._init_obs(obs if obs is not None else ObsConfig())
-
-
-class InstrumentedFaultyTorusNetwork(_InstrumentedMixin, FaultyTorusNetwork):
-    """Fault-degraded torus network with tracing/metrics layered on."""
-
-    __slots__ = _OBS_SLOTS
-
-    def __init__(
-        self,
-        shape: TorusShape,
-        params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
-        faults: Optional[FaultPlan] = None,
-        obs: Optional[ObsConfig] = None,
-    ) -> None:
-        super().__init__(shape, params, config, faults)
-        self._init_obs(obs if obs is not None else ObsConfig())

@@ -1076,8 +1076,9 @@ class TorusNetwork:
 
     def _run_dispatch(self, max_cycles: float, max_events: int) -> int:
         """Generic main loop: dispatch every event through the (possibly
-        overridden) handler methods.  Used whenever a mixin layers hooks
-        over the base class."""
+        overridden) handler methods.  Used whenever a subclass or mixin
+        layers hooks over the base class — the fault network included,
+        whose retransmission and outage kinds (6, 7) only it ever posts."""
         max_cycles_t = max_cycles * TICK_SCALE
         n_events = 0
         # Hot-loop locals (the loop runs millions of times per collective).
@@ -1087,6 +1088,7 @@ class TorusNetwork:
         theap = self._theap
         bucket_pop = self._buckets.pop
         tick_pop = heappop
+        link_busy = self._link_busy
         tokens = self._tokens
         fifo_free = self._fifo_free
         pmask = self._pmask
@@ -1124,8 +1126,13 @@ class TorusNetwork:
             elif kind == 5:  # _EV_FIFO_FREE
                 fifo_free[a] += 1
                 cpu_maybe_start(b)
-            else:  # _EV_CPU_WAKE
+            elif kind == 4:  # _EV_CPU_WAKE
                 cpu_maybe_start(a)
+            elif kind == 6:  # _EV_RETX (fault runs only)
+                self._on_retx(b, c)
+            else:  # _EV_OUTAGE: hold the link busy until the window ends
+                if b > link_busy[a]:
+                    link_busy[a] = b
             if now > max_cycles_t:
                 raise self._limit_error(
                     f"simulation exceeded {max_cycles:.3g} cycles",

@@ -5,7 +5,7 @@ remembers *results* (keyed by configuration), but nothing remembers
 *runs* — how long they took, what they measured, and whether the numbers
 moved between two checkouts.  :class:`RunHistory` closes that gap with
 an append-only JSONL store (schema-pinned header, per-line flush,
-torn-tail healing — the same durability model as
+torn-tail healing — :mod:`repro.util.jsonl`, shared with
 :class:`~repro.runner.supervise.SweepJournal`) that records one line per
 :class:`~repro.experiments.common.ExperimentResult` or bench summary.
 
@@ -46,12 +46,13 @@ import hashlib
 import json
 import logging
 import math
-import os
 import platform
 import sys
 import time
 from pathlib import Path
 from typing import Any, Optional
+
+from repro.util.jsonl import open_append, read_records, write_line
 
 _log = logging.getLogger("repro.obs.history")
 
@@ -237,30 +238,9 @@ class RunHistory:
 
     def append(self, record: dict) -> dict:
         """Append one record (flushed immediately); returns it."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        torn_tail = False
-        if not fresh:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                torn_tail = fh.read(1) != b"\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if torn_tail:
-                # Terminate a line torn by a SIGKILL mid-write so this
-                # record does not splice into the malformed JSON.
-                fh.write("\n")
-            if fresh:
-                fh.write(
-                    _canonical(
-                        {
-                            "kind": "header",
-                            "history_version": HISTORY_VERSION,
-                        }
-                    )
-                    + "\n"
-                )
-            fh.write(_canonical(record) + "\n")
-            fh.flush()
+        header = {"kind": "header", "history_version": HISTORY_VERSION}
+        with open_append(self.path, _canonical(header)) as fh:
+            write_line(fh, _canonical(record))
         return record
 
     def append_experiment(self, result: Any) -> dict:
@@ -277,48 +257,25 @@ class RunHistory:
         """Every well-formed run record, in append order."""
         if not self.path.exists():
             return []
+
+        def check_header(rec: dict) -> None:
+            version = rec.get("history_version")
+            if version != HISTORY_VERSION:
+                raise ValueError(
+                    f"history {self.path} is line-format version "
+                    f"{version}, this build speaks {HISTORY_VERSION}"
+                )
+
         out: list[dict] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    _log.warning(
-                        "history %s: skipping malformed line %d "
-                        "(torn write from an interrupted run?)",
-                        self.path,
-                        lineno,
-                    )
-                    continue
-                kind = rec.get("kind")
-                if kind == "header":
-                    version = rec.get("history_version")
-                    if version != HISTORY_VERSION:
-                        raise ValueError(
-                            f"history {self.path} is line-format version "
-                            f"{version}, this build speaks "
-                            f"{HISTORY_VERSION}"
-                        )
-                elif kind == "run":
-                    if isinstance(rec.get("payload"), dict):
-                        out.append(rec)
-                    else:
-                        _log.warning(
-                            "history %s: skipping bad run line %d",
-                            self.path,
-                            lineno,
-                        )
-                else:
-                    _log.warning(
-                        "history %s: skipping unknown record kind %r "
-                        "on line %d",
-                        self.path,
-                        kind,
-                        lineno,
-                    )
+        for lineno, rec in read_records(
+            self.path, "history", check_header, ("run",)
+        ):
+            if isinstance(rec.get("payload"), dict):
+                out.append(rec)
+            else:
+                _log.warning(
+                    "history %s: skipping bad run line %d", self.path, lineno
+                )
         return out
 
     def resolve(self, ref: str, records: Optional[list[dict]] = None) -> dict:

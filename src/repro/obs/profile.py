@@ -41,23 +41,24 @@ class PhaseProfiler:
     Fed by the instrumented network's launch/delivery hooks (read-only
     observers, ``super()`` first — the simulation is unperturbed).  All
     inputs are in simulated cycles; host wall/CPU time is attached once
-    at result assembly.
+    at result assembly.  :attr:`busy` is the run's one per-(phase, axis)
+    busy-cycle table: the link-stats payload reads it too.
     """
 
-    __slots__ = ("_ndim", "_phases")
+    __slots__ = ("_ndim", "_phases", "busy")
 
     def __init__(self, ndim: int) -> None:
         self._ndim = ndim
         #: phase -> [launches, deliveries, final_deliveries,
-        #:           first_cycle, last_cycle, busy_by_axis]
+        #:           first_cycle, last_cycle]
         self._phases: dict[str, list] = {}
+        #: phase -> per-axis link-busy cycles (launched phases only).
+        self.busy: dict[str, list[float]] = {}
 
     def _entry(self, phase: str) -> list:
         e = self._phases.get(phase)
         if e is None:
-            e = self._phases[phase] = [
-                0, 0, 0, float("inf"), 0.0, [0.0] * self._ndim
-            ]
+            e = self._phases[phase] = [0, 0, 0, float("inf"), 0.0]
         return e
 
     def on_launch(
@@ -71,7 +72,10 @@ class PhaseProfiler:
         end = now_cycles + dur_cycles
         if end > e[4]:
             e[4] = end
-        e[5][axis] += dur_cycles
+        by_axis = self.busy.get(phase)
+        if by_axis is None:
+            by_axis = self.busy[phase] = [0.0] * self._ndim
+        by_axis[axis] += dur_cycles
 
     def on_delivery(self, phase: str, now_cycles: float, final: bool) -> None:
         """One packet of *phase* drained by its destination CPU."""
@@ -92,12 +96,14 @@ class PhaseProfiler:
         cpu_s: Optional[float] = None,
     ) -> dict:
         """JSON-native snapshot (rides the canonical result codec)."""
-        total_busy = sum(sum(e[5]) for e in self._phases.values())
+        zeros = [0.0] * self._ndim
+        total_busy = sum(
+            sum(self.busy.get(name, zeros)) for name in self._phases
+        )
         phases = {}
         for name in sorted(self._phases):
-            launches, deliveries, finals, first, last, by_axis = (
-                self._phases[name]
-            )
+            launches, deliveries, finals, first, last = self._phases[name]
+            by_axis = self.busy.get(name, zeros)
             busy = sum(by_axis)
             share = (busy / total_busy) if total_busy > 0 else 0.0
             entry = {

@@ -9,7 +9,7 @@ Guarantees:
 * **Bit-identical caching** — every result (fresh, pooled, cached,
   journaled or retried) goes through one canonical JSON encode/decode
   cycle, so where a result came from is unobservable downstream.
-* **Resilience** — pooled execution runs under the supervision layer
+* **Resilience** — every sweep runs under the supervision layer
   (:mod:`repro.runner.supervise`): per-point wall-clock timeouts,
   bounded deterministic retries, ``BrokenProcessPool`` recovery with
   per-point quarantine, and an append-only checkpoint journal for
@@ -48,7 +48,6 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from repro.api import AllToAllRun, simulate_alltoall
@@ -282,12 +281,11 @@ def run_sweep(
 
     jobs = resolve_jobs(jobs)
     _log.info(
-        "sweep: %d point(s), %d to simulate, jobs=%d%s%s",
+        "sweep: %d point(s), %d to simulate, jobs=%d%s",
         len(points),
         len(misses),
         jobs,
         " [observed/checked, cache+journal bypassed]" if bypass else "",
-        " [supervised]" if (cfg.is_active or graceful) else "",
     )
 
     # Live telemetry (status line / progress log lines + heartbeats).
@@ -357,50 +355,17 @@ def run_sweep(
                 else None
             )
 
-            if jobs > 1 and len(todo) > 1:
-                fresh, failures = execute_supervised(
-                    todo,
-                    jobs,
-                    cfg,
-                    obs,
-                    check,
-                    on_complete=_on_complete,
-                    on_event=_on_event,
-                    strict_errors=not graceful,
-                    heartbeat=heartbeat,
-                )
-            elif cfg.is_active or graceful:
-                fresh, failures = execute_supervised(
-                    todo,
-                    1,
-                    cfg,
-                    obs,
-                    check,
-                    on_complete=_on_complete,
-                    on_event=_on_event,
-                    strict_errors=not graceful,
-                    heartbeat=heartbeat,
-                )
-            else:
-                # Plain sequential fast path: no supervision requested,
-                # zero overhead, exceptions propagate untouched.
-                fresh = {}
-                for i, point, key, label in todo:
-                    shim = SimpleNamespace(key=key, label=label, attempt=1)
-                    if progress is not None:
-                        progress.event("start", shim)
-                    payload = _simulate_encoded(point, obs, check)
-                    counters.simulated += 1
-                    result = payload["result"]
-                    counters.sim_cycles += result["time_cycles"]
-                    counters.sim_events += result["events_processed"]
-                    if not bypass:
-                        if cache_put(key, payload):
-                            counters.cache_stores += 1
-                    fresh[i] = payload
-                    if progress is not None:
-                        progress.complete(shim)
-                failures = []
+            fresh, failures = execute_supervised(
+                todo,
+                jobs,
+                cfg,
+                obs,
+                check,
+                on_complete=_on_complete,
+                on_event=_on_event,
+                strict_errors=not graceful,
+                heartbeat=heartbeat,
+            )
             for i, payload in fresh.items():
                 payloads[i] = payload
     finally:

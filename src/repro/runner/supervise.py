@@ -39,9 +39,11 @@ scheduler:
   retried attempt re-rolls the dice, so chaos converges.  This is how
   the whole layer is tested in CI.
 
-Nothing here runs unless supervision is *active* (an explicit config, an
-env knob, or graceful mode); a plain ``run_points`` call keeps its
-zero-overhead fast paths.
+Every sweep, pooled or sequential, runs through :func:`execute_supervised`.
+With no timeout, journal or chaos configured (supervision not *active*)
+the sequential supervisor is a thin wrapper: the watchdog is a no-op, and
+in strict mode a deterministic error re-raises as the same exception
+object a direct call would have raised.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from repro.runner.codec import SCHEMA_VERSION
+from repro.util.jsonl import open_append, read_records, write_line
 
 _log = logging.getLogger("repro.runner.supervise")
 
@@ -261,7 +264,7 @@ class SuperviseConfig:
 
     ``point_timeout_s=None`` means "derive from the point" when timeouts
     are needed (chaos active, or supervision explicitly activated) and
-    "no timeout" on the plain fast path.  ``max_attempts`` bounds every
+    "no timeout" otherwise.  ``max_attempts`` bounds every
     retry cause together; ``quarantine_strikes`` separately bounds how
     many pool breaks a single point may be present for.  Backoff is
     exponential and jitter-free: attempt *k* waits
@@ -280,7 +283,7 @@ class SuperviseConfig:
     chaos: Optional[ChaosPlan] = None
     #: Seconds between worker heartbeats (``REPRO_HEARTBEAT``; 0 turns
     #: them off).  Deliberately *not* part of :attr:`is_active` — a
-    #: heartbeat cadence alone shouldn't push a sweep off the fast path.
+    #: heartbeat cadence alone shouldn't arm per-point timeouts.
     heartbeat_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -301,8 +304,8 @@ class SuperviseConfig:
 
     @property
     def is_active(self) -> bool:
-        """Whether any supervision feature is actually requested (the
-        runner keeps its plain fast paths when not)."""
+        """Whether any supervision feature is actually requested; only
+        then does a point without an explicit limit get a derived one."""
         return (
             self.point_timeout_s is not None
             or self.journal is not None
@@ -452,6 +455,11 @@ class SweepResult:
 # --------------------------------------------------------------------- #
 
 
+def _compact(record: dict) -> str:
+    """A journal line: compact JSON in the record's own key order."""
+    return json.dumps(record, separators=(",", ":"))
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint of completed sweep points.
 
@@ -461,7 +469,8 @@ class SweepJournal:
     path carry — so a resumed point is bit-identical to a fresh one by
     construction.  Records are flushed per line: anything short of the
     host dying leaves a loadable prefix (a torn final line from a
-    SIGKILL is detected and skipped on load).
+    SIGKILL is detected and skipped on load).  The file handling is
+    :mod:`repro.util.jsonl`, shared with the run history.
 
     Besides point checkpoints the journal accepts auxiliary telemetry
     records via :meth:`note` (worker heartbeats, see
@@ -482,32 +491,14 @@ class SweepJournal:
     def open_append(self) -> "SweepJournal":
         """Open for appending, writing the header on a fresh file and
         absorbing already-journaled keys from an existing one."""
-        torn_tail = False
         if self.path.exists() and self.path.stat().st_size > 0:
             self._keys = set(self.load(self.path))
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                torn_tail = fh.read(1) != b"\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if torn_tail:
-            # A SIGKILL mid-write left a partial final line; terminate it
-            # so new records don't splice into the torn JSON (load()
-            # already skips the malformed line).
-            self._fh.write("\n")
-        if not self._keys and self._fh.tell() == 0:
-            self._fh.write(
-                json.dumps(
-                    {
-                        "kind": "header",
-                        "journal_version": JOURNAL_VERSION,
-                        "schema": SCHEMA_VERSION,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-            self._fh.flush()
+        header = {
+            "kind": "header",
+            "journal_version": JOURNAL_VERSION,
+            "schema": SCHEMA_VERSION,
+        }
+        self._fh = open_append(self.path, _compact(header))
         return self
 
     def record(self, key: str, payload: dict) -> bool:
@@ -516,14 +507,8 @@ class SweepJournal:
         with self._lock:
             if self._fh is None or key in self._keys:
                 return False
-            self._fh.write(
-                json.dumps(
-                    {"kind": "point", "key": key, "payload": payload},
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-            self._fh.flush()
+            line = _compact({"kind": "point", "key": key, "payload": payload})
+            write_line(self._fh, line)
             self._keys.add(key)
             return True
 
@@ -537,14 +522,13 @@ class SweepJournal:
             if self._fh is None:
                 return False
             try:
-                line = json.dumps(record, separators=(",", ":"))
+                line = _compact(record)
             except (TypeError, ValueError):
                 _log.warning(
                     "journal %s: dropping non-JSON note %r", self.path, record
                 )
                 return False
-            self._fh.write(line + "\n")
-            self._fh.flush()
+            write_line(self._fh, line)
             return True
 
     def close(self) -> None:
@@ -574,52 +558,28 @@ class SweepJournal:
         incompatible payloads into one sweep.
         """
         path = Path(path)
+
+        def check_header(rec: dict) -> None:
+            schema = rec.get("schema")
+            if schema != SCHEMA_VERSION:
+                raise ValueError(
+                    f"journal {path} has payload schema {schema}, "
+                    f"this build writes {SCHEMA_VERSION}; "
+                    "re-run the sweep instead of resuming"
+                )
+
         entries: dict[str, dict] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    _log.warning(
-                        "journal %s: skipping malformed line %d "
-                        "(torn write from an interrupted run?)",
-                        path,
-                        lineno,
-                    )
-                    continue
-                kind = rec.get("kind")
-                if kind == "header":
-                    schema = rec.get("schema")
-                    if schema != SCHEMA_VERSION:
-                        raise ValueError(
-                            f"journal {path} has payload schema {schema}, "
-                            f"this build writes {SCHEMA_VERSION}; "
-                            "re-run the sweep instead of resuming"
-                        )
-                elif kind == "point":
-                    key, payload = rec.get("key"), rec.get("payload")
-                    if isinstance(key, str) and isinstance(payload, dict):
-                        entries[key] = payload
-                    else:
-                        _log.warning(
-                            "journal %s: skipping bad point line %d",
-                            path,
-                            lineno,
-                        )
-                elif kind == "heartbeat":
-                    # Telemetry breadcrumbs, not resume state.
-                    continue
-                else:
-                    _log.warning(
-                        "journal %s: skipping unknown record kind %r "
-                        "on line %d",
-                        path,
-                        kind,
-                        lineno,
-                    )
+        # Heartbeat notes are telemetry breadcrumbs, not resume state.
+        for lineno, rec in read_records(
+            path, "journal", check_header, ("point",), ignore=("heartbeat",)
+        ):
+            key, payload = rec.get("key"), rec.get("payload")
+            if isinstance(key, str) and isinstance(payload, dict):
+                entries[key] = payload
+            else:
+                _log.warning(
+                    "journal %s: skipping bad point line %d", path, lineno
+                )
         return entries
 
 

@@ -219,6 +219,25 @@ class TestFaultyNetwork:
         assert res.retransmitted_packets >= res.lost_packets
         assert res.duplicate_packets >= 0
 
+    def test_live_progress_is_published(self, monkeypatch):
+        # Worker heartbeats read the in-flight run through live_progress();
+        # a fault run must publish itself like a pristine one does.
+        from repro.net.simulator import live_progress
+
+        seen = []
+        deliver = FaultyTorusNetwork._finish_delivery
+
+        def spy(net, u, h):
+            seen.append(live_progress())
+            deliver(net, u, h)
+
+        monkeypatch.setattr(FaultyTorusNetwork, "_finish_delivery", spy)
+        shape = TorusShape.parse("4x4x2")
+        plan = FaultPlan.random(shape, seed=1, dead_link_fraction=0.05)
+        simulate_alltoall(ARDirect(), shape, 64, seed=1, faults=plan)
+        assert seen and None not in seen
+        assert live_progress() is None  # cleared once the run returns
+
     def test_zero_loss_plan_counts_nothing(self):
         plan = FaultPlan(dead_links=frozenset({(0, 0)}))
         plans = [[PacketSpec(dst=1, wire_bytes=64)] * 5, [], [], []]

@@ -13,10 +13,16 @@ Three families the ordinary suites exercise only incidentally:
 
 import pytest
 
-from repro.check import CheckedTorusNetwork
+from repro.check import CheckConfig
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net import ListProgram, NetworkConfig, PacketSpec, TorusNetwork
+from repro.net import (
+    ListProgram,
+    NetworkConfig,
+    PacketSpec,
+    TorusNetwork,
+    build_network,
+)
 from repro.net.packet import NO_VC, Packet, PacketPool, RoutingMode
 from repro.net.simulator import TICK_SCALE, TICK_UNSCALE
 
@@ -130,7 +136,9 @@ class TestRingWraparound:
         # traffic silently.
         shape = TorusShape.parse("8")
         config = NetworkConfig(vc_depth=2)
-        net = CheckedTorusNetwork(shape, MachineParams(), config)
+        net = build_network(
+            shape, MachineParams(), config, check=CheckConfig()
+        )
         plans = [
             [PacketSpec(dst=(u + 4) % 8, wire_bytes=256)] * 48
             for u in range(8)
@@ -153,7 +161,9 @@ class TestRingWraparound:
         # senders' packets in depth-2 VC rings.
         shape = TorusShape.parse("4x2")
         config = NetworkConfig(vc_depth=2, reception_fifo_depth=4)
-        net = CheckedTorusNetwork(shape, MachineParams(), config)
+        net = build_network(
+            shape, MachineParams(), config, check=CheckConfig()
+        )
         plans = [[PacketSpec(dst=0, wire_bytes=64)] * 32 for _ in range(8)]
         plans[0] = []
         res = net.run(ListProgram(plans))

@@ -316,3 +316,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "single_point_ci.events_per_sec" in out
         assert "verdict: neutral" in out
+
+    def test_append_bench_accepts_skipped_sweep_record(self, tmp_path, capsys):
+        # bench_simcore.py records sweep scaling as skipped, with no
+        # speedup ratio, on machines with fewer CPUs than workers.
+        skipped = {
+            "name": "sweep_scaling_ci",
+            "shape": "4x4x4",
+            "points": 4,
+            "workers": 4,
+            "cpus": 2,
+            "status": "skipped",
+            "reason": "2 cpu(s) cannot express 4 workers",
+        }
+        report = dict(
+            BENCH_REPORT, benchmarks=BENCH_REPORT["benchmarks"] + [skipped]
+        )
+        report_path = tmp_path / "BENCH.json"
+        report_path.write_text(json.dumps(report))
+        hist = str(tmp_path / "bench-hist.jsonl")
+        assert main(["append-bench", hist, str(report_path)]) == 0
+        assert main(["append-bench", hist, str(report_path)]) == 0
+        rec = RunHistory(hist).records()[-1]
+        assert rec["payload"]["benchmarks"]["sweep_scaling_ci"] == {
+            "shape": "4x4x4"
+        }
+        assert not any(
+            k.startswith("sweep_scaling_ci.") for k in rec["meta"]["metrics"]
+        )
+        assert main(["diff", hist]) == 0
+        assert "verdict: neutral" in capsys.readouterr().out

@@ -14,10 +14,6 @@ from repro.api import simulate_alltoall
 from repro.model.torus import TorusShape
 from repro.net.faults import FaultPlan
 from repro.net.faultsim import build_network
-from repro.net.instrumented import (
-    InstrumentedFaultyTorusNetwork,
-    InstrumentedTorusNetwork,
-)
 from repro.net.simulator import TorusNetwork
 from repro.obs import ObsConfig, observe
 from repro.obs.tracer import write_jsonl
@@ -50,14 +46,6 @@ class TestBuildNetwork:
 
     def test_disabled_config_is_uninstrumented(self):
         assert type(build_network(SHAPE, obs=ObsConfig())) is TorusNetwork
-
-    def test_enabled_config_selects_instrumented(self):
-        net = build_network(SHAPE, obs=OBS_ALL)
-        assert type(net) is InstrumentedTorusNetwork
-        faulty = build_network(
-            SHAPE, faults=FaultPlan(loss_prob=0.01), obs=OBS_ALL
-        )
-        assert type(faulty) is InstrumentedFaultyTorusNetwork
 
 
 class TestBitIdentity:

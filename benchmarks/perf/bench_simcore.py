@@ -79,9 +79,8 @@ def assert_observability_disabled() -> None:
     """The benchmark must exercise the un-instrumented hot path.
 
     Both guards would trip if someone made instrumentation the default:
-    the default-constructed network must be the plain class (not an
-    ``InstrumentedTorusNetwork``), and its type must carry none of the
-    observability attributes.
+    the default-constructed network must be the plain class, and no
+    observer (instrumentation or oracles) may be attached to it.
     """
     net = build_network(TorusShape.parse("2x2x2"))
     if type(net) is not TorusNetwork:
@@ -89,11 +88,11 @@ def assert_observability_disabled() -> None:
             f"bench precondition failed: build_network() returned "
             f"{type(net).__name__}, expected plain TorusNetwork"
         )
-    for attr in ("tracer", "metrics"):
-        if hasattr(net, attr):
-            raise SystemExit(
-                f"bench precondition failed: plain network has {attr!r}"
-            )
+    if net._observers:
+        raise SystemExit(
+            f"bench precondition failed: plain network has observers "
+            f"{[type(ob).__name__ for ob in net._observers]}"
+        )
 
 #: Single-point benchmark per scale: (shape, msg_bytes, seed, repeats).
 POINTS = {
@@ -159,10 +158,10 @@ def bench_analytics_overhead(scale: str) -> dict:
     no obs/check/faults — exactly what ``simulate_alltoall`` runs when
     observability is off) against a bare ``TorusNetwork`` on the *same*
     prebuilt program, interleaved, CPU-time min-of-N.  Link analytics,
-    tracing and checking are all opt-in subclasses, so the two must be
-    within noise of each other; a default path that runs >5 % slower
-    than the raw core means someone leaked instrumentation into the
-    analytics-off configuration.
+    tracing and checking are all opt-in observers attached by
+    ``build_network``, so the two must be within noise of each other; a
+    default path that runs >5 % slower than the raw core means someone
+    leaked instrumentation into the analytics-off configuration.
     """
     from repro.model.machine import MachineParams
 
@@ -234,7 +233,7 @@ def bench_analytics_overhead(scale: str) -> dict:
     floor_ratio = best_default / best_core
     # Two independent overhead estimators: the ratio of per-leg floors
     # and the median paired ratio.  A real instrumentation leak (a
-    # subclass in the default path) inflates both consistently; timing
+    # hook in the default path) inflates both consistently; timing
     # noise rarely inflates both at once, so the gate takes the smaller
     # estimate and stays robust on loud machines.
     overhead = min(median_ratio, floor_ratio) - 1.0

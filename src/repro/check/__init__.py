@@ -6,9 +6,9 @@ model family (:mod:`repro.model` via each strategy's ``predict_cycles``)
 and the functional data engine (:mod:`repro.functional`).  This package
 checks them against each other:
 
-* :mod:`repro.check.oracle` — runtime **invariant oracles** layered over
-  the simulator via subclassing (the same zero-cost-when-off pattern as
-  :mod:`repro.net.instrumented`): packet conservation, exactly-once
+* :mod:`repro.check.oracle` — runtime **invariant oracles** attached to
+  the simulator as a run observer (the same zero-cost-when-off pattern
+  as :mod:`repro.net.instrumented`): packet conservation, exactly-once
   delivery under faults, credit non-negativity, queue/counter consistency
   (the no-stuck-queue audit) and per-strategy phase invariants (TPS
   linear-before-plane, VMesh mesh membership).

@@ -3,8 +3,8 @@
 Mirrors :class:`repro.obs.config.ObsConfig`: one frozen :class:`CheckConfig`
 travels from the CLI (``--check``) or the fuzz driver through
 :func:`repro.runner.run_points` into :func:`repro.api.simulate_alltoall`
-and finally :func:`repro.net.faultsim.build_network`, which instantiates a
-checked network only when :attr:`CheckConfig.enabled` is true.  The default
+and finally :func:`repro.net.faultsim.build_network`, which attaches the
+oracle observer only when :attr:`CheckConfig.enabled` is true.  The default
 (``None`` everywhere) runs the plain simulator — verification disabled is
 not a cheap path, it is *the same* path as before this subsystem existed.
 """

@@ -1,16 +1,16 @@
-"""Runtime invariant oracles layered over the torus network.
+"""Runtime invariant oracles observing the torus network.
 
 The zero-overhead-when-disabled contract is held structurally, exactly as
-the fault layer (:mod:`repro.net.faultsim`) and the observability layer
-(:mod:`repro.net.instrumented`) hold it: the plain network classes contain
-**no** checking code and no ``if enabled`` branches.  When a
-:class:`~repro.check.config.CheckConfig` asks for verification,
-:func:`repro.net.faultsim.build_network` layers :class:`_CheckedMixin`
-over the network class it would otherwise build (outermost, so the
-oracles see the state after every other layer ran).
+the observability layer (:mod:`repro.net.instrumented`) holds it: the
+oracles are one :class:`InvariantOracles` observer
+(:class:`~repro.net.simulator.SimObserver`) that
+:func:`repro.net.faultsim.build_network` attaches only when a
+:class:`~repro.check.config.CheckConfig` asks for verification; the
+network classes contain **no** checking code.  Attached after the
+instrumentation, the oracles see the state after every other hook ran.
 
-Every override calls ``super()`` *first* and then only **reads** state, so
-a checked run makes exactly the decisions — and produces exactly the
+Every hook runs after the step it checks and only **reads** state, so a
+checked run makes exactly the decisions — and produces exactly the
 ``time_cycles`` and event counts — of an unchecked one; the only possible
 behavioral difference is an :class:`InvariantError` raised at the moment a
 violation is observed.  ``tests/check`` pins this bit-identity.
@@ -49,8 +49,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.errors import SimulationError
-from repro.net.packet import PacketSpec
-from repro.net.simulator import TICK_UNSCALE
+from repro.net.simulator import TICK_UNSCALE, SimObserver
 from repro.net.trace import SimulationResult
 from repro.check.config import CheckConfig
 from repro.strategies.data import (
@@ -80,355 +79,332 @@ class InvariantError(SimulationError):
         )
 
 
-#: Slots of every checked class (see ``faultsim._network_class``).
-_CHK_SLOTS = (
-    "check",
-    "_chk_seen_seqs",
-    "_chk_busy_total",
-    "_chk_deliveries",
-    "_chk_max_hops",
-    "_chk_bound",
-    "_chk_axis",
-    "_chk_strict_tps",
-    "_chk_vmap",
-)
+class InvariantOracles(SimObserver):
+    """The invariant oracles of one run, fed by the kernel's hooks."""
 
-
-class _CheckedMixin:
-    """Invariant oracles layered over a network class via ``super()``."""
-
-    __slots__ = ()
-
-    # -------------------------------------------------------------- #
-    # setup
-    # -------------------------------------------------------------- #
-
-    def _init_check(self, check: CheckConfig) -> None:
+    def __init__(self, check: CheckConfig) -> None:
         self.check = check
-        #: Sequence numbers already consumed (independent of the network's
-        #: own dedup set — that is the mechanism under test).
-        self._chk_seen_seqs: set[int] = set()
-        self._chk_busy_total = 0.0
-        self._chk_deliveries = 0
+        self._audit = None
+        self._conserve = None
+
+    def bind(self, net) -> dict:
+        chk = self.check
+        ndirs, nvcs, nports, nfifos = (
+            net._ndirs, net._nvcs, net._nports, net._nfifos
+        )
+        ndim = net._ndim
+        st = net.stats
+        tokens, link_busy = net._tokens, net._link_busy
+        fifo_free, recv_free = net._fifo_free, net._recv_free
+        q_n, queued = net._q_n, net._queued
+        P_pid, P_src, P_dst = net._P_pid, net._P_src, net._P_dst
+        P_hops, P_seq, P_final, P_tag = (
+            net._P_hops, net._P_seq, net._P_final, net._P_tag
+        )
+        coord = net._coord
+        vc_depth = net._vc_depth
+        cfg = net.config
         # Routability bound: a minimal path never exceeds the diameter
         # (sum of per-axis half-extents); up*/down* escape detours and
         # fault reroutes are bounded by the surviving graph's size, so
         # 4 * (sum of extents) + 16 is generous slack for any legal path
         # while still catching unbounded ping-pong.
-        self._chk_max_hops = 4 * sum(self.shape.dims) + 16
-        self._chk_bound = False
-        self._chk_axis: Optional[int] = None
-        self._chk_strict_tps = False
-        self._chk_vmap = None
+        max_hops = 4 * sum(net.shape.dims) + 16
+        # Sequence numbers already consumed (independent of the network's
+        # own dedup set — that is the mechanism under test).
+        seen_seqs: set[int] = set()
+        busy_total = 0.0
+        deliveries = 0
+        credits, exactly_once = chk.credits, chk.exactly_once
+        phases, progress = chk.phases, chk.progress
+        audit_interval = chk.audit_interval
 
-    def _chk_bind_program(self) -> None:
-        """Sniff the node program (once, at first delivery) for the
-        strategy geometry the phase oracles need."""
-        self._chk_bound = True
-        prog = self._program
-        axis = getattr(prog, "linear_axis", None)
-        if isinstance(axis, int) and 0 <= axis < self._ndim:
-            self._chk_axis = axis
-            # Fault-free TPS picks the intermediate on the source's own
-            # line; with dead nodes the re-pick may sit anywhere on the
-            # destination's line, so only the line-membership half of the
-            # invariant survives.
-            self._chk_strict_tps = not getattr(prog, "dead_nodes", frozenset())
-        vmap = getattr(prog, "map", None)
-        if vmap is not None and hasattr(vmap, "row_col"):
-            self._chk_vmap = vmap
+        # Strategy geometry for the phase oracles, sniffed from the node
+        # program: ``linear_axis`` for TPS-family programs, ``map`` for
+        # VMesh.
+        axis: Optional[int] = None
+        strict_tps = False
+        vmap = None
+        if phases:
+            prog = net._program
+            prog_axis = getattr(prog, "linear_axis", None)
+            if isinstance(prog_axis, int) and 0 <= prog_axis < ndim:
+                axis = prog_axis
+                # Fault-free TPS picks the intermediate on the source's
+                # own line; with dead nodes the re-pick may sit anywhere
+                # on the destination's line, so only the line-membership
+                # half of the invariant survives.
+                strict_tps = not getattr(prog, "dead_nodes", frozenset())
+            prog_map = getattr(prog, "map", None)
+            if prog_map is not None and hasattr(prog_map, "row_col"):
+                vmap = prog_map
 
-    # -------------------------------------------------------------- #
-    # lifecycle hooks (super() first, then read-only verification)
-    # -------------------------------------------------------------- #
+        def launch(u, d, v, h, vc, now, busy0, flags):
+            nonlocal busy_total
+            # Tick deltas unscale to exactly the float cycle deltas the
+            # pre-SoA oracle accumulated (power-of-two scaling is exact).
+            busy_total += (link_busy[u * ndirs + d] - now) * TICK_UNSCALE
+            if not credits:
+                return
+            tok = tokens[(v * ndirs + (d ^ 1)) * nvcs + vc]
+            if tok < 0:
+                raise InvariantError(
+                    "credits",
+                    "downstream credit went negative at launch",
+                    cycle=now * TICK_UNSCALE, node=u, direction=d, vc=vc,
+                    tokens=tok, pid=P_pid[h],
+                )
+            if busy0 > now:
+                raise InvariantError(
+                    "credits",
+                    "launch on a busy link",
+                    cycle=now * TICK_UNSCALE, node=u, direction=d,
+                    busy_until=busy0 * TICK_UNSCALE, pid=P_pid[h],
+                )
+            hops = P_hops[h]
+            if hops > max_hops:
+                raise InvariantError(
+                    "credits",
+                    f"packet exceeded the {max_hops}-hop "
+                    f"routability bound (routing loop?)",
+                    cycle=now * TICK_UNSCALE, pid=P_pid[h], src=P_src[h],
+                    dst=P_dst[h], hops=hops,
+                )
 
-    def _launch(self, u: int, d: int, v: int, h: int, vc: int) -> None:
-        now = self._now
-        busy_before = self._link_busy[u * self._ndirs + d]
-        pid = self._P_pid[h]
-        super()._launch(u, d, v, h, vc)
-        # Tick deltas unscale to exactly the float cycle deltas the
-        # pre-SoA oracle accumulated (power-of-two scaling is exact).
-        self._chk_busy_total += (
-            self._link_busy[u * self._ndirs + d] - now
-        ) * TICK_UNSCALE
-        if not self.check.credits:
-            return
-        tok = self._tokens[(v * self._ndirs + (d ^ 1)) * self._nvcs + vc]
-        if tok < 0:
-            raise InvariantError(
-                "credits",
-                "downstream credit went negative at launch",
-                cycle=now * TICK_UNSCALE, node=u, direction=d, vc=vc,
-                tokens=tok, pid=pid,
-            )
-        if busy_before > now:
-            raise InvariantError(
-                "credits",
-                "launch on a busy link",
-                cycle=now * TICK_UNSCALE, node=u, direction=d,
-                busy_until=busy_before * TICK_UNSCALE, pid=pid,
-            )
-        hops = self._P_hops[h]
-        if hops > self._chk_max_hops:
-            raise InvariantError(
-                "credits",
-                f"packet exceeded the {self._chk_max_hops}-hop "
-                f"routability bound (routing loop?)",
-                cycle=now * TICK_UNSCALE, pid=pid, src=self._P_src[h],
-                dst=self._P_dst[h], hops=hops,
-            )
-
-    def _begin_injection(
-        self, u: int, spec: PacketSpec, fifo: int, src: int
-    ) -> None:
-        super()._begin_injection(u, spec, fifo, src)
-        if self.check.credits:
-            free = self._fifo_free[u * self._nfifos + fifo]
+        def inject_begin(u, fifo):
+            free = fifo_free[u * nfifos + fifo]
             if free < 0:
                 raise InvariantError(
                     "credits",
                     "injection FIFO slot count went negative",
-                    cycle=self._now * TICK_UNSCALE, node=u, fifo=fifo,
+                    cycle=net._now * TICK_UNSCALE, node=u, fifo=fifo,
                     free=free,
                 )
 
-    def _on_arrive(self, v: int, port: int, h: int) -> None:
-        super()._on_arrive(v, port, h)
-        if not self.check.credits:
-            return
-        if self._recv_free[v] < 0:
-            raise InvariantError(
-                "credits",
-                "reception slot count went negative",
-                cycle=self._now * TICK_UNSCALE, node=v,
-                free=self._recv_free[v],
-            )
-        depth = self._q_n[v * self._nports + port]
-        if depth > self._vc_depth:
-            raise InvariantError(
-                "credits",
-                f"VC buffer overfilled beyond its {self._vc_depth}-packet "
-                f"depth (credit protocol broken)",
-                cycle=self._now * TICK_UNSCALE, node=v,
-                in_dir=self._port_dir[port], vc=self._port_vc[port],
-                depth=depth,
-            )
-
-    def _finish_delivery(self, u: int, h: int) -> None:
-        st = self.stats
-        delivered0 = st.delivered_packets
-        # Snapshot the pool columns up front: the base class returns the
-        # handle to the free list once the delivery is consumed.
-        seq = self._P_seq[h]
-        pid = self._P_pid[h]
-        src = self._P_src[h]
-        final_dst = self._P_final[h]
-        kind = kind_of_tag(self._P_tag[h])
-        super()._finish_delivery(u, h)
-        if st.delivered_packets == delivered0:
-            return  # receiver-side duplicate discard (fault runs)
-        chk = self.check
-        if chk.exactly_once and seq >= 0:
-            if seq in self._chk_seen_seqs:
+        def arrive(v, port, h, n0):
+            if recv_free[v] < 0:
                 raise InvariantError(
-                    "exactly_once",
-                    "sequenced packet consumed twice (dedup broken)",
-                    cycle=self._now * TICK_UNSCALE, node=u, seq=seq,
-                    pid=pid, src=src,
+                    "credits",
+                    "reception slot count went negative",
+                    cycle=net._now * TICK_UNSCALE, node=v,
+                    free=recv_free[v],
                 )
-            self._chk_seen_seqs.add(seq)
-        if chk.phases:
-            if not self._chk_bound:
-                self._chk_bind_program()
-            self._chk_phase(u, kind, src, final_dst, pid)
-        if chk.progress:
-            self._chk_deliveries += 1
-            if self._chk_deliveries % chk.audit_interval == 0:
-                self._chk_audit()
-
-    # -------------------------------------------------------------- #
-    # oracles
-    # -------------------------------------------------------------- #
-
-    def _chk_phase(
-        self, u: int, kind: Optional[str], src: int, final_dst: int, pid: int
-    ) -> None:
-        """Per-strategy phase/geometry invariants at consumption."""
-        if kind is None:
-            return
-        now_f = self._now * TICK_UNSCALE
-        if kind == PHASE_DIRECT:
-            if u != final_dst:
+            depth = q_n[v * nports + port]
+            if depth > vc_depth:
                 raise InvariantError(
-                    "phases",
-                    "direct packet consumed away from its destination",
-                    cycle=now_f, node=u, final_dst=final_dst, pid=pid,
-                )
-            return
-        axis = self._chk_axis
-        if kind == PHASE_TPS1 and axis is not None:
-            coord = self._coord[axis]
-            if coord[u] != coord[final_dst]:
-                raise InvariantError(
-                    "phases",
-                    "TPS phase-1 packet landed off the destination's "
-                    "linear line",
-                    cycle=now_f, node=u, src=src,
-                    final_dst=final_dst, axis=axis, pid=pid,
-                )
-            if self._chk_strict_tps:
-                for a in range(self._ndim):
-                    if a == axis:
-                        continue
-                    if self._coord[a][u] != self._coord[a][src]:
-                        raise InvariantError(
-                            "phases",
-                            "TPS phase-1 packet left its source's plane "
-                            "before the linear phase completed",
-                            cycle=now_f, node=u, src=src,
-                            axis=a, pid=pid,
-                        )
-        elif kind == PHASE_TPS2 and axis is not None:
-            if u != final_dst:
-                raise InvariantError(
-                    "phases",
-                    "TPS phase-2 packet consumed away from its "
-                    "destination",
-                    cycle=now_f, node=u, final_dst=final_dst, pid=pid,
-                )
-            coord = self._coord[axis]
-            if coord[src] != coord[u]:
-                raise InvariantError(
-                    "phases",
-                    "TPS phase-2 packet crossed linear lines (planar "
-                    "phase must be linear-free)",
-                    cycle=now_f, node=u, src=src, axis=axis, pid=pid,
-                )
-        elif kind == PHASE_VMESH1 and self._chk_vmap is not None:
-            row_u, _ = self._chk_vmap.row_col(u)
-            row_s, _ = self._chk_vmap.row_col(src)
-            if row_u != row_s or u != final_dst:
-                raise InvariantError(
-                    "phases",
-                    "VMesh phase-1 packet left its sender's row",
-                    cycle=now_f, node=u, src=src, pid=pid,
-                )
-        elif kind == PHASE_VMESH2 and self._chk_vmap is not None:
-            _, col_u = self._chk_vmap.row_col(u)
-            _, col_s = self._chk_vmap.row_col(src)
-            if col_u != col_s or u != final_dst:
-                raise InvariantError(
-                    "phases",
-                    "VMesh phase-2 packet left its sender's column",
-                    cycle=now_f, node=u, src=src, pid=pid,
+                    "credits",
+                    f"VC buffer overfilled beyond its {vc_depth}-packet "
+                    f"depth (credit protocol broken)",
+                    cycle=net._now * TICK_UNSCALE, node=v,
+                    in_dir=net._port_dir[port], vc=net._port_vc[port],
+                    depth=depth,
                 )
 
-    def _chk_audit(self) -> None:
-        """No-stuck-queue / bounded-resource audit over the whole state."""
-        now_f = self._now * TICK_UNSCALE
-        vc_depth = self._vc_depth
-        for i, t in enumerate(self._tokens):
-            if t < 0 or t > vc_depth:
+        def deliver(u, h):
+            nonlocal deliveries
+            seq = P_seq[h]
+            if exactly_once and seq >= 0:
+                if seq in seen_seqs:
+                    raise InvariantError(
+                        "exactly_once",
+                        "sequenced packet consumed twice (dedup broken)",
+                        cycle=net._now * TICK_UNSCALE, node=u, seq=seq,
+                        pid=P_pid[h], src=P_src[h],
+                    )
+                seen_seqs.add(seq)
+            if phases:
+                phase(u, kind_of_tag(P_tag[h]), P_src[h], P_final[h], P_pid[h])
+            if progress:
+                deliveries += 1
+                if deliveries % audit_interval == 0:
+                    audit(net._now)
+
+        def phase(u, kind, src, final_dst, pid):
+            """Per-strategy phase/geometry invariants at consumption."""
+            if kind is None:
+                return
+            now_f = net._now * TICK_UNSCALE
+            if kind == PHASE_DIRECT:
+                if u != final_dst:
+                    raise InvariantError(
+                        "phases",
+                        "direct packet consumed away from its destination",
+                        cycle=now_f, node=u, final_dst=final_dst, pid=pid,
+                    )
+                return
+            if kind == PHASE_TPS1 and axis is not None:
+                line = coord[axis]
+                if line[u] != line[final_dst]:
+                    raise InvariantError(
+                        "phases",
+                        "TPS phase-1 packet landed off the destination's "
+                        "linear line",
+                        cycle=now_f, node=u, src=src,
+                        final_dst=final_dst, axis=axis, pid=pid,
+                    )
+                if strict_tps:
+                    for a in range(ndim):
+                        if a == axis:
+                            continue
+                        if coord[a][u] != coord[a][src]:
+                            raise InvariantError(
+                                "phases",
+                                "TPS phase-1 packet left its source's "
+                                "plane before the linear phase completed",
+                                cycle=now_f, node=u, src=src,
+                                axis=a, pid=pid,
+                            )
+            elif kind == PHASE_TPS2 and axis is not None:
+                if u != final_dst:
+                    raise InvariantError(
+                        "phases",
+                        "TPS phase-2 packet consumed away from its "
+                        "destination",
+                        cycle=now_f, node=u, final_dst=final_dst, pid=pid,
+                    )
+                line = coord[axis]
+                if line[src] != line[u]:
+                    raise InvariantError(
+                        "phases",
+                        "TPS phase-2 packet crossed linear lines (planar "
+                        "phase must be linear-free)",
+                        cycle=now_f, node=u, src=src, axis=axis, pid=pid,
+                    )
+            elif kind == PHASE_VMESH1 and vmap is not None:
+                row_u, _ = vmap.row_col(u)
+                row_s, _ = vmap.row_col(src)
+                if row_u != row_s or u != final_dst:
+                    raise InvariantError(
+                        "phases",
+                        "VMesh phase-1 packet left its sender's row",
+                        cycle=now_f, node=u, src=src, pid=pid,
+                    )
+            elif kind == PHASE_VMESH2 and vmap is not None:
+                _, col_u = vmap.row_col(u)
+                _, col_s = vmap.row_col(src)
+                if col_u != col_s or u != final_dst:
+                    raise InvariantError(
+                        "phases",
+                        "VMesh phase-2 packet left its sender's column",
+                        cycle=now_f, node=u, src=src, pid=pid,
+                    )
+
+        # audit and conserve outlive the run (finish calls them), so they
+        # take the clock as an argument rather than holding the network:
+        # a network -> observer -> closure -> network cycle would keep a
+        # finished network's tables alive until a full collection.
+        p = net._p
+        busy_cycles = net._busy_cycles
+
+        def audit(now):
+            """No-stuck-queue / bounded-resource audit over the whole
+            state."""
+            now_f = now * TICK_UNSCALE
+            for i, t in enumerate(tokens):
+                if t < 0 or t > vc_depth:
+                    raise InvariantError(
+                        "progress",
+                        f"credit count out of [0, {vc_depth}]",
+                        cycle=now_f, index=i, tokens=t,
+                    )
+            cap = cfg.injection_fifo_depth
+            for i, f in enumerate(fifo_free):
+                if f < 0 or f > cap:
+                    raise InvariantError(
+                        "progress",
+                        f"injection FIFO free count out of [0, {cap}]",
+                        cycle=now_f, index=i, free=f,
+                    )
+            rcap = cfg.reception_fifo_depth
+            for u, r in enumerate(recv_free):
+                if r < 0 or r > rcap:
+                    raise InvariantError(
+                        "progress",
+                        f"reception free count out of [0, {rcap}]",
+                        cycle=now_f, node=u, free=r,
+                    )
+            for u in range(p):
+                base = u * nports
+                actual = sum(q_n[base : base + nports])
+                if queued[u] != actual:
+                    raise InvariantError(
+                        "progress",
+                        "queued-packet counter diverged from queue "
+                        "contents (stuck queue: arbitration will skip "
+                        "this node)",
+                        cycle=now_f, node=u, counter=queued[u],
+                        actual=actual,
+                    )
+
+        def conserve(now):
+            """End-of-run accounting: nothing leaked, everything
+            returned."""
+            now_f = now * TICK_UNSCALE
+            leaked = sum(1 for t in tokens if t != vc_depth)
+            if leaked:
                 raise InvariantError(
-                    "progress",
-                    f"credit count out of [0, {vc_depth}]",
-                    cycle=now_f, index=i, tokens=t,
+                    "conservation",
+                    f"{leaked} VC credit(s) not returned to depth "
+                    f"{vc_depth}",
+                    cycle=now_f,
                 )
-        cap = self.config.injection_fifo_depth
-        for i, f in enumerate(self._fifo_free):
-            if f < 0 or f > cap:
+            cap = cfg.injection_fifo_depth
+            if any(f != cap for f in fifo_free):
                 raise InvariantError(
-                    "progress",
-                    f"injection FIFO free count out of [0, {cap}]",
-                    cycle=now_f, index=i, free=f,
+                    "conservation",
+                    "injection FIFO slots not all returned",
+                    cycle=now_f,
                 )
-        rcap = self.config.reception_fifo_depth
-        for u, r in enumerate(self._recv_free):
-            if r < 0 or r > rcap:
+            rcap = cfg.reception_fifo_depth
+            if any(r != rcap for r in recv_free):
                 raise InvariantError(
-                    "progress",
-                    f"reception free count out of [0, {rcap}]",
-                    cycle=now_f, node=u, free=r,
+                    "conservation",
+                    "reception slots not all returned",
+                    cycle=now_f,
                 )
-        nports = self._nports
-        q_n = self._q_n
-        for u in range(self._p):
-            base = u * nports
-            actual = sum(q_n[base : base + nports])
-            if self._queued[u] != actual:
+            accounted = (
+                st.delivered_packets + st.duplicate_packets + st.lost_packets
+            )
+            if st.injected_packets != accounted:
                 raise InvariantError(
-                    "progress",
-                    "queued-packet counter diverged from queue contents "
-                    "(stuck queue: arbitration will skip this node)",
-                    cycle=now_f, node=u, counter=self._queued[u],
-                    actual=actual,
+                    "conservation",
+                    "packet conservation broken: injected != delivered + "
+                    "duplicates + lost",
+                    injected=st.injected_packets,
+                    delivered=st.delivered_packets,
+                    duplicates=st.duplicate_packets,
+                    lost=st.lost_packets,
+                )
+            if (
+                st.final_deliveries + st.forwarded_packets
+                != st.delivered_packets
+            ):
+                raise InvariantError(
+                    "conservation",
+                    "delivery split broken: final + forwarded != delivered",
+                    final=st.final_deliveries,
+                    forwarded=st.forwarded_packets,
+                    delivered=st.delivered_packets,
+                )
+            total_busy = sum(busy_cycles)
+            if abs(total_busy - busy_total) > 1e-6 * max(1.0, total_busy):
+                raise InvariantError(
+                    "conservation",
+                    "link-busy accounting diverged from observed launches",
+                    busy_cycles=total_busy,
+                    observed=busy_total,
                 )
 
-    def _chk_conservation(self) -> None:
-        """End-of-run accounting: nothing leaked, everything returned."""
-        now_f = self._now * TICK_UNSCALE
-        vc_depth = self._vc_depth
-        leaked = sum(1 for t in self._tokens if t != vc_depth)
-        if leaked:
-            raise InvariantError(
-                "conservation",
-                f"{leaked} VC credit(s) not returned to depth {vc_depth}",
-                cycle=now_f,
-            )
-        cap = self.config.injection_fifo_depth
-        if any(f != cap for f in self._fifo_free):
-            raise InvariantError(
-                "conservation",
-                "injection FIFO slots not all returned",
-                cycle=now_f,
-            )
-        rcap = self.config.reception_fifo_depth
-        if any(r != rcap for r in self._recv_free):
-            raise InvariantError(
-                "conservation",
-                "reception slots not all returned",
-                cycle=now_f,
-            )
-        st = self.stats
-        accounted = st.delivered_packets + st.duplicate_packets + st.lost_packets
-        if st.injected_packets != accounted:
-            raise InvariantError(
-                "conservation",
-                "packet conservation broken: injected != delivered + "
-                "duplicates + lost",
-                injected=st.injected_packets,
-                delivered=st.delivered_packets,
-                duplicates=st.duplicate_packets,
-                lost=st.lost_packets,
-            )
-        if st.final_deliveries + st.forwarded_packets != st.delivered_packets:
-            raise InvariantError(
-                "conservation",
-                "delivery split broken: final + forwarded != delivered",
-                final=st.final_deliveries,
-                forwarded=st.forwarded_packets,
-                delivered=st.delivered_packets,
-            )
-        total_busy = sum(self._busy_cycles)
-        if abs(total_busy - self._chk_busy_total) > 1e-6 * max(
-            1.0, total_busy
-        ):
-            raise InvariantError(
-                "conservation",
-                "link-busy accounting diverged from observed launches",
-                busy_cycles=total_busy,
-                observed=self._chk_busy_total,
-            )
+        self._audit = audit
+        self._conserve = conserve
+        hooks = {"launch": launch, "deliver": deliver}
+        if credits:
+            hooks["inject_begin"] = inject_begin
+            hooks["arrive"] = arrive
+        return hooks
 
-    # -------------------------------------------------------------- #
-    # result assembly
-    # -------------------------------------------------------------- #
-
-    def _result(self) -> SimulationResult:
-        chk = self.check
-        if chk.progress:
-            self._chk_audit()
-        if chk.conservation:
-            self._chk_conservation()
-        return super()._result()
+    def finish(self, net, res: SimulationResult) -> None:
+        if self.check.progress:
+            self._audit(net._now)
+        if self.check.conservation:
+            self._conserve(net._now)

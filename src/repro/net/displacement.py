@@ -3,9 +3,9 @@
 This module is the single home of the "wrap / mod / halfbits" branch
 cluster that decides which way around the torus a packet travels on one
 axis.  The same logic used to be written out inline four times in
-:mod:`repro.net.simulator` (``_disp``, ``_dor_dir``, ``_vc_for_link``,
-``_try_send_head``) and consulted again by the fault-aware subclass; it is
-now computed **once per shape** into flat per-axis lookup tables, and the
+:mod:`repro.net.simulator` and consulted again by the fault-aware
+network; it is now computed **once per shape** into flat per-axis lookup
+tables, and the
 hot path does a couple of list indexings instead of a mod and three
 comparisons per routing decision.
 

@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
+import numpy as np
+
 from repro.model.torus import TorusShape
 from repro.net.errors import PartitionedNetworkError
 from repro.net.topology import Topology
@@ -288,6 +290,33 @@ def masked_neighbors(topo: Topology, plan: FaultPlan) -> list[list[int]]:
     return base
 
 
+def _check_names(topo: Topology, plan: FaultPlan) -> None:
+    """Reject a plan entry that names no node or link of *topo*.
+
+    A plan is data, checked where it first meets a topology: unchecked,
+    a negative index would wrap into another node's slot of the flat
+    tables and an out-of-range one would fail deep inside a run."""
+    p, ndirs = topo.nnodes, topo.ndirs
+    where = (
+        f"{topo.shape.label} (nodes 0..{p - 1}, directions 0..{ndirs - 1})"
+    )
+    for u in plan.dead_nodes:
+        if not 0 <= u < p:
+            raise ValueError(
+                f"fault plan dead_nodes entry {u!r} is not a node of {where}"
+            )
+    entries = [("dead_links", lk, lk) for lk in plan.dead_links]
+    entries += [("degraded_links", lk, lk) for lk in plan.degraded_links]
+    entries += [("link_loss", lk, lk) for lk in plan.link_loss]
+    entries += [("outages", o, (o.node, o.direction)) for o in plan.outages]
+    for field_name, entry, (u, d) in entries:
+        if not (0 <= u < p and 0 <= d < ndirs):
+            raise ValueError(
+                f"fault plan {field_name} entry {entry!r} is not a link of "
+                f"{where}"
+            )
+
+
 def _connected(topo: Topology, plan: FaultPlan) -> bool:
     """Whether the surviving nodes form one connected component."""
     alive = [u for u in range(topo.nnodes) if u not in plan.dead_nodes]
@@ -320,13 +349,17 @@ class FaultRoutingTable:
     * ``alive`` — surviving ranks in ascending order;
     * ``order`` — BFS discovery index per node (up*/down* node ordering);
     * ``dist`` — flat ``[dst * P + u]`` BFS hop distance over survivors;
+    * ``productive`` — flat ``[dst * P + u]`` tuple of the directions whose
+      surviving link shrinks that distance, in direction order (adaptive
+      routing's candidates; interned, so at most ``2**ndirs`` tuples);
     * ``nh_up`` / ``nh_down`` — flat ``[dst * P + u]`` escape next-hop
       direction when the packet may still climb (up phase) / once it has
       descended (down phase);
     * ``num_links`` — surviving directed link count.
 
-    Raises :class:`PartitionedNetworkError` when the plan disconnects the
-    surviving nodes.
+    Raises :class:`ValueError` when the plan names a node or link the
+    topology does not have, and :class:`PartitionedNetworkError` when it
+    disconnects the surviving nodes.
     """
 
     def __init__(self, topo: Topology, plan: FaultPlan) -> None:
@@ -334,6 +367,7 @@ class FaultRoutingTable:
         self.plan = plan
         p = topo.nnodes
         ndirs = topo.ndirs
+        _check_names(topo, plan)
         self.nbr = masked_neighbors(topo, plan)
         self.alive = [u for u in range(p) if u not in plan.dead_nodes]
         require(self.alive, "fault plan kills every node")
@@ -373,6 +407,25 @@ class FaultRoutingTable:
         by_order = sorted(self.alive, key=lambda u: order[u])
         for dst in self.alive:
             self._build_for_dst(dst, p, ndirs, by_order)
+        self.productive = self._productive(p, ndirs)
+
+    def _productive(self, p: int, ndirs: int) -> list[tuple[int, ...]]:
+        """The ``productive`` table, in one vectorized pass over ``dist``:
+        bit d of a (dst, u) mask is set when u's surviving link d leads
+        one hop nearer dst; each mask maps to its interned tuple."""
+        dist = np.asarray(self.dist, dtype=np.int32).reshape(p, p)
+        masks = np.zeros((p, p), dtype=np.uint8)
+        for d in range(ndirs):
+            nbr_d = np.asarray([row[d] for row in self.nbr])
+            live = nbr_d >= 0
+            far = dist[:, np.where(live, nbr_d, 0)]  # [dst, u]
+            nearer = live & (far >= 0) & (far < dist)
+            masks |= nearer.astype(np.uint8) << d
+        subsets = [
+            tuple(d for d in range(ndirs) if m >> d & 1)
+            for m in range(1 << ndirs)
+        ]
+        return [subsets[m] for m in masks.ravel().tolist()]
 
     def _build_for_dst(
         self, dst: int, p: int, ndirs: int, by_order: list[int]

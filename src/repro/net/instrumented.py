@@ -1,22 +1,19 @@
 """Observability hooks for the torus network.
 
 The zero-overhead-when-disabled contract (DESIGN.md section 10) is held
-structurally, the same way the fault layer holds it: the plain
-:class:`~repro.net.simulator.TorusNetwork` and
-:class:`~repro.net.faultsim.FaultyTorusNetwork` contain **no** tracing
-code, no registry lookups and no ``if enabled`` branches — an
-un-instrumented run executes byte-for-byte the code it executed before
-this module existed.  When an :class:`~repro.obs.config.ObsConfig` asks
-for tracing or metrics, :func:`repro.net.faultsim.build_network` layers
-:class:`_InstrumentedMixin` over the network class it would otherwise
-build (``InstrumentedTorusNetwork`` / ``InstrumentedFaultyTorusNetwork``).
+structurally: observation is one :class:`Instrumentation` observer
+(:class:`~repro.net.simulator.SimObserver`) that
+:func:`repro.net.faultsim.build_network` attaches only when an
+:class:`~repro.obs.config.ObsConfig` asks for tracing, metrics, link
+stats or the profiler.  An unobserved run executes no code of this
+module: the run kernel skips every hook site on one ``is not None`` test,
+and builds no hook wrapper at all.
 
-Every override here calls ``super()`` *first* and then only reads state
-(ring-buffer queue depths, stats deltas, the packet pool's columns), so
-an instrumented run
-makes exactly the decisions — and produces exactly the ``time_cycles``
-and event counts — of an un-instrumented one.  ``tests/obs`` pins this
-bit-identity.
+Every hook runs after the step it observes and then only reads state
+(ring-buffer queue depths, stats, the packet pool's columns), so an
+instrumented run makes exactly the decisions — and produces exactly the
+``time_cycles`` and event counts — of an un-instrumented one.
+``tests/obs`` pins this bit-identity.
 
 What gets recorded (see :mod:`repro.obs.tracer` for the event schema):
 
@@ -41,41 +38,59 @@ from __future__ import annotations
 import time
 from dataclasses import asdict
 
-from repro.net.simulator import TICK_UNSCALE
+from repro.net.simulator import (
+    LAUNCH_DROPPED,
+    LAUNCH_REROUTED,
+    TICK_UNSCALE,
+    SimObserver,
+)
 from repro.net.trace import SimulationResult
 from repro.obs.config import ObsConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import PhaseProfiler
 from repro.obs.tracer import Tracer
 from repro.strategies.data import kind_of_tag
 
 _AXIS_NAMES = ("x", "y", "z")
 
-#: Slots of every instrumented class (see ``faultsim._network_class``).
-_OBS_SLOTS = (
-    "obs", "tracer", "metrics", "_axis_ts", "_lat_hist",
-    # link-stats layer (ObsConfig.link_stats): per-link wire bytes,
-    # per-(link, vc) packet counts, per-link stall cycles + open
-    # want-since tick, per-link drops and per-node retransmissions.
-    "_ls_on", "_ls_bytes", "_ls_vc_packets", "_ls_stall", "_ls_want",
-    "_ls_drops", "_ls_retx",
-    # phase profiler (ObsConfig.profile, and the per-phase busy table of
-    # ObsConfig.link_stats) + its host-clock stamp.
-    "_prof", "_prof_t0",
-)
+
+def _on_first_use(make, name: str):
+    """A getter for instrument *name*, registered by ``make(name)`` on its
+    first call — a metrics payload lists exactly the instruments a run
+    touched, and each is looked up once."""
+    inst = None
+
+    def get():
+        nonlocal inst
+        if inst is None:
+            inst = make(name)
+        return inst
+
+    return get
 
 
-class _InstrumentedMixin:
-    """Observation hooks layered over a network class via ``super()``."""
+class Instrumentation(SimObserver):
+    """Tracer, metrics, link stats and phase profiler of one run."""
 
-    __slots__ = ()
-
-    # -------------------------------------------------------------- #
-    # setup / teardown
-    # -------------------------------------------------------------- #
-
-    def _init_obs(self, obs: ObsConfig) -> None:
+    def __init__(self, obs: ObsConfig) -> None:
         self.obs = obs
-        self.tracer = (
+        self.tracer = None
+        self.metrics = None
+        self.profiler = None
+        #: Per-link/node counters of ``ObsConfig.link_stats``, by name.
+        self.link_stats: dict = {}
+        self._t0 = None
+
+    def bind(self, net) -> dict:
+        obs = self.obs
+        p, ndirs, nvcs, ndim = net._p, net._ndirs, net._nvcs, net._ndim
+        nports, nfifos = net._nports, net._nfifos
+        st = net.stats
+        P_pid, P_src, P_tag = net._P_pid, net._P_src, net._P_tag
+        P_wire, P_final, P_inject = net._P_wire, net._P_final, net._P_inject
+        link_busy = net._link_busy
+
+        tr = self.tracer = (
             Tracer(
                 capacity=obs.trace_capacity,
                 sample=obs.trace_sample,
@@ -84,244 +99,235 @@ class _InstrumentedMixin:
             if obs.trace
             else None
         )
+        kinds = tr.kinds if tr is not None else frozenset()
+        want = tr.want if tr is not None else None
+        emit = tr.emit if tr is not None else None
+        metrics = axis_ts = lat_hist = None
         if obs.metrics:
-            self.metrics = MetricsRegistry(
+            metrics = self.metrics = MetricsRegistry(
                 default_bucket_cycles=obs.metrics_bucket_cycles,
                 max_buckets=obs.metrics_max_buckets,
             )
-            self._axis_ts = [
-                self.metrics.timeseries(f"link_busy_cycles.{_AXIS_NAMES[a]}")
-                for a in range(self._ndim)
+            axis_ts = [
+                metrics.timeseries(f"link_busy_cycles.{_AXIS_NAMES[a]}")
+                for a in range(ndim)
             ]
-            self._lat_hist = self.metrics.histogram("final_latency_cycles")
-        else:
-            self.metrics = None
-            self._axis_ts = None
-            self._lat_hist = None
-        self._ls_on = obs.link_stats
-        if obs.link_stats:
-            p, ndirs = self._p, self._ndirs
-            self._ls_bytes: list[int] = [0] * (p * ndirs)
-            self._ls_vc_packets: list[int] = [0] * (p * ndirs * self._nvcs)
-            self._ls_stall: list[float] = [0.0] * (p * ndirs)
+            lat_hist = metrics.histogram("final_latency_cycles")
+            lost_ctr = _on_first_use(metrics.counter, "lost_packets")
+            reroute_ctr = _on_first_use(metrics.counter, "rerouted_hops")
+            retx_ctr = _on_first_use(metrics.counter, "retransmitted_packets")
+            queue_gauge = _on_first_use(metrics.gauge, "vc_queue_depth")
+            inject_gauge = _on_first_use(metrics.gauge, "inj_fifo_depth")
+            backlog_gauge = _on_first_use(metrics.gauge, "forward_backlog")
+        ls_on = obs.link_stats
+        if ls_on:
+            ls_bytes = [0] * (p * ndirs)
+            ls_vc_packets = [0] * (p * ndirs * nvcs)
+            ls_stall = [0.0] * (p * ndirs)
             # Tick at which a direction-matched head packet was first seen
             # waiting on a free link; -1.0 = no stall interval open.
-            self._ls_want: list[float] = [-1.0] * (p * ndirs)
-            self._ls_drops: list[int] = [0] * (p * ndirs)
-            self._ls_retx: list[int] = [0] * p
-        # One per-(phase, axis) busy table serves both the link-stats
-        # and the profile payloads; only the latter reports the rest.
-        if obs.link_stats or obs.profile:
-            from repro.obs.profile import PhaseProfiler
+            ls_want = [-1.0] * (p * ndirs)
+            ls_drops = [0] * (p * ndirs)
+            ls_retx = [0] * p
+            self.link_stats = {
+                "wire_bytes": ls_bytes,
+                "vc_packets": ls_vc_packets,
+                "stall_cycles": ls_stall,
+                "drops": ls_drops,
+                "retx_by_node": ls_retx,
+            }
+        # One per-(phase, axis) busy table serves both the link-stats and
+        # the profile payloads; only the latter reports the rest.
+        prof = self.profiler = (
+            PhaseProfiler(ndim) if (ls_on or obs.profile) else None
+        )
+        if obs.profile:
+            self._t0 = (time.perf_counter(), time.process_time())
 
-            self._prof = PhaseProfiler(self._ndim)
-        else:
-            self._prof = None
-        self._prof_t0 = None
-
-    def run(self, program):
-        if self.obs.profile:
-            self._prof_t0 = (time.perf_counter(), time.process_time())
-        return super().run(program)
-
-    # -------------------------------------------------------------- #
-    # lifecycle hooks (super() first, then read-only observation)
-    # -------------------------------------------------------------- #
-
-    def _launch(self, u: int, d: int, v: int, h: int, vc: int) -> None:
-        st = self.stats
-        lost0 = st.lost_packets
-        rerouted0 = st.rerouted_hops
-        now = self._now
-        pid = self._P_pid[h]
-        super()._launch(u, d, v, h, vc)
-        # Tick subtraction then unscaling reproduces the pre-SoA float
-        # cycle arithmetic bit-for-bit (power-of-two scaling commutes
-        # with IEEE rounding).
-        now_f = now * TICK_UNSCALE
-        li = u * self._ndirs + d
-        dur = (self._link_busy[li] - now) * TICK_UNSCALE
-        ts = self._axis_ts
-        if ts is not None:
-            ts[d >> 1].add(now_f, dur)
-            if st.lost_packets > lost0:
-                self.metrics.counter("lost_packets").inc()
-            if st.rerouted_hops > rerouted0:
-                self.metrics.counter("rerouted_hops").inc()
-        tr = self.tracer
-        if tr is not None and tr.want(pid):
-            kinds = tr.kinds
-            if "link" in kinds:
-                tr.emit(now_f, "link", u, d, dur, pid)
-            if "reroute" in kinds and st.rerouted_hops > rerouted0:
-                tr.emit(now_f, "reroute", u, d, pid)
-            if "drop" in kinds and st.lost_packets > lost0:
-                tr.emit(now_f, "drop", u, d, pid)
-        if self._ls_on:
-            self._ls_bytes[li] += self._P_wire[h]
-            # super() wrote the VC actually used into the pool column.
-            self._ls_vc_packets[li * self._nvcs + self._P_vc[h]] += 1
-            ws = self._ls_want[li]
-            if ws >= 0.0:
-                self._ls_stall[li] += (now - ws) * TICK_UNSCALE
-                self._ls_want[li] = -1.0
-            if st.lost_packets > lost0:
-                self._ls_drops[li] += 1
-        if self._prof is not None:
-            self._prof.on_launch(
-                kind_of_tag(self._P_tag[h]) or "untagged",
-                d >> 1,
-                now_f,
-                dur,
-            )
-
-    def _arbitrate_link(self, u: int, d: int) -> bool:
-        launched = super()._arbitrate_link(u, d)
-        if not launched and self._ls_on:
-            # A launch closes any open stall interval inside ``_launch``
-            # (which also covers launches via ``_try_send_head``); a
-            # *failed* arbitration on an existing, idle link opens one
-            # when some queued head packet wants exactly this direction.
-            li = u * self._ndirs + d
-            if self._nbr[u][d] >= 0 and self._link_busy[li] <= self._now:
-                if self._ls_head_waiting(u, d):
-                    if self._ls_want[li] < 0.0:
-                        self._ls_want[li] = self._now
-                elif self._ls_want[li] >= 0.0:
-                    # The waiter left at some unknown earlier time —
-                    # discard the interval (undercount, never overcount).
-                    self._ls_want[li] = -1.0
-        return launched
-
-    def _ls_head_waiting(self, u: int, d: int) -> bool:
-        """Whether any queued head packet at *u* wants direction *d*."""
-        m = self._pmask[u]
-        q_buf, q_hd, qsh = self._q_buf, self._q_hd, self._q_shift
-        ubase = u * self._nports
-        nvp = self._nvp
-        while m:
-            low = m & -m
-            m -= low
-            port = low.bit_length() - 1
-            h = q_buf[((ubase + port) << qsh) | q_hd[ubase + port]]
-            if port < nvp and self._P_dst[h] == u:
-                continue  # waiting for reception space, not a link
-            if self._wants_link(u, d, h):
-                return True
-        return False
-
-    def _on_arrive(self, v: int, port: int, h: int) -> None:
-        qi = v * self._nports + port
-        before = self._q_n[qi]
-        super()._on_arrive(v, port, h)
-        depth = self._q_n[qi]
-        if depth > before and depth >= 2:
-            # The packet joined a non-empty VC buffer: it is waiting
-            # behind others for the next link (queue-wait pressure).
-            if self.metrics is not None:
-                self.metrics.gauge("vc_queue_depth").set(depth)
-            tr = self.tracer
-            pid = self._P_pid[h]
-            if tr is not None and "queue" in tr.kinds and tr.want(pid):
-                tr.emit(
-                    self._now * TICK_UNSCALE,
-                    "queue",
-                    v,
-                    self._port_dir[port],
-                    depth,
-                    pid,
+        def launch(u, d, v, h, vc, now, busy0, flags):
+            # Tick subtraction then unscaling reproduces the pre-SoA float
+            # cycle arithmetic bit-for-bit (power-of-two scaling commutes
+            # with IEEE rounding).
+            now_f = now * TICK_UNSCALE
+            li = u * ndirs + d
+            dur = (link_busy[li] - now) * TICK_UNSCALE
+            if axis_ts is not None:
+                axis_ts[d >> 1].add(now_f, dur)
+                if flags & LAUNCH_DROPPED:
+                    lost_ctr().inc()
+                if flags & LAUNCH_REROUTED:
+                    reroute_ctr().inc()
+            if want is not None and want(P_pid[h]):
+                pid = P_pid[h]
+                if "link" in kinds:
+                    emit(now_f, "link", u, d, dur, pid)
+                if "reroute" in kinds and flags & LAUNCH_REROUTED:
+                    emit(now_f, "reroute", u, d, pid)
+                if "drop" in kinds and flags & LAUNCH_DROPPED:
+                    emit(now_f, "drop", u, d, pid)
+            if ls_on:
+                ls_bytes[li] += P_wire[h]
+                ls_vc_packets[li * nvcs + vc] += 1
+                ws = ls_want[li]
+                if ws >= 0.0:
+                    ls_stall[li] += (now - ws) * TICK_UNSCALE
+                    ls_want[li] = -1.0
+                if flags & LAUNCH_DROPPED:
+                    ls_drops[li] += 1
+            if prof is not None:
+                prof.on_launch(
+                    kind_of_tag(P_tag[h]) or "untagged", d >> 1, now_f, dur
                 )
 
-    def _cpu_complete(self, u: int) -> None:
-        st = self.stats
-        injected0 = st.injected_packets
-        super()._cpu_complete(u)
-        if st.injected_packets == injected0:
-            return
-        # Exactly one packet was injected, and injections are the only
-        # consumer of the pid counter, so its id is injected_packets - 1.
-        pid = st.injected_packets - 1
-        if self.metrics is not None:
-            base = u * self._nfifos
-            cap = self.config.injection_fifo_depth
-            used = sum(
-                cap - self._fifo_free[base + f] for f in range(self._nfifos)
-            )
-            self.metrics.gauge("inj_fifo_depth").set(used)
-        tr = self.tracer
-        if tr is not None and "inject" in tr.kinds and tr.want(pid):
-            tr.emit(self._now * TICK_UNSCALE, "inject", u, pid)
+        hooks = {"launch": launch}
 
-    def _finish_delivery(self, u: int, h: int) -> None:
-        st = self.stats
-        delivered0 = st.delivered_packets
-        # Snapshot the pool columns up front: the base class returns the
-        # handle to the free list, and a duplicate discard (fault runs)
-        # frees it without delivering.
-        pid = self._P_pid[h]
-        src = self._P_src[h]
-        inject_t = self._P_inject[h]
-        tag = self._P_tag[h]
-        final = self._P_final[h] == u
-        super()._finish_delivery(u, h)
-        if st.delivered_packets == delivered0:
-            return  # receiver-side duplicate discard (fault runs)
-        if self.metrics is not None:
-            if final:
-                self._lat_hist.observe((self._now - inject_t) * TICK_UNSCALE)
-            backlog = len(self._fwd_pending[u])
-            if backlog:
-                self.metrics.gauge("forward_backlog").set(backlog)
-        tr = self.tracer
-        if tr is not None and "deliver" in tr.kinds and tr.want(pid):
-            tr.emit(
-                self._now * TICK_UNSCALE,
-                "deliver",
-                u,
-                pid,
-                src,
-                inject_t * TICK_UNSCALE,
-                kind_of_tag(tag),
-                final,
-            )
-        if self._prof is not None:
-            self._prof.on_delivery(
-                kind_of_tag(tag) or "untagged",
-                self._now * TICK_UNSCALE,
-                final,
-            )
+        if ls_on:
+            nbr = net._nbr
+            pmask = net._pmask
+            q_buf, q_hd, qsh = net._q_buf, net._q_hd, net._q_shift
+            P_dst = net._P_dst
+            nvp = net._nvp
+            wants_link = net._wants_link
 
-    def _on_retx(self, attempt: int, seq: int) -> None:
-        ent = self._outstanding.get(seq)
-        st = self.stats
-        retx0 = st.retransmitted_packets
-        super()._on_retx(attempt, seq)
-        if st.retransmitted_packets == retx0:
-            return
-        src = ent[0] if ent is not None else -1
-        if self._ls_on and src >= 0:
-            self._ls_retx[src] += 1
-        if self.metrics is not None:
-            self.metrics.counter("retransmitted_packets").inc()
-        tr = self.tracer
-        if tr is not None and "retx" in tr.kinds:
-            tr.emit(self._now * TICK_UNSCALE, "retx", src, seq, attempt)
+            def head_waiting(u, d):
+                """Whether any queued head packet at *u* wants *d*."""
+                m = pmask[u]
+                ubase = u * nports
+                while m:
+                    low = m & -m
+                    m -= low
+                    port = low.bit_length() - 1
+                    h = q_buf[((ubase + port) << qsh) | q_hd[ubase + port]]
+                    if port < nvp and P_dst[h] == u:
+                        continue  # waiting for reception space, not a link
+                    if wants_link(u, d, h):
+                        return True
+                return False
+
+            def stall(u, d):
+                # A launch closes any open stall interval (launch hook); an
+                # arbitration that launched nothing on an existing, idle
+                # link opens one when some queued head packet wants exactly
+                # this direction.
+                if nbr[u][d] < 0:
+                    return
+                li = u * ndirs + d
+                if head_waiting(u, d):
+                    if ls_want[li] < 0.0:
+                        ls_want[li] = net._now
+                elif ls_want[li] >= 0.0:
+                    # The waiter left at some unknown earlier time —
+                    # discard the interval (undercount, never overcount).
+                    ls_want[li] = -1.0
+
+            hooks["stall"] = stall
+
+        trace_queue = "queue" in kinds
+        if metrics is not None or trace_queue:
+            q_n = net._q_n
+            port_dir = net._port_dir
+
+            def arrive(v, port, h, n0):
+                depth = q_n[v * nports + port]
+                if depth > n0 and depth >= 2:
+                    # The packet joined a non-empty VC buffer: it is
+                    # waiting behind others for the next link (queue-wait
+                    # pressure).
+                    if metrics is not None:
+                        queue_gauge().set(depth)
+                    if trace_queue and want(P_pid[h]):
+                        emit(
+                            net._now * TICK_UNSCALE,
+                            "queue",
+                            v,
+                            port_dir[port],
+                            depth,
+                            P_pid[h],
+                        )
+
+            hooks["arrive"] = arrive
+
+        trace_inject = "inject" in kinds
+        if metrics is not None or trace_inject:
+            fifo_free = net._fifo_free
+            slots = nfifos * net.config.injection_fifo_depth
+
+            def inject(u):
+                if metrics is not None:
+                    base = u * nfifos
+                    used = slots - sum(fifo_free[base : base + nfifos])
+                    inject_gauge().set(used)
+                # Injections are the only consumer of the pid counter, so
+                # the packet just injected has id injected_packets - 1.
+                pid = st.injected_packets - 1
+                if trace_inject and want(pid):
+                    emit(net._now * TICK_UNSCALE, "inject", u, pid)
+
+            hooks["inject"] = inject
+
+        trace_deliver = "deliver" in kinds
+        if metrics is not None or trace_deliver or prof is not None:
+            fwd_pending = net._fwd_pending
+
+            def deliver(u, h):
+                now = net._now
+                final = P_final[h] == u
+                if metrics is not None:
+                    if final:
+                        lat_hist.observe((now - P_inject[h]) * TICK_UNSCALE)
+                    backlog = len(fwd_pending[u])
+                    if backlog:
+                        backlog_gauge().set(backlog)
+                if trace_deliver and want(P_pid[h]):
+                    emit(
+                        now * TICK_UNSCALE,
+                        "deliver",
+                        u,
+                        P_pid[h],
+                        P_src[h],
+                        P_inject[h] * TICK_UNSCALE,
+                        kind_of_tag(P_tag[h]),
+                        final,
+                    )
+                if prof is not None:
+                    prof.on_delivery(
+                        kind_of_tag(P_tag[h]) or "untagged",
+                        now * TICK_UNSCALE,
+                        final,
+                    )
+
+            hooks["deliver"] = deliver
+
+        trace_retx = "retx" in kinds
+        if ls_on or metrics is not None or trace_retx:
+
+            def retx(src, seq, attempt):
+                if ls_on:
+                    ls_retx[src] += 1
+                if metrics is not None:
+                    retx_ctr().inc()
+                if trace_retx:
+                    emit(net._now * TICK_UNSCALE, "retx", src, seq, attempt)
+
+            hooks["retx"] = retx
+
+        return hooks
 
     # -------------------------------------------------------------- #
     # result assembly
     # -------------------------------------------------------------- #
 
-    def _result(self) -> SimulationResult:
-        res = super()._result()
+    def finish(self, net, res: SimulationResult) -> None:
+        obs = self.obs
+        st = net.stats
         payload: dict = {}
         prof_payload = None
-        if self.obs.profile:
-            st = self.stats
+        if obs.profile:
             wall = cpu = None
-            if self._prof_t0 is not None:
-                wall = time.perf_counter() - self._prof_t0[0]
-                cpu = time.process_time() - self._prof_t0[1]
-            prof_payload = self._prof.to_payload(
+            if self._t0 is not None:
+                wall = time.perf_counter() - self._t0[0]
+                cpu = time.process_time() - self._t0[1]
+            prof_payload = self.profiler.to_payload(
                 st.last_final_delivery, st.events_processed, wall, cpu
             )
             # Fold the exact (cycle-domain) numbers into the metrics
@@ -340,12 +346,12 @@ class _InstrumentedMixin:
             # Derive per-axis utilization-over-time from the raw busy
             # series: fraction of the axis's aggregate link capacity
             # each bucket consumed.
-            for a in range(self._ndim):
+            for a in range(net._ndim):
                 name = f"link_busy_cycles.{_AXIS_NAMES[a]}"
                 raw = snap.get(name)
                 if raw is None:
                     continue
-                nlinks = self.shape.links_in_dim(a)
+                nlinks = net.shape.links_in_dim(a)
                 bc = raw["bucket_cycles"]
                 denom = bc * nlinks if nlinks else 0.0
                 snap[f"link_utilization.{_AXIS_NAMES[a]}"] = {
@@ -359,37 +365,36 @@ class _InstrumentedMixin:
             payload["metrics"] = snap
         if self.tracer is not None:
             payload["trace"] = self.tracer.to_payload()
-        if self._ls_on:
-            st = self.stats
-            nbr = self._nbr
-            live = [0] * self._ndim
-            for u in range(self._p):
-                for d in range(self._ndirs):
+        if obs.link_stats:
+            ls = self.link_stats
+            nbr = net._nbr
+            live = [0] * net._ndim
+            for u in range(net._p):
+                for d in range(net._ndirs):
                     if nbr[u][d] >= 0:
                         live[d >> 1] += 1
             payload["link_stats"] = {
-                "dims": list(self.shape.dims),
-                "torus": [bool(t) for t in self.shape.torus],
-                "ndirs": self._ndirs,
-                "nvcs": self._nvcs,
-                "beta": self._beta,
+                "dims": list(net.shape.dims),
+                "torus": [bool(t) for t in net.shape.torus],
+                "ndirs": net._ndirs,
+                "nvcs": net._nvcs,
+                "beta": net._beta,
                 # Full machine parameters: the model diff reconstructs
                 # the exact packetization overhead from these.
-                "machine": asdict(self.params),
+                "machine": asdict(net.params),
                 "time_cycles": st.last_final_delivery,
                 #: Surviving directed links per axis (== links_in_dim on
                 #: pristine shapes; smaller under dead wires/nodes).
                 "links_per_axis": live,
-                "busy_cycles": list(self._busy_cycles),
-                "packets": list(self._link_packets),
-                "wire_bytes": list(self._ls_bytes),
-                "vc_packets": list(self._ls_vc_packets),
-                "stall_cycles": list(self._ls_stall),
-                "drops": list(self._ls_drops),
-                "retx_by_node": list(self._ls_retx),
+                "busy_cycles": list(net._busy_cycles),
+                "packets": list(net._link_packets),
+                "wire_bytes": list(ls["wire_bytes"]),
+                "vc_packets": list(ls["vc_packets"]),
+                "stall_cycles": list(ls["stall_cycles"]),
+                "drops": list(ls["drops"]),
+                "retx_by_node": list(ls["retx_by_node"]),
                 "phase_busy": {
-                    k: list(v)
-                    for k, v in sorted(self._prof.busy.items())
+                    k: list(v) for k, v in sorted(self.profiler.busy.items())
                 },
                 "injected_wire_bytes": st.injected_wire_bytes,
             }
@@ -397,4 +402,3 @@ class _InstrumentedMixin:
             payload["profile"] = prof_payload
         if payload:
             res.extras["obs"] = payload
-        return res

@@ -69,8 +69,15 @@ implementation.  The load-bearing structures:
   (:mod:`repro.net.displacement`) instead of re-running the mod/halfbits
   branch cluster on every routing decision.
 
-``tests/net`` pins the semantics; the golden trace and differential
-harness pin bit-identity.
+* **One run kernel.**  Every network, pristine or faulty, runs through
+  :meth:`TorusNetwork._run_fused`, whose handlers are closures over
+  hoisted state; a fault plan swaps in a second set of routing closures
+  (see :mod:`repro.net.faultsim`).  Observation and checking attach as
+  :class:`SimObserver` s whose hooks the kernel calls after each step;
+  no layer subclasses or overrides the network.
+
+``tests/net`` pins the semantics; the golden trace, the fault golden and
+the differential harness pin bit-identity.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ from __future__ import annotations
 import gc
 import itertools
 from collections import deque
+from dataclasses import replace
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
@@ -87,7 +95,12 @@ from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.config import NetworkConfig
 from repro.net.displacement import displacement_tables
-from repro.net.errors import DeadlockError, SimulationLimitError
+from repro.net.errors import (
+    DeadlockError,
+    SimulationError,
+    SimulationLimitError,
+)
+from repro.net.faults import loss_draw
 from repro.net.packet import PacketPool, PacketSpec, RoutingMode
 from repro.net.program import NodeProgram
 from repro.net.topology import Topology
@@ -117,8 +130,8 @@ _EV_TOKEN = 2
 _EV_CPU_DONE = 3
 _EV_CPU_WAKE = 4
 _EV_FIFO_FREE = 5
-# Extra kinds used by the fault-aware subclass (kept here so every event
-# kind has one home).
+# Extra kinds only fault runs post (kept here so every event kind has
+# one home).
 _EV_RETX = 6
 _EV_OUTAGE = 7
 
@@ -154,6 +167,51 @@ def live_progress():
         return None
 
 
+#: ``flags`` bits of the ``launch`` hook: the hop left the pristine
+#: torus's minimal paths (a fault reroute) / the packet died on the wire.
+LAUNCH_REROUTED = 1
+LAUNCH_DROPPED = 2
+
+#: The hook names a :class:`SimObserver` may bind.
+HOOKS = frozenset(
+    ("launch", "stall", "arrive", "inject_begin", "inject", "deliver", "retx")
+)
+
+
+class SimObserver:
+    """A read-only observer of one run: tracing, metrics, oracles.
+
+    :meth:`bind` is called once as :meth:`TorusNetwork.run` starts and
+    returns ``{hook name: closure}``.  The run kernel calls each closure
+    right after the step it names — after that step's nested launches and
+    CPU starts too — so an observer sees the state every decision left
+    behind and cannot change one; observing a run never changes its
+    results.  Ticks are 2**64-scaled cycles, and ``net._now`` is always
+    the current one.  The hooks:
+
+    * ``launch(u, d, v, h, vc, now, busy0, flags)``: handle *h* left *u*
+      on (d, vc) toward *v*; *busy0* is the link's busy horizon before,
+      *flags* holds :data:`LAUNCH_REROUTED` / :data:`LAUNCH_DROPPED`.
+    * ``stall(u, d)``: arbitration on the idle link (u, d) launched
+      nothing.
+    * ``arrive(v, port, h, n0)``: *h* arrived at *v* on *port*, whose
+      queue held *n0* packets before.
+    * ``inject_begin(u, fifo)``: *u*'s CPU reserved a slot of *fifo*.
+    * ``inject(u)``: *u*'s CPU finished an injection.
+    * ``deliver(u, h)``: *u* consumed *h* (duplicate discards excluded;
+      the handle's pool columns stay readable until the next injection).
+    * ``retx(src, seq, attempt)``: *src* queued a retransmission.
+
+    :meth:`finish` sees the assembled result, after the run.
+    """
+
+    def bind(self, net: "TorusNetwork") -> dict:
+        return {}
+
+    def finish(self, net: "TorusNetwork", result: SimulationResult) -> None:
+        pass
+
+
 class TorusNetwork:
     """One simulated BG/L partition.
 
@@ -183,8 +241,13 @@ class TorusNetwork:
         "_P_seq", "_P_down",
         "_beta", "_hop_latency", "_cpu_fixed", "_cpu_incr", "_alpha",
         "_svc_f", "_svc_t", "_cpu_f", "_cpu_t", "_tbl_len",
-        "_hop_t",
+        "_hop_t", "_observers",
     )
+
+    #: Whether the network routes around a fault plan.  The run kernel
+    #: reads it once per run to pick its routing closures; only
+    #: :class:`~repro.net.faultsim.FaultyTorusNetwork` sets it.
+    _FAULTY = False
 
     def __init__(
         self,
@@ -357,6 +420,7 @@ class TorusNetwork:
         self._wake_evs: list[tuple] = [(_EV_CPU_WAKE, u, 0, 0) for u in range(p)]
         self._tok_evs: list[tuple] = []
         self._build_token_events()
+        self._observers: list[SimObserver] = []
 
     def _build_token_events(self) -> None:
         """(Re)build the interned TOKEN events.
@@ -380,8 +444,9 @@ class TorusNetwork:
     def _extend_tables(self, wire_bytes: int) -> None:
         """Grow the per-size cost tables to cover *wire_bytes*.
 
-        Every packet passes through :meth:`_begin_injection`, whose guard
-        is the single growth site; all other users index blindly."""
+        Every packet passes through the run kernel's ``begin_injection``,
+        whose guard is the single growth site; all other users index
+        blindly."""
         beta = self._beta
         cf = self._cpu_fixed
         ci = self._cpu_incr
@@ -410,6 +475,11 @@ class TorusNetwork:
             )
         self._ngroups = ngroups
 
+    def attach(self, observer: "SimObserver") -> None:
+        """Register *observer* for the next :meth:`run` (see
+        :class:`SimObserver`).  Observers see the run in attach order."""
+        self._observers.append(observer)
+
     # ------------------------------------------------------------------ #
     # small helpers
     # ------------------------------------------------------------------ #
@@ -427,26 +497,11 @@ class TorusNetwork:
             else:
                 b.append(ev)
 
-    def _post(self, t: float, kind: int, a: int, b: int, c) -> None:
-        self._post_ev(t, (kind, a, b, c))
-
-    def _disp(self, cur: int, dst: int, axis: int, halfbits: int) -> int:
-        """Shortest signed displacement cur -> dst on *axis* (wrap-aware).
-
-        An exact-half displacement on an even torus dimension is minimal in
-        both directions; the packet's *halfbits* decide which one it uses,
-        so the two directions carry equal load in aggregate (a fixed
-        tie-break would overload one direction by 25 % and cap all-to-all
-        at 80 % of the Eq. 2 peak).  See :mod:`repro.net.displacement`."""
-        return self._dtab[axis][(halfbits >> axis) & 1][
-            self._colm[axis][cur] + self._coord[axis][dst]
-        ]
-
     def _wants_link(self, u: int, d: int, h: int) -> bool:
         """Whether handle *h* queued at *u* could productively use
         direction *d* (credits aside).
 
-        Cold path: only the instrumented subclasses call this, to decide
+        Cold path: only the link-stats observer calls this, to decide
         whether a failed arbitration left a direction-matched head waiting
         (stall accounting).  The fault-aware subclass overrides it with
         its distance-table routing truth."""
@@ -471,406 +526,6 @@ class TorusNetwork:
             if d >= 0:
                 return d
         return -1
-
-    # ------------------------------------------------------------------ #
-    # ring-buffer primitives
-    # ------------------------------------------------------------------ #
-
-    def _q_append(self, u: int, port: int, h: int) -> bool:
-        """Append handle *h* to port ring (u, port); returns True when the
-        port was empty (caller advances the new head)."""
-        qi = u * self._nports + port
-        n = self._q_n[qi]
-        self._q_buf[
-            (qi << self._q_shift) | ((self._q_hd[qi] + n) & self._q_mask)
-        ] = h
-        self._q_n[qi] = n + 1
-        self._queued[u] += 1
-        if n:
-            return False
-        self._pmask[u] |= self._pbit[port]
-        return True
-
-    def _rp_append(self, u: int, h: int) -> None:
-        """Append handle *h* to node *u*'s reception ring."""
-        n = self._rp_n[u]
-        self._rp_buf[
-            (u << self._rp_shift) | ((self._rp_hd[u] + n) & self._rp_mask)
-        ] = h
-        self._rp_n[u] = n + 1
-
-    # ------------------------------------------------------------------ #
-    # sending machinery
-    # ------------------------------------------------------------------ #
-
-    def _vc_for_link(
-        self, u: int, d: int, v: int, h: int, in_axis: int,
-        dynamic_pass: bool,
-    ) -> int:
-        """VC to use sending handle *h* over (u -> v, direction d), or -1.
-
-        ``in_axis`` is the axis the packet is currently traveling on
-        (-1 when coming from an injection FIFO).  ``dynamic_pass`` selects
-        the adaptive dynamic-VC pass vs the bubble/escape pass.
-        """
-        axis = d >> 1
-        base = (v * self._ndirs + (d ^ 1)) * self._nvcs
-        tokens = self._tokens
-        dst = self._P_dst[h]
-        halfbits = self._P_half[h]
-        if self._P_mode[h] == _ADAPTIVE:
-            if dynamic_pass:
-                # Minimal progress on this axis iff d is the tabulated
-                # minimal direction (-1 when the axis is already resolved).
-                if d != self._dirtab[axis][(halfbits >> axis) & 1][
-                    self._colm[axis][u] + self._coord[axis][dst]
-                ]:
-                    return -1
-                best, best_free = -1, 0
-                for vc in range(self._ndyn):
-                    f = tokens[base + vc]
-                    if f > best_free:
-                        best, best_free = vc, f
-                return best
-            if self._dor_dir(u, dst, halfbits) != d:
-                return -1
-            entering = self._P_vc[h] != self._bubble or in_axis != axis
-            need = self._bubble_entry if entering else 1
-            if tokens[base + self._bubble] >= need:
-                return self._bubble
-            return -1
-        # DETERMINISTIC: bubble VC only, dimension order only.
-        if dynamic_pass:
-            return -1
-        if self._dor_dir(u, dst, halfbits) != d:
-            return -1
-        entering = self._P_vc[h] != self._bubble or in_axis != axis
-        need = self._bubble_entry if entering else 1
-        if tokens[base + self._bubble] >= need:
-            return self._bubble
-        return -1
-
-    def _launch(self, u: int, d: int, v: int, h: int, vc: int) -> None:
-        """Start transmitting handle *h* from *u* to *v* on (d, vc).  The
-        caller already removed the packet from its queue and released its
-        old slot."""
-        self._tokens[(v * self._ndirs + (d ^ 1)) * self._nvcs + vc] -= 1
-        self._P_vc[h] = vc
-        self._P_hops[h] += 1
-        self.stats.total_hops += 1
-        wb = self._P_wire[h]
-        now = self._now
-        done = now + self._svc_t[wb]
-        li = u * self._ndirs + d
-        self._link_busy[li] = done
-        self._busy_cycles[li] += self._svc_f[wb]
-        self._link_packets[li] += 1
-        # Two inlined ``_post_ev`` calls (the hottest event producer).
-        buckets = self._buckets
-        ev = self._link_evs[li]
-        if done <= now:
-            self._immediate.append(ev)
-        else:
-            b = buckets.get(done)
-            if b is None:
-                buckets[done] = [ev]
-                heappush(self._theap, done)
-            else:
-                b.append(ev)
-        # Virtual cut-through: the *header* reaches v after the router/wire
-        # latency and may immediately compete for its next hop while the
-        # body still streams behind it (an unobstructed header races ahead,
-        # as on the real torus); the link itself stays busy for the full
-        # service time.  On the packet's FINAL hop the payload is only
-        # usable once its tail arrives, so delivery waits for the tail.
-        arrive = (done if self._P_dst[h] == v else now) + self._hop_t
-        ev = (_EV_ARRIVE, v, (d ^ 1) * self._nvcs + vc, h)
-        if arrive <= now:
-            self._immediate.append(ev)
-        else:
-            b = buckets.get(arrive)
-            if b is None:
-                buckets[arrive] = [ev]
-                heappush(self._theap, arrive)
-            else:
-                b.append(ev)
-
-    def _arbitrate_link(self, u: int, d: int) -> bool:
-        """Link (u, d) is free: pick one waiting head packet and launch it.
-        Dynamic-VC candidates win over bubble candidates; ties rotate."""
-        v = self._nbr[u][d]
-        if v < 0:
-            return False
-        li = u * self._ndirs + d
-        m = self._pmask[u]
-        if not m or self._link_busy[li] > self._now:
-            return False
-        nports = self._nports
-        nvp = self._nvp
-        q_buf = self._q_buf
-        q_hd = self._q_hd
-        qsh = self._q_shift
-        ubase = u * nports
-        # Per-link constants hoisted out of the port scan; the routing
-        # checks of ``_vc_for_link`` are inlined below (this is the
-        # pristine-network fast path — the fault-aware subclass overrides
-        # this method with a generic scan through its own ``_vc_for_link``).
-        axis = d >> 1
-        nvcs = self._nvcs
-        ndyn = self._ndyn
-        bubble = self._bubble
-        tokens = self._tokens
-        base = (v * self._ndirs + (d ^ 1)) * self._nvcs
-        bubble_tok = tokens[base + bubble]
-        dirtab = self._dirtab
-        colm = self._colm
-        coord = self._coord
-        dt_axis = dirtab[axis]
-        colm_u = colm[axis][u]
-        coord_ax = coord[axis]
-        P_dst = self._P_dst
-        P_mode = self._P_mode
-        P_half = self._P_half
-        P_vc = self._P_vc
-        start = self._arb[li]
-        # Single rotation scan over the NON-EMPTY ports only: rotate the
-        # occupancy mask by the arbitration pointer and extract low bits.
-        # Launch the first dynamic-VC candidate; if none exists, fall back
-        # to the first bubble candidate, memoized during the same scan.
-        # The checks are pure and no state mutates before a launch, so
-        # this selects exactly the packet the original full port scan
-        # (dynamic then bubble) would.
-        mm = ((m >> start) | (m << (nports - start))) & ((1 << nports) - 1)
-        b_port = -1
-        b_h = -1
-        b_vc = -1
-        while mm:
-            low = mm & -mm
-            mm -= low
-            port = start + low.bit_length() - 1
-            if port >= nports:
-                port -= nports
-            h = q_buf[((ubase + port) << qsh) | q_hd[ubase + port]]
-            dst = P_dst[h]
-            if port < nvp:
-                if dst == u:
-                    continue  # waiting for reception space
-                in_axis = port // nvcs >> 1
-            else:
-                in_axis = -1
-            halfbits = P_half[h]
-            if d != dt_axis[(halfbits >> axis) & 1][colm_u + coord_ax[dst]]:
-                # Not this packet's direction on the link's own axis, so
-                # neither the adaptive pick nor the bubble fallback (whose
-                # dor_dir starts with this axis' entry) can use link d.
-                continue
-            if P_mode[h] == _ADAPTIVE:
-                # Dynamic candidate: most-credit dynamic VC, if any.
-                best, best_free = -1, 0
-                for vc in range(ndyn):
-                    f = tokens[base + vc]
-                    if f > best_free:
-                        best, best_free = vc, f
-                if best >= 0:
-                    b_port, b_h, b_vc = port, h, best
-                    break
-            if b_port < 0:
-                # Bubble/escape candidate (both routing modes):
-                # dor_dir(u, dst, halfbits) == d iff every earlier axis is
-                # already aligned (its dirtab entry is -1).
-                for ax in range(axis):
-                    if dirtab[ax][(halfbits >> ax) & 1][
-                        colm[ax][u] + coord[ax][dst]
-                    ] >= 0:
-                        break
-                else:
-                    need = (
-                        self._bubble_entry
-                        if P_vc[h] != bubble or in_axis != axis
-                        else 1
-                    )
-                    if bubble_tok >= need:
-                        b_port, b_h, b_vc = port, h, bubble
-        if b_port < 0:
-            return False
-        port = b_port
-        qi = ubase + port
-        q_hd[qi] = (q_hd[qi] + 1) & self._q_mask
-        n = self._q_n[qi] - 1
-        self._q_n[qi] = n
-        if not n:
-            self._pmask[u] &= self._nbit[port]
-        self._queued[u] -= 1
-        self._arb[li] = port + 1 if port + 1 < nports else 0
-        if port < nvp:
-            # Virtual cut-through: the slot frees as the packet streams
-            # out, so the credit returns at launch.
-            self._immediate.append(self._tok_evs[u * nvp + port])
-            self._launch(u, d, v, b_h, b_vc)
-            # The queue's new head may be deliverable locally or able to
-            # use a different free link right now; no future event is
-            # guaranteed to poke it, so advance eagerly.
-            self._advance_queue_head(u, port)
-        else:
-            f = port - nvp
-            self._immediate.append(self._fifo_evs[u * self._nfifos + f])
-            self._launch(u, d, v, b_h, b_vc)
-            # Eagerly advance the FIFO's new head (see above).
-            self._advance_fifo_head(u, f)
-        return True
-
-    def _try_send_head(self, u: int, h: int, in_axis: int) -> bool:
-        """Packet-centric attempt: launch handle *h* (a queue/FIFO head at
-        *u*) over the best free link right now (JSQ across its candidate
-        directions).  The caller pops the packet on success."""
-        link_busy = self._link_busy
-        nbr_u = self._nbr[u]
-        lbase = u * self._ndirs
-        now = self._now
-        dst = self._P_dst[h]
-        halfbits = self._P_half[h]
-        if self._P_mode[h] == _ADAPTIVE:
-            coord = self._coord
-            colm = self._colm
-            dirtab = self._dirtab
-            tokens = self._tokens
-            best_d, best_vc, best_free = -1, -1, 0
-            first_d = -1
-            for axis in range(self._ndim):
-                d = dirtab[axis][(halfbits >> axis) & 1][
-                    colm[axis][u] + coord[axis][dst]
-                ]
-                if d < 0:
-                    continue
-                if first_d < 0:
-                    # First valid direction in axis order == dor_dir's
-                    # answer; memoized for the bubble fallback below.
-                    first_d = d
-                v = nbr_u[d]
-                if v < 0 or link_busy[lbase + d] > now:
-                    continue
-                base = (v * self._ndirs + (d ^ 1)) * self._nvcs
-                for vc in range(self._ndyn):
-                    f = tokens[base + vc]
-                    if f > best_free:
-                        best_d, best_vc, best_free = d, vc, f
-            if best_d >= 0:
-                self._launch(u, best_d, nbr_u[best_d], h, best_vc)
-                return True
-            # Bubble escape along the dimension-order direction.
-            d = first_d
-            if d < 0:
-                return False
-            v = nbr_u[d]
-            if v < 0 or link_busy[lbase + d] > now:
-                return False
-            entering = self._P_vc[h] != self._bubble or in_axis != (d >> 1)
-            base = (v * self._ndirs + (d ^ 1)) * self._nvcs
-            need = self._bubble_entry if entering else 1
-            if self._tokens[base + self._bubble] >= need:
-                self._launch(u, d, v, h, self._bubble)
-                return True
-            return False
-        d = self._dor_dir(u, dst, halfbits)
-        if d < 0:
-            return False
-        v = nbr_u[d]
-        if v < 0 or link_busy[lbase + d] > now:
-            return False
-        entering = self._P_vc[h] != self._bubble or in_axis != (d >> 1)
-        base = (v * self._ndirs + (d ^ 1)) * self._nvcs
-        need = self._bubble_entry if entering else 1
-        if self._tokens[base + self._bubble] >= need:
-            self._launch(u, d, v, h, self._bubble)
-            return True
-        return False
-
-    def _advance_queue_head(self, u: int, port: int) -> None:
-        """Try to move the head packet of input port ring (u, port):
-        deliver it locally or forward it over a free link."""
-        qi = u * self._nports + port
-        q_n = self._q_n
-        n = q_n[qi]
-        if not n:
-            return
-        q_buf = self._q_buf
-        q_hd = self._q_hd
-        qsh = self._q_shift
-        qmask = self._q_mask
-        P_dst = self._P_dst
-        recv_free = self._recv_free
-        tok_ev = self._tok_evs[u * self._nvp + port]
-        imm_append = self._immediate.append
-        in_axis = self._port_axis[port]
-        while n:
-            h = q_buf[(qi << qsh) | q_hd[qi]]
-            if P_dst[h] == u:
-                if recv_free[u] <= 0:
-                    break
-                recv_free[u] -= 1
-                q_hd[qi] = (q_hd[qi] + 1) & qmask
-                n -= 1
-                q_n[qi] = n
-                self._queued[u] -= 1
-                self._rp_append(u, h)
-                imm_append(tok_ev)
-                if not self._cpu_active[u]:
-                    self._cpu_start_next(u)
-            else:
-                if not self._try_send_head(u, h, in_axis):
-                    break
-                q_hd[qi] = (q_hd[qi] + 1) & qmask
-                n -= 1
-                q_n[qi] = n
-                self._queued[u] -= 1
-                imm_append(tok_ev)
-        if not n:
-            self._pmask[u] &= self._nbit[port]
-
-    def _advance_fifo_head(self, u: int, f: int) -> None:
-        """Try to launch the head packet of injection FIFO *f* at *u*."""
-        port = self._nvp + f
-        qi = u * self._nports + port
-        q_n = self._q_n
-        n = q_n[qi]
-        if not n:
-            return
-        q_buf = self._q_buf
-        q_hd = self._q_hd
-        qsh = self._q_shift
-        qmask = self._q_mask
-        fifo_ev = self._fifo_evs[u * self._nfifos + f]
-        imm_append = self._immediate.append
-        while n:
-            h = q_buf[(qi << qsh) | q_hd[qi]]
-            if not self._try_send_head(u, h, -1):
-                break
-            q_hd[qi] = (q_hd[qi] + 1) & qmask
-            n -= 1
-            q_n[qi] = n
-            self._queued[u] -= 1
-            imm_append(fifo_ev)
-        if not n:
-            self._pmask[u] &= self._nbit[port]
-
-    def _deliver_local_heads(self, u: int) -> None:
-        """A reception slot freed: move any waiting local-delivery heads."""
-        m = self._pmask[u] & self._pm_vc
-        recv_free = self._recv_free
-        while m:
-            if recv_free[u] <= 0:
-                return
-            low = m & -m
-            m -= low
-            self._advance_queue_head(u, low.bit_length() - 1)
-
-    # ------------------------------------------------------------------ #
-    # CPU model
-    # ------------------------------------------------------------------ #
-
-    def _cpu_maybe_start(self, u: int) -> None:
-        if not self._cpu_active[u]:
-            self._cpu_start_next(u)
 
     def _plan_peek(self, u: int) -> Optional[PacketSpec]:
         nxt = self._plan_next[u]
@@ -900,100 +555,6 @@ class TorusNetwork:
                 self._fifo_rr[u] = f + 1 if f + 1 < nf else 0
                 return f
         return -1
-
-    def _cpu_cost(self, wire_bytes: int) -> float:
-        return self._cpu_fixed + wire_bytes * self._cpu_incr
-
-    def _cpu_start_next(self, u: int) -> None:
-        """Choose the next CPU op at *u* (round-robin over reception drain,
-        forward injection, plan injection) and schedule its completion."""
-        now = self._now
-        rr = self._cpu_rr[u]
-        wake_at = -1.0
-        for k in range(3):
-            src = rr + k
-            if src >= 3:
-                src -= 3
-            if src == _SRC_RECV:
-                n = self._rp_n[u]
-                if n:
-                    hd = self._rp_hd[u]
-                    h = self._rp_buf[(u << self._rp_shift) | hd]
-                    self._rp_hd[u] = (hd + 1) & self._rp_mask
-                    self._rp_n[u] = n - 1
-                    self._cpu_pending[u] = ("recv", h)
-                    self._cpu_active[u] = True
-                    self._cpu_rr[u] = src + 1
-                    self._post_ev(
-                        now + self._cpu_t[self._P_wire[h]], self._cpu_evs[u]
-                    )
-                    return
-            elif src == _SRC_FORWARD:
-                fp = self._fwd_pending[u]
-                if fp:
-                    spec = fp[0]
-                    f = self._pick_fifo(u, spec.fifo_group)
-                    if f >= 0:
-                        fp.popleft()
-                        self._begin_injection(u, spec, f, src)
-                        return
-            else:
-                spec = self._plan_peek(u)
-                if spec is not None:
-                    eligible = self._plan_last_start[u] + self._pace[u]
-                    if now < eligible:
-                        if wake_at < 0 or eligible < wake_at:
-                            wake_at = eligible
-                        continue
-                    f = self._pick_fifo(u, spec.fifo_group)
-                    if f >= 0:
-                        self._plan_next[u] = None
-                        self._plan_last_start[u] = now
-                        self._begin_injection(u, spec, f, src)
-                        return
-        self._cpu_active[u] = False
-        if wake_at > now:
-            self._post_ev(wake_at, self._wake_evs[u])
-
-    def _begin_injection(
-        self, u: int, spec: PacketSpec, fifo: int, src: int
-    ) -> None:
-        """Reserve a FIFO slot and charge the CPU for injecting *spec*."""
-        wb = spec.wire_bytes
-        if wb >= self._tbl_len:
-            self._extend_tables(wb)
-        self._fifo_free[u * self._nfifos + fifo] -= 1
-        cost = self._cpu_f[wb] + spec.extra_cpu_cycles
-        if spec.new_message:
-            cost += spec.alpha_cycles if spec.alpha_cycles >= 0 else self._alpha
-        self._cpu_pending[u] = ("inject", spec, fifo)
-        self._cpu_active[u] = True
-        self._cpu_rr[u] = src + 1
-        self._post_ev(self._now + cost * TICK_SCALE, self._cpu_evs[u])
-
-    def _cpu_complete(self, u: int) -> None:
-        """Finalize the pending CPU op at *u*, then start the next one."""
-        op = self._cpu_pending[u]
-        self._cpu_pending[u] = None
-        assert op is not None, "CPU completion with no pending op"
-        if op[0] == "recv":
-            h: int = op[1]
-            self._recv_free[u] += 1
-            self._finish_delivery(u, h)
-            self._deliver_local_heads(u)
-        else:  # inject
-            spec: PacketSpec = op[1]
-            fifo: int = op[2]
-            h = self._pool.alloc(next(self._pid), u, spec, self._now)
-            self.stats.injected_packets += 1
-            self.stats.injected_wire_bytes += spec.wire_bytes
-            if spec.dst == u:
-                # Local (self) message: bypasses the network entirely.
-                self._fifo_free[u * self._nfifos + fifo] += 1
-                self._finish_delivery(u, h)
-            elif self._q_append(u, self._nvp + fifo, h):
-                self._advance_fifo_head(u, fifo)
-        self._cpu_start_next(u)
 
     def _finish_delivery(self, u: int, h: int) -> None:
         """Record a drained packet, run the program's delivery hook, and
@@ -1030,23 +591,15 @@ class TorusNetwork:
     def run(self, program: NodeProgram) -> SimulationResult:
         """Execute *program* to quiescence and return the results."""
         self._program = program
-        for u in range(self._p):
-            self._plan_iter[u] = iter(program.injection_plan(u))
-            self._pace[u] = program.pace_cycles(u) * TICK_SCALE
-            self._cpu_maybe_start(u)
-
-        max_cycles = self.config.max_cycles
-        max_events = self.config.max_events
-        # The fused loop inlines the base-class handlers, so it is only
-        # safe when every one of them still IS the base-class handler —
-        # any subclass override (fault/obs/check mixins) or monkeypatch
-        # routes through the generic dispatch loop instead.
-        cls = type(self)
-        fused = True
-        for nm, fn in _FUSED_HOOKS:
-            if getattr(cls, nm) is not fn:
-                fused = False
-                break
+        hooks: dict[str, list] = {}
+        for ob in self._observers:
+            for name, fn in ob.bind(self).items():
+                if name not in HOOKS:
+                    raise ValueError(
+                        f"{type(ob).__name__} binds unknown hook {name!r}; "
+                        f"hooks are {sorted(HOOKS)}"
+                    )
+                hooks.setdefault(name, []).append(fn)
         # Garbage collection is suspended for the run: the hot loop
         # allocates almost nothing cyclic, and the collector's periodic
         # scans cost more than they reclaim here.
@@ -1054,10 +607,7 @@ class TorusNetwork:
         gc.disable()
         _live["net"] = self
         try:
-            if fused:
-                n_events = self._run_fused(max_cycles, max_events)
-            else:
-                n_events = self._run_dispatch(max_cycles, max_events)
+            n_events = self._run_fused(program, hooks)
         finally:
             _live["net"] = None
             if gc_was:
@@ -1072,90 +622,29 @@ class TorusNetwork:
                 f"completed with {st.final_deliveries} final deliveries, "
                 f"expected {expected}"
             )
-        return self._result()
+        res = self._result()
+        for ob in self._observers:
+            ob.finish(self, res)
+        return res
 
-    def _run_dispatch(self, max_cycles: float, max_events: int) -> int:
-        """Generic main loop: dispatch every event through the (possibly
-        overridden) handler methods.  Used whenever a subclass or mixin
-        layers hooks over the base class — the fault network included,
-        whose retransmission and outage kinds (6, 7) only it ever posts."""
-        max_cycles_t = max_cycles * TICK_SCALE
-        n_events = 0
-        # Hot-loop locals (the loop runs millions of times per collective).
-        imm = self._immediate
-        imm_pop = imm.popleft
-        imm_extend = imm.extend
-        theap = self._theap
-        bucket_pop = self._buckets.pop
-        tick_pop = heappop
-        link_busy = self._link_busy
-        tokens = self._tokens
-        fifo_free = self._fifo_free
-        pmask = self._pmask
-        on_arrive = self._on_arrive
-        arbitrate = self._arbitrate_link
-        cpu_complete = self._cpu_complete
-        cpu_maybe_start = self._cpu_maybe_start
-        now = self._now
+    def _run_fused(self, program: NodeProgram, hooks: dict) -> int:
+        """The run kernel: every network's one event loop.
 
-        # Drain order: the immediate FIFO first; when it empties, pop the
-        # next distinct tick and move its whole bucket (already in posting
-        # order) onto the FIFO.  This reproduces the exact (time, seq)
-        # order of a plain heap — see the module docstring.
-        while True:
-            if imm:
-                kind, a, b, c = imm_pop()
-            elif theap:
-                self._now = now = tick_pop(theap)
-                imm_extend(bucket_pop(now))
-                kind, a, b, c = imm_pop()
-            else:
-                break
-            n_events += 1
-            if kind == 1:  # _EV_ARRIVE
-                on_arrive(a, b, c)
-            elif kind == 2:  # _EV_TOKEN
-                tokens[a] += 1
-                if b >= 0 and pmask[b]:
-                    arbitrate(b, c)
-            elif kind == 0:  # _EV_LINK_FREE
-                if pmask[a]:
-                    arbitrate(a, b)
-            elif kind == 3:  # _EV_CPU_DONE
-                cpu_complete(a)
-            elif kind == 5:  # _EV_FIFO_FREE
-                fifo_free[a] += 1
-                cpu_maybe_start(b)
-            elif kind == 4:  # _EV_CPU_WAKE
-                cpu_maybe_start(a)
-            elif kind == 6:  # _EV_RETX (fault runs only)
-                self._on_retx(b, c)
-            else:  # _EV_OUTAGE: hold the link busy until the window ends
-                if b > link_busy[a]:
-                    link_busy[a] = b
-            if now > max_cycles_t:
-                raise self._limit_error(
-                    f"simulation exceeded {max_cycles:.3g} cycles",
-                    n_events,
-                )
-            if n_events > max_events:
-                raise self._limit_error(
-                    f"simulation exceeded {max_events} events", n_events
-                )
-        return n_events
+        Each handler is a closure over simulator state hoisted into
+        locals (CPython attribute loads and method calls dominate a
+        method-per-handler loop's profile).  The routing closures come in
+        two sets, picked once per run from the network's type: the
+        pristine torus's dimension-order/bubble rules, and a fault
+        plan's BFS-distance/up*-down* rules with degraded service, loss
+        and the RETX/OUTAGE event kinds.
 
-    def _run_fused(self, max_cycles: float, max_events: int) -> int:
-        """Fused main loop for the pristine network: `_run_dispatch` with
-        every base-class handler inlined as a closure and all simulator
-        state hoisted into locals (CPython attribute loads and method
-        calls dominate the generic loop's profile).
-
-        The logic is copied verbatim from the handler methods — keep the
-        two in lockstep when changing either.  Faithfulness is pinned by
-        the traced-vs-plain bit-identity tests (the instrumented run takes
-        the generic loop, the plain run takes this one, and their results
-        must be equal to the last bit) plus the golden trace and
-        differential suites."""
+        *hooks* maps a :class:`SimObserver` hook name to the observers'
+        closures for it.  A hook fires after the base step it names, so
+        observers only ever read the state a decision left behind; with
+        no observer, each hook site costs one ``is not None`` test (or
+        nothing, where the hook wraps a closure).  Faithfulness is pinned
+        by the observed-vs-plain bit-identity tests plus the golden trace,
+        the fault golden and the differential suites."""
         st = self.stats
         imm = self._immediate
         imm_pop = imm.popleft
@@ -1235,8 +724,12 @@ class TorusNetwork:
         alloc = self._pool.alloc
         pid_next = self._pid.__next__
         pick_fifo = self._pick_fifo
+        # Bound here, once per run, so a subclass override (the fault
+        # network's dedup) or a test's patch of the method takes effect.
         finish_delivery = self._finish_delivery
 
+        max_cycles = self.config.max_cycles
+        max_events = self.config.max_events
         max_cycles_t = max_cycles * TICK_SCALE
         now = self._now
         n_events = 0
@@ -1262,6 +755,9 @@ class TorusNetwork:
             return -1
 
         def launch(u: int, d: int, v: int, h: int, vc: int) -> None:
+            # Start transmitting h from u to v on (d, vc).  The caller
+            # already removed the packet from its queue and released its
+            # old slot.
             tokens[(v * ndirs + (d ^ 1)) * nvcs + vc] -= 1
             P_vc[h] = vc
             P_hops[h] += 1
@@ -1282,6 +778,13 @@ class TorusNetwork:
                     tick_push(theap, done)
                 else:
                     b.append(ev)
+            # Virtual cut-through: the *header* reaches v after the
+            # router/wire latency and may immediately compete for its next
+            # hop while the body still streams behind it (an unobstructed
+            # header races ahead, as on the real torus); the link itself
+            # stays busy for the full service time.  On the packet's FINAL
+            # hop the payload is only usable once its tail arrives, so
+            # delivery waits for the tail.
             arrive = (done if P_dst[h] == v else now) + hop_t
             ev = (1, v, (d ^ 1) * nvcs + vc, h)
             if arrive <= now:
@@ -1295,6 +798,9 @@ class TorusNetwork:
                     b.append(ev)
 
         def try_send_head(u: int, h: int, in_axis: int) -> bool:
+            # Packet-centric attempt: launch h (a queue/FIFO head at u)
+            # over the best free link right now (JSQ across its candidate
+            # directions).  The caller pops the packet on success.
             nbr_u = nbr[u]
             lbase = u * ndirs
             dst = P_dst[h]
@@ -1406,6 +912,14 @@ class TorusNetwork:
                 pmask[u] &= nbit[port]
 
         def arbitrate(u: int, d: int) -> None:
+            # Link (u, d) is free: pick one waiting head packet and launch
+            # it.  Dynamic-VC candidates win over bubble candidates; ties
+            # rotate.  One rotation scan over the NON-EMPTY ports only
+            # (rotate the occupancy mask by the arbitration pointer and
+            # extract low bits) launches the first dynamic-VC candidate,
+            # else the first bubble candidate memoized on the way: the
+            # checks are pure and nothing mutates before the launch, so
+            # this picks what a full dynamic-then-bubble scan would.
             # Both call sites pre-gate on a non-empty port mask and an
             # idle link, so those checks are not repeated here.
             v = nbr[u][d]
@@ -1492,6 +1006,11 @@ class TorusNetwork:
                 pmask[u] &= nbit[port]
             queued[u] -= 1
             arb[li] = port + 1 if port + 1 < nports else 0
+            # Virtual cut-through: the slot frees as the packet streams
+            # out, so the credit returns at launch.  The queue's new head
+            # may be deliverable locally or able to use another free link
+            # right now, and no future event is guaranteed to poke it, so
+            # it advances eagerly.
             if port < nvp:
                 imm_append(tok_evs[u * nvp + port])
                 launch(u, d, v, b_h, b_vc)
@@ -1575,6 +1094,312 @@ class TorusNetwork:
             if wake_at > now:
                 post_ev(wake_at, wake_evs[u])
 
+        fault_inject = None
+        retx = None
+        if self._FAULTY:
+            # Fault routing: adaptive packets take any surviving link that
+            # shrinks the BFS distance to the destination (JSQ over the
+            # dynamic VCs, ties in direction order); the escape VC follows
+            # up*/down* next hops, where one free slot suffices (the
+            # escape channel dependency graph is acyclic, so no bubble).
+            p = self._p
+            dist = self._dist
+            prod = self._prod
+            nh_up = self._nh_up
+            nh_down = self._nh_down
+            order = self._order
+            degrade = self._degrade
+            loss = self._loss
+            has_loss = self._has_loss
+            salt = self._loss_salt
+            dtab = self._dtab
+            dead_set = self._dead_set
+            outstanding = self._outstanding
+            seq_next = self._seqno.__next__
+            P_pid = self._P_pid
+            P_seq = self._P_seq
+            P_down = self._P_down
+            free_append = self._pool.free.append
+            faults = self.faults
+            max_retx = faults.max_retx
+            retx_timeout = faults.retx_timeout_cycles
+            retx_backoff = faults.retx_backoff
+            retx_t = retx_timeout * TICK_SCALE
+
+            def launch(u: int, d: int, v: int, h: int, vc: int) -> int:
+                ti = (v * ndirs + (d ^ 1)) * nvcs + vc
+                tokens[ti] -= 1
+                P_vc[h] = vc
+                hops = P_hops[h] + 1
+                P_hops[h] = hops
+                st.total_hops += 1
+                li = u * ndirs + d
+                service = svc_f[P_wire[h]] * degrade[li]
+                done = now + service * TICK_SCALE
+                link_busy[li] = done
+                busy_cycles[li] += service
+                link_packets[li] += 1
+                ev = link_evs[li]
+                if done <= now:
+                    imm_append(ev)
+                else:
+                    b = bucket_get(done)
+                    if b is None:
+                        buckets[done] = [ev]
+                        tick_push(theap, done)
+                    else:
+                        b.append(ev)
+                # Track the up*/down* phase: once a packet descends on the
+                # escape VC it may never climb again while it stays there;
+                # any adaptive hop resets the phase (a fresh escape episode
+                # starts clean).
+                if vc == bubble:
+                    if order[v] > order[u]:
+                        P_down[h] = True
+                else:
+                    P_down[h] = False
+                # A hop that is not minimal on the pristine torus is a
+                # reroute forced by the fault plan.
+                dst = P_dst[h]
+                axis = d >> 1
+                disp = dtab[axis][(P_half[h] >> axis) & 1][
+                    colm[axis][u] + coord[axis][dst]
+                ]
+                flags = 0
+                if disp == 0 or (disp > 0) != ((d & 1) == 0):
+                    st.rerouted_hops += 1
+                    flags = LAUNCH_REROUTED
+                if has_loss:
+                    p_loss = loss[li]
+                    if p_loss > 0.0 and (
+                        loss_draw(salt, P_pid[h], hops, li) < p_loss
+                    ):
+                        # Dropped on the wire: the transmission still
+                        # occupies the link, and the reserved downstream
+                        # slot frees when the tail would have passed.  No
+                        # arrival is posted; the sender's retransmission
+                        # timer recovers the payload.
+                        st.lost_packets += 1
+                        post_ev(done, tok_evs[ti])
+                        free_append(h)
+                        return flags | LAUNCH_DROPPED
+                arrive = (done if dst == v else now) + hop_t
+                ev = (1, v, (d ^ 1) * nvcs + vc, h)
+                if arrive <= now:
+                    imm_append(ev)
+                else:
+                    b = bucket_get(arrive)
+                    if b is None:
+                        buckets[arrive] = [ev]
+                        tick_push(theap, arrive)
+                    else:
+                        b.append(ev)
+                return flags
+
+            def try_send_head(u: int, h: int, in_axis: int) -> bool:
+                nbr_u = nbr[u]
+                lbase = u * ndirs
+                db = P_dst[h] * p
+                if P_mode[h] == _ADAPTIVE:
+                    best_d, best_vc, best_free = -1, -1, 0
+                    for d in prod[db + u]:
+                        if link_busy[lbase + d] > now:
+                            continue
+                        base = (nbr_u[d] * ndirs + (d ^ 1)) * nvcs
+                        for vc in range(ndyn):
+                            f = tokens[base + vc]
+                            if f > best_free:
+                                best_d, best_vc, best_free = d, vc, f
+                    if best_d >= 0:
+                        launch(u, best_d, nbr_u[best_d], h, best_vc)
+                        return True
+                # Escape (also the only path for DETERMINISTIC packets).
+                d = (nh_down if P_down[h] else nh_up)[db + u]
+                if d < 0:
+                    return False
+                v = nbr_u[d]
+                if v < 0 or link_busy[lbase + d] > now:
+                    return False
+                if tokens[(v * ndirs + (d ^ 1)) * nvcs + bubble] >= 1:
+                    launch(u, d, v, h, bubble)
+                    return True
+                return False
+
+            def arbitrate(u: int, d: int) -> None:
+                # Same scan and pre-gates as the pristine arbitrate; only
+                # the routing checks differ.
+                v = nbr[u][d]
+                if v < 0:
+                    return
+                li = u * ndirs + d
+                m = pmask[u]
+                ubase = u * nports
+                base = (v * ndirs + (d ^ 1)) * nvcs
+                escape_free = tokens[base + bubble] >= 1
+                start = arb[li]
+                b_port = -1
+                b_h = -1
+                b_vc = -1
+                if m & (m - 1):
+                    mm = ((m >> start) | (m << (nports - start))) & all_ports
+                else:
+                    mm = m
+                    start = 0
+                while mm:
+                    low = mm & -mm
+                    mm -= low
+                    port = start + low.bit_length() - 1
+                    if port >= nports:
+                        port -= nports
+                    qi = ubase + port
+                    h = q_buf[(qi << qsh) | q_hd[qi]]
+                    dst = P_dst[h]
+                    if port < nvp and dst == u:
+                        continue  # waiting for reception space
+                    db = dst * p
+                    if P_mode[h] == _ADAPTIVE:
+                        dv = dist[db + v]
+                        if 0 <= dv < dist[db + u]:
+                            best, best_free = -1, 0
+                            for vc in range(ndyn):
+                                f = tokens[base + vc]
+                                if f > best_free:
+                                    best, best_free = vc, f
+                            if best >= 0:
+                                b_port, b_h, b_vc = port, h, best
+                                break
+                    if (
+                        b_port < 0
+                        and escape_free
+                        and (nh_down if P_down[h] else nh_up)[db + u] == d
+                    ):
+                        b_port, b_h, b_vc = port, h, bubble
+                if b_port < 0:
+                    return
+                port = b_port
+                qi = ubase + port
+                q_hd[qi] = (q_hd[qi] + 1) & qmask
+                n = q_n[qi] - 1
+                q_n[qi] = n
+                if not n:
+                    pmask[u] &= nbit[port]
+                queued[u] -= 1
+                arb[li] = port + 1 if port + 1 < nports else 0
+                if port < nvp:
+                    imm_append(tok_evs[u * nvp + port])
+                    launch(u, d, v, b_h, b_vc)
+                    if n:
+                        advance_queue_head(u, port)
+                else:
+                    f = port - nvp
+                    imm_append(fifo_evs[u * nfifos + f])
+                    launch(u, d, v, b_h, b_vc)
+                    if n:
+                        advance_fifo_head(u, f)
+
+            def fault_inject(u: int, h: int, spec) -> None:
+                if spec.dst in dead_set:
+                    raise SimulationError(
+                        f"node {u} injected a packet for dead node "
+                        f"{spec.dst}; strategies must be built with the "
+                        f"fault plan"
+                    )
+                if has_loss and spec.seq < 0:
+                    # First transmission of a logical packet: assign its
+                    # sequence number, remember the spec for retransmission
+                    # and arm the timeout.  A retransmitted spec arrives
+                    # here with seq >= 0 and is passed through untouched —
+                    # its timer chain is driven by retx.
+                    seq = seq_next()
+                    P_seq[h] = seq
+                    outstanding[seq] = (u, spec)
+                    post_ev(now + retx_t, (6, u, 1, seq))
+
+            def retx(attempt: int, seq: int) -> None:
+                ent = outstanding.get(seq)
+                if ent is None:
+                    return  # delivered in the meantime; the timer chain ends
+                if attempt > max_retx:
+                    raise SimulationError(
+                        f"packet seq={seq} undelivered after {max_retx} "
+                        f"retransmissions — the fault plan or routing table "
+                        f"is inconsistent"
+                    )
+                src, spec = ent
+                st.retransmitted_packets += 1
+                fp = fwd_pending[src]
+                # The retransmitted twin's spec is built when a timer
+                # fires (a few percent of packets), not at every injection.
+                fp.append(replace(spec, seq=seq, new_message=False))
+                if len(fp) > st.peak_forward_backlog:
+                    st.peak_forward_backlog = len(fp)
+                if not cpu_active[src]:
+                    cpu_start_next(src)
+                backoff = retx_backoff ** min(attempt, 10)
+                post_ev(
+                    now + retx_timeout * backoff * TICK_SCALE,
+                    (6, src, attempt + 1, seq),
+                )
+                if on_retx is not None:
+                    for fn in on_retx:
+                        fn(src, seq, attempt)
+
+        # Observer hooks.  Where a hook follows a closure, a wrapper is
+        # built only when some observer asks, so an unobserved run calls
+        # the closures above directly.
+        on_launch = hooks.get("launch")
+        if on_launch is not None:
+            routed_launch = launch
+
+            def launch(u: int, d: int, v: int, h: int, vc: int) -> None:
+                busy0 = link_busy[u * ndirs + d]
+                flags = routed_launch(u, d, v, h, vc) or 0
+                for fn in on_launch:
+                    fn(u, d, v, h, vc, now, busy0, flags)
+
+        on_stall = hooks.get("stall")
+        if on_stall is not None:
+            routed_arbitrate = arbitrate
+
+            def arbitrate(u: int, d: int) -> None:
+                # Every launch counts a hop, so an unchanged count means
+                # the scan found nothing to launch.
+                hops0 = st.total_hops
+                routed_arbitrate(u, d)
+                if st.total_hops == hops0:
+                    for fn in on_stall:
+                        fn(u, d)
+
+        on_inject_begin = hooks.get("inject_begin")
+        if on_inject_begin is not None:
+            reserve = begin_injection
+
+            def begin_injection(u: int, spec, fifo: int, src: int) -> None:
+                reserve(u, spec, fifo, src)
+                for fn in on_inject_begin:
+                    fn(u, fifo)
+
+        on_deliver = hooks.get("deliver")
+        if on_deliver is not None:
+            consume = finish_delivery
+
+            def finish_delivery(u: int, h: int) -> None:
+                delivered0 = st.delivered_packets
+                consume(u, h)
+                if st.delivered_packets != delivered0:
+                    for fn in on_deliver:
+                        fn(u, h)
+
+        on_arrive = hooks.get("arrive")
+        on_inject = hooks.get("inject")
+        on_retx = hooks.get("retx")
+
+        for u in range(self._p):
+            plan_iter[u] = iter(program.injection_plan(u))
+            pace[u] = program.pace_cycles(u) * TICK_SCALE
+            if not cpu_active[u]:
+                cpu_start_next(u)
+
         while True:
             if imm:
                 kind, a, b, c = imm_pop()
@@ -1589,6 +1414,8 @@ class TorusNetwork:
                 qi = a * nports + b
                 n = q_n[qi]
                 if not n and P_dst[c] == a and recv_free[a] > 0:
+                    # Straight into the reception FIFO; the VC slot frees
+                    # immediately.
                     recv_free[a] -= 1
                     rn = rp_n[a]
                     rp_buf[(a << rsh) | ((rp_hd[a] + rn) & rmask)] = c
@@ -1603,6 +1430,9 @@ class TorusNetwork:
                     if not n:
                         pmask[a] |= pbit[b]
                         advance_queue_head(a, b)
+                if on_arrive is not None:
+                    for fn in on_arrive:
+                        fn(a, b, c, n)
             elif kind == 2:  # _EV_TOKEN
                 tokens[a] += 1
                 # Busy-link gate inlined: ~40 % of token returns poke a
@@ -1638,6 +1468,8 @@ class TorusNetwork:
                         fifo_free[a * nfifos + fifo] += 1
                         finish_delivery(a, h)
                     else:
+                        if fault_inject is not None:
+                            fault_inject(a, h, spec)
                         port = nvp + fifo
                         qi = a * nports + port
                         n = q_n[qi]
@@ -1648,13 +1480,21 @@ class TorusNetwork:
                             pmask[a] |= pbit[port]
                             advance_fifo_head(a, fifo)
                 cpu_start_next(a)
+                if on_inject is not None and op[0] == "inject":
+                    for fn in on_inject:
+                        fn(a)
             elif kind == 5:  # _EV_FIFO_FREE
                 fifo_free[a] += 1
                 if not cpu_active[b]:
                     cpu_start_next(b)
-            else:  # _EV_CPU_WAKE
+            elif kind == 4:  # _EV_CPU_WAKE
                 if not cpu_active[a]:
                     cpu_start_next(a)
+            elif kind == 6:  # _EV_RETX (fault runs only)
+                retx(b, c)
+            else:  # _EV_OUTAGE: hold the link busy until the window ends
+                if b > link_busy[a]:
+                    link_busy[a] = b
             if now > max_cycles_t:
                 raise self._limit_error(
                     f"simulation exceeded {max_cycles:.3g} cycles",
@@ -1665,28 +1505,6 @@ class TorusNetwork:
                     f"simulation exceeded {max_events} events", n_events
                 )
         return n_events
-
-    def _on_arrive(self, v: int, port: int, h: int) -> None:
-        """Handle *h* arrives at node *v* on input *port* (= in_dir *
-        num_vcs + vc)."""
-        qi = v * self._nports + port
-        n = self._q_n[qi]
-        if not n and self._P_dst[h] == v and self._recv_free[v] > 0:
-            # Straight into the reception FIFO; the slot frees immediately.
-            self._recv_free[v] -= 1
-            self._rp_append(v, h)
-            self._immediate.append(self._tok_evs[v * self._nvp + port])
-            if not self._cpu_active[v]:
-                self._cpu_start_next(v)
-            return
-        self._q_buf[
-            (qi << self._q_shift) | ((self._q_hd[qi] + n) & self._q_mask)
-        ] = h
-        self._q_n[qi] = n + 1
-        self._queued[v] += 1
-        if not n:
-            self._pmask[v] |= self._pbit[port]
-            self._advance_queue_head(v, port)
 
     # ------------------------------------------------------------------ #
     # completion
@@ -1796,31 +1614,3 @@ class TorusNetwork:
             rerouted_hops=st.rerouted_hops,
             outage_cycles=st.outage_cycles,
         )
-
-
-#: (name, base implementation) pairs whose bodies `_run_fused` inlines.
-#: run() selects the fused loop only while every one of these still
-#: resolves to the base implementation on the instance's class — a
-#: subclass override or a monkeypatch of any of them (the fault, obs and
-#: check layers, sabotage harnesses) falls back to the generic dispatch
-#: loop, which calls the methods dynamically.
-_FUSED_HOOKS = tuple(
-    (nm, getattr(TorusNetwork, nm))
-    for nm in (
-        "_post_ev",
-        "_dor_dir",
-        "_vc_for_link",
-        "_launch",
-        "_arbitrate_link",
-        "_try_send_head",
-        "_advance_queue_head",
-        "_advance_fifo_head",
-        "_deliver_local_heads",
-        "_cpu_maybe_start",
-        "_plan_peek",
-        "_cpu_start_next",
-        "_begin_injection",
-        "_cpu_complete",
-        "_on_arrive",
-    )
-)

@@ -3,8 +3,8 @@
 One frozen :class:`ObsConfig` travels from the CLI (``--trace`` /
 ``--metrics``) through :func:`repro.runner.run_points` into
 :func:`repro.api.simulate_alltoall` and finally
-:func:`repro.net.faultsim.build_network`, which instantiates an
-instrumented network only when :attr:`ObsConfig.enabled` is true.  The
+:func:`repro.net.faultsim.build_network`, which attaches the
+instrumentation observer only when :attr:`ObsConfig.enabled` is true.  The
 default (``None`` everywhere) means the plain un-instrumented simulator
 runs — observability disabled is not a cheap path, it is *the same* path
 as before this subsystem existed.

@@ -21,15 +21,16 @@ Everything exports to plain JSON types via :meth:`MetricsRegistry.to_dict`
 so metrics payloads ride the runner's canonical codec unchanged.
 
 **Zero-overhead contract:** nothing here is ever touched by an
-uninstrumented run.  The plain :class:`~repro.net.simulator.TorusNetwork`
+uninstrumented run.  The :class:`~repro.net.simulator.TorusNetwork`
 carries no registry, no instrument and no ``if enabled`` branch; the
-registry only exists on the instrumented subclasses that
-:func:`repro.net.faultsim.build_network` instantiates when an
+registry only exists on the instrumentation observer that
+:func:`repro.net.faultsim.build_network` attaches when an
 :class:`~repro.obs.config.ObsConfig` asks for metrics.
 """
 
 from __future__ import annotations
 
+from math import frexp
 from typing import Optional
 
 #: Default cap on buckets per time series (re-bin by doubling beyond it).
@@ -105,11 +106,8 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
-        b = 0
-        x = v
-        while x >= 1.0:
-            x /= 2.0
-            b += 1
+        # The binary exponent: 2**(b-1) <= v < 2**b for v >= 1, exactly.
+        b = frexp(v)[1] if v >= 1.0 else 0
         counts = self.counts
         if b >= len(counts):
             counts.extend([0] * (b + 1 - len(counts)))

@@ -17,9 +17,9 @@ per-phase time attribution:
   such in the payload; the simulated-cycle numbers are exact.
 
 The profiler is an opt-in observability layer (``ObsConfig.profile``;
-CLI ``--profile``): it lives on the instrumented network subclasses
+CLI ``--profile``): it lives on the instrumentation observer
 (:mod:`repro.net.instrumented`), so the profiling-off default path runs
-the *plain* simulator classes, bit-identical to a run before this module
+no code of this module, bit-identical to a run before this module
 existed.  The payload rides ``extras["obs"]["profile"]`` through the
 canonical codec; :func:`profile_chrome_events` renders it as a span
 track alongside the packet tracer in one Perfetto-loadable file.
@@ -38,8 +38,8 @@ _AXIS_NAMES = ("x", "y", "z")
 class PhaseProfiler:
     """Aggregates per-phase time attribution during one simulation run.
 
-    Fed by the instrumented network's launch/delivery hooks (read-only
-    observers, ``super()`` first — the simulation is unperturbed).  All
+    Fed by the instrumentation's launch/delivery hooks (read-only, after
+    the step they observe — the simulation is unperturbed).  All
     inputs are in simulated cycles; host wall/CPU time is attached once
     at result assembly.  :attr:`busy` is the run's one per-(phase, axis)
     busy-cycle table: the link-stats payload reads it too.
@@ -56,16 +56,16 @@ class PhaseProfiler:
         self.busy: dict[str, list[float]] = {}
 
     def _entry(self, phase: str) -> list:
-        e = self._phases.get(phase)
-        if e is None:
-            e = self._phases[phase] = [0, 0, 0, float("inf"), 0.0]
+        e = self._phases[phase] = [0, 0, 0, float("inf"), 0.0]
         return e
 
     def on_launch(
         self, phase: str, axis: int, now_cycles: float, dur_cycles: float
     ) -> None:
         """One link occupancy interval attributed to *phase*."""
-        e = self._entry(phase)
+        e = self._phases.get(phase)
+        if e is None:
+            e = self._entry(phase)
         e[0] += 1
         if now_cycles < e[3]:
             e[3] = now_cycles
@@ -79,7 +79,9 @@ class PhaseProfiler:
 
     def on_delivery(self, phase: str, now_cycles: float, final: bool) -> None:
         """One packet of *phase* drained by its destination CPU."""
-        e = self._entry(phase)
+        e = self._phases.get(phase)
+        if e is None:
+            e = self._entry(phase)
         e[1] += 1
         if final:
             e[2] += 1

@@ -62,6 +62,8 @@ def kind_of_tag(tag: object) -> Optional[str]:
     Works on the bare tag value so struct-of-arrays consumers (the
     instrumented/checked networks read the pool's ``tag`` column, not a
     :class:`Packet`) share one dispatch rule with :func:`tag_kind`."""
+    if tag.__class__ is str:  # timed runs tag packets with the bare marker
+        return tag
     if isinstance(tag, ChunkTag):
         return tag.kind
     return tag if isinstance(tag, str) else None

@@ -10,6 +10,7 @@ from repro.model.torus import TorusShape
 from repro.net.faults import FaultPlan
 from repro.net.faultsim import FaultyTorusNetwork, build_network
 from repro.net.simulator import TorusNetwork
+from repro.obs.config import ObsConfig
 from repro.strategies import (
     ARDirect,
     CreditedTPS,
@@ -196,15 +197,36 @@ class TestZeroCostStructure:
                 s.startswith("_chk") for s in cls.__slots__
             )
 
-    def test_mixin_overrides_call_super_first(self):
-        import inspect
+    @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
+    def test_unobserved_run_executes_no_obs_or_check_frame(self, faulty):
+        # The contract measured directly: with no observer attached, a run
+        # never enters observation or checking code.
+        import sys
 
-        from repro.check.oracle import _CheckedMixin
+        plan = _lossy_plan() if faulty else None
 
-        for name in (
-            "_launch", "_begin_injection", "_on_arrive", "_finish_delivery",
-        ):
-            src = inspect.getsource(getattr(_CheckedMixin, name))
-            body = src[: src.index("super()._")]
-            # Nothing before the super() call may mutate state: reads only.
-            assert "raise" not in body
+        def frames(net):
+            program = ARDirect().build_program(SHAPE, 64, faults=plan)
+            seen = set()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    seen.add(frame.f_globals.get("__name__", ""))
+
+            sys.setprofile(profile)
+            try:
+                net.run(program)
+            finally:
+                sys.setprofile(None)
+            return seen
+
+        layers = ("repro.obs", "repro.check", "repro.net.instrumented")
+        plain = frames(build_network(SHAPE, faults=plan))
+        assert "repro.net.simulator" in plain
+        assert not [m for m in plain if m.startswith(layers)]
+        observed = frames(
+            build_network(
+                SHAPE, faults=plan, obs=ObsConfig(metrics=True), check=CHECK
+            )
+        )
+        assert {"repro.net.instrumented", "repro.check.oracle"} <= observed

@@ -1,9 +1,11 @@
 """build_network composes the fault, observation and check layers.
 
-One class per fault × obs × check combination, named after its layers;
-exactly the plain class when obs and check are off; and never a
-different simulation — every combination reproduces the plain run's
-``time_cycles`` and ``events_processed``.
+The network is exactly :class:`TorusNetwork` or
+:class:`FaultyTorusNetwork` for every fault × obs × check combination —
+observation and checking attach as observers, never as subclasses — and
+never a different simulation: every combination reproduces the plain
+run's ``time_cycles`` and ``events_processed``.  Any other observer
+attaches the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ SHAPE = TorusShape.parse("4x4x2")
 PARAMS = MachineParams.bluegene_l()
 MSG = 128
 # Dead links, loss (retransmission events) and an outage window: every
-# event kind the fault network adds to the dispatch loop.
+# event kind the fault network adds to the run kernel.
 PLAN = FaultPlan.random(
     SHAPE,
     seed=3,
@@ -61,24 +63,48 @@ class TestLayerLattice:
         check = CheckConfig(audit_interval=64) if checked else None
         net, res = _run(faulty, obs, check)
 
-        base = FaultyTorusNetwork if faulty else TorusNetwork
-        name = (
-            ("Checked" if checked else "")
-            + ("Instrumented" if observed else "")
-            + base.__name__
-        )
-        assert type(net).__name__ == name
-        assert isinstance(net, base)
-        if not observed and not checked:
-            assert type(net) is base
+        assert type(net) is (FaultyTorusNetwork if faulty else TorusNetwork)
         assert (res.time_cycles, res.events_processed) == _plain(faulty)
+        assert ("obs" in res.extras) == observed
         if faulty:
             assert res.retransmitted_packets > 0
             assert res.outage_cycles > 0
 
-    def test_combination_classes_are_built_once(self):
-        obs = ObsConfig(metrics=True)
-        check = CheckConfig()
-        a = build_network(SHAPE, obs=obs, check=check)
-        b = build_network(SHAPE, obs=obs, check=check)
-        assert type(a) is type(b)
+
+class TestObserverSurface:
+    def test_custom_observer_sees_every_launch_and_delivery(self):
+        from repro.net.simulator import SimObserver
+
+        class Counter(SimObserver):
+            def bind(self, net):
+                self.launches = self.deliveries = 0
+
+                def launch(u, d, v, h, vc, now, busy0, flags):
+                    self.launches += 1
+
+                def deliver(u, h):
+                    self.deliveries += 1
+
+                return {"launch": launch, "deliver": deliver}
+
+        seen = Counter()
+        net = build_network(SHAPE, PARAMS, None, PLAN)
+        net.attach(seen)
+        program = ARDirect().build_program(SHAPE, MSG, PARAMS, 1, faults=PLAN)
+        res = net.run(program)
+        assert (res.time_cycles, res.events_processed) == _plain(True)
+        assert seen.launches == res.total_hops
+        assert seen.deliveries == res.delivered_packets
+
+    def test_unknown_hook_name_is_rejected(self):
+        from repro.net.simulator import SimObserver
+
+        class Typo(SimObserver):
+            def bind(self, net):
+                return {"lanch": lambda *args: None}
+
+        net = build_network(SHAPE, PARAMS)
+        net.attach(Typo())
+        program = ARDirect().build_program(SHAPE, MSG, PARAMS, 1)
+        with pytest.raises(ValueError, match="unknown hook 'lanch'"):
+            net.run(program)

@@ -190,6 +190,64 @@ class TestRoutingTable:
         rt = FaultRoutingTable(topo, FaultPlan(dead_links=frozenset({(0, 0)})))
         assert rt.num_links == topo.num_links - 2
 
+    def test_productive_directions_shrink_distance(self):
+        shape = TorusShape.parse("4x4x2")
+        topo = Topology(shape)
+        plan = FaultPlan.random(
+            shape, seed=2, dead_link_fraction=0.1, dead_node_fraction=0.05
+        )
+        rt = FaultRoutingTable(topo, plan)
+        p = topo.nnodes
+        for dst in range(p):
+            for u in range(p):
+                du = rt.dist[dst * p + u]
+                want = tuple(
+                    d
+                    for d, v in enumerate(rt.nbr[u])
+                    if v >= 0 and 0 <= rt.dist[dst * p + v] < du
+                )
+                assert rt.productive[dst * p + u] == want
+        # Interned: one object per distinct direction subset.
+        assert len({id(t) for t in rt.productive}) == len(set(rt.productive))
+        assert len(set(rt.productive)) <= 2 ** topo.ndirs
+
+
+#: Plans naming a node or link a 4x4x2 torus (32 nodes, 6 directions)
+#: does not have.  Unchecked, negative indices wrap into node 31's slots
+#: of the flat tables and the rest are ignored or fail late.
+BAD_NAMES = {
+    "outage-node-negative": FaultPlan(
+        outages=(LinkOutage(node=-1, direction=0, start=0.0, end=500.0),)
+    ),
+    "outage-direction-negative": FaultPlan(
+        outages=(LinkOutage(node=0, direction=-1, start=0.0, end=500.0),)
+    ),
+    "degraded-node-negative": FaultPlan(degraded_links={(-1, 0): 3.0}),
+    "dead-link-node-negative": FaultPlan(dead_links=frozenset({(-1, 0)})),
+    "dead-link-direction-too-big": FaultPlan(dead_links=frozenset({(0, 9)})),
+    "loss-node-too-big": FaultPlan(link_loss={(99, 0): 0.1}),
+    "dead-node-too-big": FaultPlan(dead_nodes=frozenset({99})),
+}
+
+
+class TestPlanNames:
+    @pytest.mark.parametrize("plan", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+    def test_nonexistent_entry_rejected_before_any_event(self, plan):
+        shape = TorusShape.parse("4x4x2")
+        with pytest.raises(ValueError, match="fault plan .* entry"):
+            build_network(shape, faults=plan)
+        with pytest.raises(ValueError, match="fault plan .* entry"):
+            simulate_alltoall(ARDirect(), shape, 64, seed=1, faults=plan)
+
+    def test_in_range_entries_accepted(self):
+        topo = Topology(TorusShape.parse("4x4x2"))
+        plan = FaultPlan(
+            dead_nodes=frozenset({31}),
+            degraded_links={(0, 5): 2.0},
+            outages=(LinkOutage(node=30, direction=0, start=0.0, end=9.0),),
+        )
+        FaultRoutingTable(topo, plan)
+
 
 class TestLossHash:
     def test_deterministic_and_uniform_range(self):

@@ -33,10 +33,12 @@ delivery, credit non-negativity, stuck-queue audits and per-strategy
 phase invariants raise immediately on violation.  Checked runs bypass
 the result cache in both directions (a cached result was never checked).
 
-Resilience (DESIGN.md section 12): ``--journal PATH`` checkpoints every
-completed point to an append-only JSONL file; after a crash or Ctrl-C,
-``--resume PATH`` preloads the journal and only the missing points
-simulate — the merged results are bit-identical to an uninterrupted run.
+Resilience (DESIGN.md section 12): every completed point lands in the
+result cache as it finishes, so after a crash or Ctrl-C re-running the
+same command simulates only the missing points — the merged results are
+bit-identical to an uninterrupted run (a private ``REPRO_CACHE_DIR``
+makes a self-contained checkpoint).  ``--journal PATH`` appends worker
+heartbeats to a JSONL log for post-mortems of a long or killed sweep.
 ``--point-timeout S`` (or ``REPRO_POINT_TIMEOUT``) bounds each point's
 wall clock; ``--retries N`` bounds reschedules of timed-out/crashed
 points.  ``REPRO_CHAOS=kill:0.1,hang:0.05,seed=0`` injects deterministic
@@ -149,8 +151,6 @@ def _print_cache_stats() -> None:
         or counters.timeouts
         or counters.pool_breaks
         or counters.quarantined
-        or counters.journal_hits
-        or counters.journal_records
     ):
         print(
             "supervision: "
@@ -158,8 +158,6 @@ def _print_cache_stats() -> None:
             f"{counters.timeouts} timeout(s), "
             f"{counters.pool_breaks} pool break(s), "
             f"{counters.quarantined} quarantined; "
-            f"journal {counters.journal_hits} hit(s), "
-            f"{counters.journal_records} record(s); "
             f"{counters.heartbeats} heartbeat(s)"
         )
 
@@ -258,16 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         "--journal",
         metavar="PATH",
         default=None,
-        help="checkpoint completed points to this append-only JSONL "
-        "journal (flushed per point; survives crashes and Ctrl-C)",
-    )
-    runp.add_argument(
-        "--resume",
-        metavar="PATH",
-        default=None,
-        help="resume from a journal written by --journal: journaled "
-        "points are reused bit-identically, only missing points "
-        "simulate; the journal keeps being appended to",
+        help="append worker heartbeats to this JSONL log for "
+        "post-mortems (flushed per line; survives crashes and Ctrl-C); "
+        "completed points are checkpointed in the result cache either way",
     )
     runp.add_argument(
         "--profile",
@@ -382,18 +373,14 @@ def main(argv: list[str] | None = None) -> int:
         sup_overrides["point_timeout_s"] = args.point_timeout
     if args.retries is not None:
         sup_overrides["max_attempts"] = args.retries + 1
-    journal_path = args.journal or args.resume
-    if journal_path is not None:
-        sup_overrides["journal"] = journal_path
-    if args.resume is not None:
-        sup_overrides["resume"] = args.resume
+    if args.journal is not None:
+        sup_overrides["journal"] = args.journal
     sup_cfg = SuperviseConfig.from_env(**sup_overrides)
 
-    if journal_path is not None:
-        # A terminated run must still leave a resumable journal: the
-        # journal is flushed per completed point, so converting SIGTERM
-        # into KeyboardInterrupt unwinds through run_sweep's cleanup
-        # (closing the journal) instead of dying mid-state.
+    if args.journal is not None:
+        # Converting SIGTERM into KeyboardInterrupt unwinds through
+        # run_sweep's cleanup (pool workers killed, the journal closed)
+        # instead of dying mid-state.
         def _sigterm(signum, frame):  # pragma: no cover - signal path
             raise KeyboardInterrupt
 
@@ -455,10 +442,12 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     print(format_diff(diff_records(old, new)))
     except KeyboardInterrupt:
-        if journal_path is not None:
+        from repro.runner.cache import cache_enabled, cache_root
+
+        if cache_enabled():
             print(
-                f"\ninterrupted — completed points are checkpointed; "
-                f"resume with: --resume {journal_path}",
+                "\ninterrupted — completed points are cached under "
+                f"{cache_root()}; re-run the same command to resume",
                 file=sys.stderr,
             )
         else:

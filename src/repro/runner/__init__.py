@@ -23,7 +23,6 @@ from repro.runner.pool import (
     counters,
     point_label,
     resolve_jobs,
-    run_grid,
     run_point,
     run_points,
     run_sweep,
@@ -67,7 +66,6 @@ __all__ = [
     "point_label",
     "resolve_jobs",
     "resolve_supervision",
-    "run_grid",
     "run_point",
     "run_points",
     "run_sweep",

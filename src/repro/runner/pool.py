@@ -6,14 +6,18 @@ Guarantees:
 * **Deterministic order** — results come back in input order, always.
 * **Bit-identical parallelism** — each point is an independent simulation
   with its own seed; ``jobs=4`` returns exactly what ``jobs=1`` returns.
-* **Bit-identical caching** — every result (fresh, pooled, cached,
-  journaled or retried) goes through one canonical JSON encode/decode
-  cycle, so where a result came from is unobservable downstream.
+* **Bit-identical caching** — every result (fresh, pooled, cached or
+  retried) goes through one canonical JSON encode/decode cycle, so where
+  a result came from is unobservable downstream.
+* **Resume from the cache** — each point is stored in the cache the
+  moment it completes, so re-running an interrupted sweep simulates only
+  the points that are still missing.  The cache is the only store of
+  results.
 * **Resilience** — every sweep runs under the supervision layer
   (:mod:`repro.runner.supervise`): per-point wall-clock timeouts,
   bounded deterministic retries, ``BrokenProcessPool`` recovery with
-  per-point quarantine, and an append-only checkpoint journal for
-  ``--resume``.  :func:`run_sweep` returns a
+  per-point quarantine, and an optional heartbeat journal
+  (``--journal``).  :func:`run_sweep` returns a
   :class:`~repro.runner.supervise.SweepResult` carrying completed runs
   plus structured failures; :func:`run_points` keeps the historical
   list-returning contract (deterministic simulation errors re-raise
@@ -30,15 +34,15 @@ one is active via :func:`repro.obs.context.observe`, which is how the CLI
 flags work), every point runs on the instrumented network and its
 trace/metrics payload — already JSON-native from the canonical codec — is
 deposited into the active collector in input order.  Observed runs bypass
-the cache *and the journal* entirely, in both directions: an instrumented
-result never pollutes them (its extras would break replayed-vs-fresh
-identity for normal runs) and never gets served from them (a stored entry
-has no trace).  The same holds for checked runs (a stored result was
-produced without the oracles watching).
+the cache entirely, in both directions: an instrumented result never
+pollutes it (its extras would break replayed-vs-fresh identity for normal
+runs) and never gets served from it (a stored entry has no trace).  The
+same holds for checked runs (a stored result was produced without the
+oracles watching).
 
 The module-level :data:`counters` record how many points were actually
-simulated vs. served from cache or journal (plus retries, timeouts, pool
-breaks, quarantines, corrupt entries, simulated cycles/events and the
+simulated vs. served from cache (plus retries, timeouts, pool breaks,
+quarantines, corrupt entries, heartbeats, simulated cycles/events and the
 executed point keys for provenance) — tests assert on them, and the CLI
 reports them.
 """
@@ -47,8 +51,8 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Optional, Sequence
 
 from repro.api import AllToAllRun, simulate_alltoall
 from repro.check.config import CheckConfig
@@ -79,13 +83,11 @@ class RunnerCounters:
     cache_stores: int = 0
     cache_corrupt: int = 0
     #: Supervision layer: reschedules, attempt timeouts, worker-pool
-    #: breaks, quarantined points, journal reads/writes.
+    #: breaks, quarantined points.
     retries: int = 0
     timeouts: int = 0
     pool_breaks: int = 0
     quarantined: int = 0
-    journal_hits: int = 0
-    journal_records: int = 0
     #: Worker heartbeat records consumed by the parent (telemetry).
     heartbeats: int = 0
     #: Simulated-time and event totals over freshly executed points.
@@ -101,43 +103,12 @@ class RunnerCounters:
     failures: list = field(default_factory=list)
 
     def reset(self) -> None:
-        self.simulated = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stores = 0
-        self.cache_corrupt = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.pool_breaks = 0
-        self.quarantined = 0
-        self.journal_hits = 0
-        self.journal_records = 0
-        self.heartbeats = 0
-        self.sim_cycles = 0.0
-        self.sim_events = 0
-        self.point_keys = []
-        self.failures = []
+        # In place: callers hold the module-level instance.
+        self.__init__()
 
     def snapshot(self) -> dict:
         """Plain-dict copy (for deltas around an experiment run)."""
-        return {
-            "simulated": self.simulated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_stores": self.cache_stores,
-            "cache_corrupt": self.cache_corrupt,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_breaks": self.pool_breaks,
-            "quarantined": self.quarantined,
-            "journal_hits": self.journal_hits,
-            "journal_records": self.journal_records,
-            "heartbeats": self.heartbeats,
-            "sim_cycles": self.sim_cycles,
-            "sim_events": self.sim_events,
-            "point_keys": list(self.point_keys),
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 #: Process-wide counters (reset with ``counters.reset()``).
@@ -180,10 +151,10 @@ def _simulate_encoded(
     """Worker body: run one point and return the canonical payload.
 
     Returning the *encoded* form does double duty — it is what crosses the
-    process boundary and what lands in the cache and the journal, so all
-    paths are the same bytes by construction.  With *obs* enabled the
-    payload also carries ``result.extras["obs"]`` (trace + metrics), which
-    the parent harvests into the active collector.  With *check* enabled
+    process boundary and what lands in the cache, so all paths are the
+    same bytes by construction.  With *obs* enabled the payload also
+    carries ``result.extras["obs"]`` (trace + metrics), which the parent
+    harvests into the active collector.  With *check* enabled
     the point runs on the oracle-checked network (same decisions, same
     payload).
     """
@@ -240,8 +211,9 @@ def run_sweep(
     :func:`~repro.runner.supervise.supervising` (how the CLI flags work),
     else one resolved from ``REPRO_POINT_TIMEOUT`` / ``REPRO_CHAOS``.
     *obs* and *check* default to their own process-wide contexts; an
-    enabled config bypasses the cache **and** the journal in both
-    directions (see module docstring).
+    enabled config bypasses the cache in both directions (see module
+    docstring).  Points already in the cache are served from it, which
+    is how re-running an interrupted sweep resumes it.
     """
     points = list(points)
     if obs is None:
@@ -256,26 +228,13 @@ def run_sweep(
     keys = [point_key(p) for p in points]
     labels = [point_label(p) for p in points]
     counters.point_keys.extend(keys)
-    payloads: list[Optional[dict]] = [None] * len(points)
-
-    journal_hits = 0
-    if cfg.resume is not None and not bypass:
-        resumed = SweepJournal.load(cfg.resume)
-        for i, k in enumerate(keys):
-            got = resumed.get(k)
-            if got is not None:
-                payloads[i] = got
-                journal_hits += 1
-        counters.journal_hits += journal_hits
-
     if bypass:
+        payloads: list[Optional[dict]] = [None] * len(points)
         misses = list(range(len(points)))
     else:
-        for i, k in enumerate(keys):
-            if payloads[i] is None:
-                payloads[i] = cache_get(k)
+        payloads = [cache_get(k) for k in keys]
         misses = [i for i, p in enumerate(payloads) if p is None]
-        counters.cache_hits += len(points) - len(misses) - journal_hits
+        counters.cache_hits += len(points) - len(misses)
         counters.cache_misses += len(misses)
         counters.cache_corrupt += pop_corrupt_count()
 
@@ -285,7 +244,7 @@ def run_sweep(
         len(points),
         len(misses),
         jobs,
-        " [observed/checked, cache+journal bypassed]" if bypass else "",
+        " [observed/checked, cache bypassed]" if bypass else "",
     )
 
     # Live telemetry (status line / progress log lines + heartbeats).
@@ -302,14 +261,8 @@ def run_sweep(
     journal: Optional[SweepJournal] = None
     failures = []
     try:
-        if cfg.journal is not None and not bypass:
+        if cfg.journal is not None:
             journal = SweepJournal(cfg.journal).open_append()
-            # Make the journal self-contained: completions served from
-            # the cache or a previous journal checkpoint this run are
-            # (idempotently) recorded too.
-            for i, payload in enumerate(payloads):
-                if payload is not None and journal.record(keys[i], payload):
-                    counters.journal_records += 1
 
         if misses:
             todo = [
@@ -327,13 +280,8 @@ def run_sweep(
                     result["time_cycles"],
                     result["events_processed"],
                 )
-                if not bypass:
-                    if cache_put(task.key, payload):
-                        counters.cache_stores += 1
-                    if journal is not None and journal.record(
-                        task.key, payload
-                    ):
-                        counters.journal_records += 1
+                if not bypass and cache_put(task.key, payload):
+                    counters.cache_stores += 1
                 if progress is not None:
                     progress.complete(task)
 
@@ -400,8 +348,6 @@ def _collect_supervision_metrics(obs: ObsConfig, failures: list) -> None:
         or counters.timeouts
         or counters.pool_breaks
         or counters.quarantined
-        or counters.journal_hits
-        or counters.journal_records
         or failures
     )
     if not eventful:
@@ -413,8 +359,6 @@ def _collect_supervision_metrics(obs: ObsConfig, failures: list) -> None:
     reg.counter("runner.timeouts").inc(counters.timeouts)
     reg.counter("runner.pool_breaks").inc(counters.pool_breaks)
     reg.counter("runner.quarantined").inc(counters.quarantined)
-    reg.counter("runner.journal_hits").inc(counters.journal_hits)
-    reg.counter("runner.journal_records").inc(counters.journal_records)
     reg.counter("runner.failed_points").inc(len(failures))
     collect("sweep:supervisor", {"metrics": reg.to_dict()})
 
@@ -444,25 +388,3 @@ def run_points(
         supervise=supervise,
         graceful=False,
     ).require()
-
-
-def run_grid(
-    strategies: Iterable,
-    shape,
-    msg_sizes: Iterable[int],
-    params=None,
-    config=None,
-    seed: int = 0,
-    faults=None,
-    jobs: Optional[int] = None,
-    obs: Optional[ObsConfig] = None,
-    check: Optional[CheckConfig] = None,
-) -> list[AllToAllRun]:
-    """Convenience: the (strategy × message size) product on one shape,
-    row-major in the order given."""
-    pts = [
-        SimPoint(s, shape, m, params, config, seed, faults)
-        for s in strategies
-        for m in msg_sizes
-    ]
-    return run_points(pts, jobs=jobs, obs=obs, check=check)

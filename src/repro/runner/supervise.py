@@ -1,4 +1,4 @@
-"""Sweep supervision: timeouts, retries, quarantine, chaos, checkpoints.
+"""Sweep supervision: timeouts, retries, quarantine, chaos, heartbeats.
 
 The parallel runner (:mod:`repro.runner.pool`) fans independent
 simulation points over a process pool.  Without supervision, one hung
@@ -10,8 +10,8 @@ scheduler:
   :func:`watchdog` inside the worker (explicit via
   ``--point-timeout`` / ``REPRO_POINT_TIMEOUT``, else derived from the
   point's shape and message size).  The parent additionally enforces a
-  hard deadline (timeout + grace): a worker wedged beyond its own alarm
-  is killed and its pool respawned.
+  hard deadline (timeout + :data:`GRACE_S`): a worker wedged beyond its
+  own alarm is killed and its pool respawned.
 * **Bounded retries with deterministic backoff** — transient failures
   (timeouts, worker deaths) are rescheduled with exponential backoff and
   *no jitter*: given the same failures, the schedule is reproducible.
@@ -19,20 +19,21 @@ scheduler:
   point returns bit-identical bytes.
 * **Worker-crash quarantine** — a ``BrokenProcessPool`` (worker SIGKILL,
   OOM, hard crash) is recovered by respawning the pool; every in-flight
-  point is rescheduled, and a point present at ``quarantine_strikes``
-  pool breaks is quarantined (recorded as a structured failure) instead
-  of being allowed to kill the pool forever.
+  point is rescheduled, and a point present at
+  :data:`QUARANTINE_STRIKES` pool breaks is quarantined (recorded as a
+  structured failure) instead of being allowed to kill the pool forever.
 * **Graceful degradation** — :func:`repro.runner.pool.run_sweep` returns
   a :class:`SweepResult` carrying every completed run plus a structured
   ``failures`` list; :func:`~repro.runner.pool.run_points` keeps its
   historical contract (deterministic errors re-raise unchanged; resource
   failures raise :class:`SweepIncompleteError`, which still carries the
   partial :class:`SweepResult`).
-* **Checkpoint/resume** — a :class:`SweepJournal` (append-only JSONL of
-  canonical result payloads, flushed per point) records completions as
-  they happen; ``--resume <journal>`` preloads them, so an interrupted
-  sweep resumes where it died and the merged results are bit-identical
-  to an uninterrupted run (same canonical codec as the cache).
+* **Resume from the cache** — the runner stores every completed point
+  in the content-addressed result cache (:mod:`repro.runner.cache`) the
+  moment it lands, so re-running an interrupted sweep simulates only the
+  missing points, bit-identically.  The optional :class:`SweepJournal`
+  is an append-only log of worker heartbeats for post-mortems; it holds
+  no results.
 * **Deterministic chaos** — ``REPRO_CHAOS=kill:0.05,hang:0.02,seed=N``
   makes workers die (``os._exit``) or stall before simulating, decided
   by a hash of ``(seed, point key, attempt)``: reproducible, and a
@@ -64,7 +65,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from repro.runner.codec import SCHEMA_VERSION
-from repro.util.jsonl import open_append, read_records, write_line
+from repro.util.jsonl import open_append, write_line
 
 _log = logging.getLogger("repro.runner.supervise")
 
@@ -258,28 +259,36 @@ def derive_timeout(point) -> float:
     return TIMEOUT_FLOOR_S + TIMEOUT_PER_COST_S * point.cost_hint
 
 
+#: Retry backoff: attempt *k* waits ``BACKOFF_S * BACKOFF_FACTOR**(k - 2)``
+#: seconds — exponential and jitter-free, so the schedule is reproducible.
+BACKOFF_S = 0.25
+BACKOFF_FACTOR = 2.0
+#: Pool breaks a single point may be present for before it is quarantined.
+QUARANTINE_STRIKES = 3
+#: Seconds past a point's own timeout before the parent kills its worker.
+GRACE_S = 10.0
+
+
+def backoff_for(attempt: int) -> float:
+    """Deterministic delay before retry *attempt* (attempt >= 2)."""
+    return BACKOFF_S * BACKOFF_FACTOR ** max(attempt - 2, 0)
+
+
 @dataclass
 class SuperviseConfig:
     """Knobs of the supervision layer (see the module docstring).
 
     ``point_timeout_s=None`` means "derive from the point" when timeouts
     are needed (chaos active, or supervision explicitly activated) and
-    "no timeout" otherwise.  ``max_attempts`` bounds every
-    retry cause together; ``quarantine_strikes`` separately bounds how
-    many pool breaks a single point may be present for.  Backoff is
-    exponential and jitter-free: attempt *k* waits
-    ``backoff_s * backoff_factor**(k - 2)`` seconds, a deterministic,
-    reproducible schedule.
+    "no timeout" otherwise.  ``max_attempts`` bounds every retry cause
+    together; :data:`QUARANTINE_STRIKES` separately bounds how many pool
+    breaks a single point may be present for.  ``journal`` names the
+    heartbeat log (:class:`SweepJournal`).
     """
 
     point_timeout_s: Optional[float] = None
     max_attempts: int = 5
-    backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    quarantine_strikes: int = 3
-    grace_s: float = 10.0
     journal: Optional[Path] = None
-    resume: Optional[Path] = None
     chaos: Optional[ChaosPlan] = None
     #: Seconds between worker heartbeats (``REPRO_HEARTBEAT``; 0 turns
     #: them off).  Deliberately *not* part of :attr:`is_active` — a
@@ -289,18 +298,12 @@ class SuperviseConfig:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.quarantine_strikes < 1:
-            raise ValueError("quarantine_strikes must be >= 1")
-        if self.backoff_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be >= 0 with factor >= 1")
         if self.point_timeout_s is not None and self.point_timeout_s <= 0:
             raise ValueError("point_timeout_s must be positive")
         if self.heartbeat_s < 0:
             raise ValueError("heartbeat_s must be >= 0")
         if self.journal is not None:
             self.journal = Path(self.journal)
-        if self.resume is not None:
-            self.resume = Path(self.resume)
 
     @property
     def is_active(self) -> bool:
@@ -309,7 +312,6 @@ class SuperviseConfig:
         return (
             self.point_timeout_s is not None
             or self.journal is not None
-            or self.resume is not None
             or (self.chaos is not None and self.chaos.enabled)
         )
 
@@ -320,10 +322,6 @@ class SuperviseConfig:
         if self.is_active:
             return derive_timeout(point)
         return None
-
-    def backoff_for(self, attempt: int) -> float:
-        """Deterministic delay before retry *attempt* (attempt >= 2)."""
-        return self.backoff_s * self.backoff_factor ** max(attempt - 2, 0)
 
     @classmethod
     def from_env(cls, **overrides) -> "SuperviseConfig":
@@ -461,38 +459,28 @@ def _compact(record: dict) -> str:
 
 
 class SweepJournal:
-    """Append-only JSONL checkpoint of completed sweep points.
+    """Append-only JSONL log of a sweep's worker heartbeats.
 
     Line 1 is a header pinning the journal and payload schema versions;
-    every other line is ``{"kind": "point", "key": ..., "payload": ...}``
-    with the *canonical* payload — the same bytes the cache and the IPC
-    path carry — so a resumed point is bit-identical to a fresh one by
-    construction.  Records are flushed per line: anything short of the
-    host dying leaves a loadable prefix (a torn final line from a
-    SIGKILL is detected and skipped on load).  The file handling is
-    :mod:`repro.util.jsonl`, shared with the run history.
-
-    Besides point checkpoints the journal accepts auxiliary telemetry
-    records via :meth:`note` (worker heartbeats, see
-    :mod:`repro.obs.progress`); :meth:`load` ignores them — they are
-    diagnostics for a human reading the journal of a dead sweep, not
-    resume state.  Writes are serialized by a lock: heartbeats arrive
-    from a sampler thread while completions land on the main thread.
+    every other line is an auxiliary record written by :meth:`note`
+    (``kind="heartbeat"``, see :mod:`repro.obs.progress`) — diagnostics
+    for a human reading the journal of a dead sweep.  It holds no
+    results: completed points live in the result cache, which is what a
+    re-run resumes from.  Records are flushed per line, and a torn final
+    line from a SIGKILL is newline-terminated before the next append.
+    The file handling is :mod:`repro.util.jsonl`, shared with the run
+    history.  Writes are serialized by a lock: on the sequential path an
+    attempt's first heartbeat comes from the main thread and the rest
+    from its sampler thread.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._fh = None
-        self._keys: set[str] = set()
         self._lock = threading.Lock()
 
-    # -- writing ---------------------------------------------------- #
-
     def open_append(self) -> "SweepJournal":
-        """Open for appending, writing the header on a fresh file and
-        absorbing already-journaled keys from an existing one."""
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._keys = set(self.load(self.path))
+        """Open for appending, writing the header on a fresh file."""
         header = {
             "kind": "header",
             "journal_version": JOURNAL_VERSION,
@@ -500,17 +488,6 @@ class SweepJournal:
         }
         self._fh = open_append(self.path, _compact(header))
         return self
-
-    def record(self, key: str, payload: dict) -> bool:
-        """Append one completed point (idempotent per key); returns
-        whether a line was written."""
-        with self._lock:
-            if self._fh is None or key in self._keys:
-                return False
-            line = _compact({"kind": "point", "key": key, "payload": payload})
-            write_line(self._fh, line)
-            self._keys.add(key)
-            return True
 
     def note(self, record: dict) -> bool:
         """Append one auxiliary record (e.g. ``kind="heartbeat"``).
@@ -545,42 +522,6 @@ class SweepJournal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- reading ---------------------------------------------------- #
-
-    @staticmethod
-    def load(path) -> dict:
-        """``{key: payload}`` for every well-formed point line.
-
-        A torn trailing line (killed mid-write) is skipped with a
-        warning; a header from a different payload schema refuses to
-        load — silently resuming across a schema bump would splice
-        incompatible payloads into one sweep.
-        """
-        path = Path(path)
-
-        def check_header(rec: dict) -> None:
-            schema = rec.get("schema")
-            if schema != SCHEMA_VERSION:
-                raise ValueError(
-                    f"journal {path} has payload schema {schema}, "
-                    f"this build writes {SCHEMA_VERSION}; "
-                    "re-run the sweep instead of resuming"
-                )
-
-        entries: dict[str, dict] = {}
-        # Heartbeat notes are telemetry breadcrumbs, not resume state.
-        for lineno, rec in read_records(
-            path, "journal", check_header, ("point",), ignore=("heartbeat",)
-        ):
-            key, payload = rec.get("key"), rec.get("payload")
-            if isinstance(key, str) and isinstance(payload, dict):
-                entries[key] = payload
-            else:
-                _log.warning(
-                    "journal %s: skipping bad point line %d", path, lineno
-                )
-        return entries
 
 
 # --------------------------------------------------------------------- #
@@ -741,9 +682,9 @@ class _Supervisor:
     """Executes a batch of tasks under one :class:`SuperviseConfig`.
 
     Shared state machine for the pooled and sequential paths: attempts
-    either complete (``on_complete`` fires, for journal/cache/counters),
-    time out, crash, or error; transient causes reschedule with backoff
-    until ``max_attempts`` (or ``quarantine_strikes`` pool breaks), then
+    either complete (``on_complete`` fires, for cache/counters), time
+    out, crash, or error; transient causes reschedule with backoff until
+    ``max_attempts`` (or :data:`QUARANTINE_STRIKES` pool breaks), then
     become :class:`PointFailure` records.
     """
 
@@ -828,12 +769,12 @@ class _Supervisor:
         elif kind == "crash":
             task.crashes += 1
             self.on_event("crash", task)
-            if task.crashes >= self.cfg.quarantine_strikes:
+            if task.crashes >= QUARANTINE_STRIKES:
                 self._fail(
                     task,
                     "quarantined",
                     f"present at {task.crashes} pool break(s) "
-                    f"(strikes limit {self.cfg.quarantine_strikes}): "
+                    f"(strikes limit {QUARANTINE_STRIKES}): "
                     f"{message}",
                 )
                 self.on_event("quarantined", task)
@@ -847,7 +788,7 @@ class _Supervisor:
             )
             return None
         task.attempt += 1
-        task.not_before = now + self.cfg.backoff_for(task.attempt)
+        task.not_before = now + backoff_for(task.attempt)
         task.deadline = float("inf")
         task.hard_killed = False
         self.on_event("retry", task)
@@ -921,21 +862,31 @@ class _Supervisor:
 
     def _spawn_pool(self, max_workers: int) -> ProcessPoolExecutor:
         """A worker pool, with heartbeats armed when a consumer wants
-        them (the queue rides into workers via the pool initializer)."""
-        if self._hb_queue is not None:
-            return ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_hb_init,
-                initargs=(self._hb_queue, self.cfg.heartbeat_s),
-            )
-        return ProcessPoolExecutor(max_workers=max_workers)
+        them (the queue rides into workers via the pool initializer).
+
+        Each pool gets a fresh queue; the previous pool's is drained and
+        closed.  A queue's feeder threads share one cross-process write
+        lock, and a worker that dies holding it (chaos ``os._exit``, an
+        OOM SIGKILL) leaves it taken for good.  Workers of a respawned
+        pool sharing that queue would block on the lock in their feeder
+        threads, then at exit, where each joins its feeder thread, so the
+        final ``shutdown(wait=True)`` would never return.
+        """
+        self._drain_heartbeats()
+        self._close_hb_queue()
+        if self.heartbeat is None or self.cfg.heartbeat_s <= 0:
+            return ProcessPoolExecutor(max_workers=max_workers)
+        import multiprocessing as mp
+
+        self._hb_queue = mp.Queue()
+        return ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_hb_init,
+            initargs=(self._hb_queue, self.cfg.heartbeat_s),
+        )
 
     def run_pooled(self, tasks: list, jobs: int) -> None:
         max_workers = min(jobs, len(tasks))
-        if self.heartbeat is not None and self.cfg.heartbeat_s > 0:
-            import multiprocessing as mp
-
-            self._hb_queue = mp.Queue()
         pool = self._spawn_pool(max_workers)
         ready: deque = deque(tasks)
         waiting: list = []
@@ -975,9 +926,7 @@ class _Supervisor:
                         )
                         continue
                     if task.timeout_s is not None:
-                        task.deadline = (
-                            now + task.timeout_s + self.cfg.grace_s
-                        )
+                        task.deadline = now + task.timeout_s + GRACE_S
                     else:
                         task.deadline = float("inf")
                     in_flight[future] = task
@@ -1159,7 +1108,7 @@ def execute_supervised(
     """Run ``(index, point, key, label)`` items under supervision.
 
     Returns ``(payloads_by_index, failures)``.  ``on_complete(task,
-    payload)`` fires as each point lands (journal/cache/counters hook);
+    payload)`` fires as each point lands (cache/counters hook);
     ``on_event(kind, task)`` fires on start/retry/timeout/crash/
     pool_break/quarantined/failed transitions (counters + progress
     hook); ``heartbeat(record)`` receives worker heartbeat dicts on the

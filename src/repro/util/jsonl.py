@@ -62,13 +62,12 @@ def read_records(
     what: str,
     check_header: Callable[[dict], None],
     kinds: tuple[str, ...],
-    ignore: tuple[str, ...] = (),
 ) -> Iterator[tuple[int, dict]]:
     """``(line number, record)`` for every well-formed record of *kinds*.
 
     *what* names the store in warnings.  Header lines go to
-    *check_header*; records of a kind in *ignore* are skipped silently,
-    malformed lines and unknown kinds with a warning.
+    *check_header*; malformed lines and unknown kinds are skipped with a
+    warning.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -91,7 +90,7 @@ def read_records(
                 check_header(rec)
             elif kind in kinds:
                 yield lineno, rec
-            elif kind not in ignore:
+            else:
                 _log.warning(
                     "%s %s: skipping unknown record kind %r on line %d",
                     what,

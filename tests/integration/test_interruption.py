@@ -1,10 +1,11 @@
 """End-to-end interruption drills: SIGINT mid-sweep, chaos worker kills,
-torn journals — resumed runs must be bit-identical to uninterrupted ones.
+torn cache entries — resumed runs must be bit-identical to uninterrupted
+ones.  Resuming is re-running the same command: completed points are
+served from the result cache.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import signal
@@ -14,8 +15,6 @@ import time
 from pathlib import Path
 
 import pytest
-
-from repro.runner.supervise import SweepJournal
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -59,6 +58,11 @@ def _env(tmp_path, **extra):
     return env
 
 
+def _entries(cache: Path) -> list[Path]:
+    """The result-cache entries under *cache*."""
+    return sorted(cache.rglob("*.json"))
+
+
 def _table_lines(stdout: str) -> list[str]:
     """CLI output minus the wall-time line (the only nondeterminism)."""
     return [
@@ -96,8 +100,8 @@ class TestSigintResume:
     def test_sigint_mid_sweep_then_resume_is_bit_identical(
         self, tmp_path, clean_output
     ):
-        journal = tmp_path / "sweep.jsonl"
-        env = _env(tmp_path)
+        cache = tmp_path / "cache"
+        env = _env(tmp_path, REPRO_CACHE="1")
         child = subprocess.Popen(
             [
                 sys.executable,
@@ -107,8 +111,6 @@ class TestSigintResume:
                 "fig1_ar_midplane",
                 "--scale",
                 "tiny",
-                "--journal",
-                str(journal),
             ],
             cwd=REPO,
             env=env,
@@ -131,29 +133,21 @@ class TestSigintResume:
                 child.wait()
         _, err = child.communicate()
         assert child.returncode == 130
-        assert "resume with" in err
-        # Two completed points were checkpointed before the interrupt.
-        assert len(SweepJournal.load(journal)) == 2
+        assert f"cached under {cache}" in err
+        assert "re-run the same command to resume" in err
+        # Two completed points were cached before the interrupt.
+        assert len(_entries(cache)) == 2
 
         resumed = _run_cli(
-            [
-                "run",
-                "fig1_ar_midplane",
-                "--scale",
-                "tiny",
-                "--resume",
-                str(journal),
-                "--cache-stats",
-            ],
-            _env(tmp_path),
+            ["run", "fig1_ar_midplane", "--scale", "tiny", "--cache-stats"],
+            env,
         )
         assert resumed.returncode == 0, resumed.stderr
         assert _table_lines(resumed.stdout) == clean_output
-        # Only the two missing points simulated; two came from the journal.
+        # Only the two missing points simulated; two came from the cache.
+        assert "cache: 2 hit(s)" in resumed.stdout
         assert "2 point(s) simulated" in resumed.stdout
-        assert "journal 2 hit(s)" in resumed.stdout
-        # The journal healed to the full sweep.
-        assert len(SweepJournal.load(journal)) == 4
+        assert len(_entries(cache)) == 4
 
 
 class TestChaosWorkerKill:
@@ -185,50 +179,29 @@ class TestChaosWorkerKill:
         assert "supervision:" in proc.stdout
 
 
-class TestTornJournalResume:
-    def test_truncated_and_torn_journal_resumes_cleanly(
+class TestTornCacheEntry:
+    def test_truncated_cache_entry_resumes_cleanly(
         self, tmp_path, clean_output
     ):
-        journal = tmp_path / "sweep.jsonl"
-        first = _run_cli(
-            [
-                "run",
-                "fig1_ar_midplane",
-                "--scale",
-                "tiny",
-                "--journal",
-                str(journal),
-            ],
-            _env(tmp_path),
-        )
+        cache = tmp_path / "cache"
+        env = _env(tmp_path, REPRO_CACHE="1")
+        first = _run_cli(["run", "fig1_ar_midplane", "--scale", "tiny"], env)
         assert first.returncode == 0, first.stderr
-        assert len(SweepJournal.load(journal)) == 4
-        # Chop the last record and leave a torn half-line behind it, as a
-        # SIGKILL mid-write would.
-        lines = journal.read_text().splitlines()
-        journal.write_text(
-            "\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2]
-        )
-        assert len(SweepJournal.load(journal)) == 3
+        entries = _entries(cache)
+        assert len(entries) == 4
+        # Cut one entry in half, as a host crash before its bytes reached
+        # the disk would.
+        torn = entries[-1]
+        whole = torn.read_bytes()
+        torn.write_bytes(whole[: len(whole) // 2])
 
         resumed = _run_cli(
-            [
-                "run",
-                "fig1_ar_midplane",
-                "--scale",
-                "tiny",
-                "--resume",
-                str(journal),
-                "--cache-stats",
-            ],
-            _env(tmp_path),
+            ["run", "fig1_ar_midplane", "--scale", "tiny", "--cache-stats"],
+            env,
         )
         assert resumed.returncode == 0, resumed.stderr
         assert _table_lines(resumed.stdout) == clean_output
+        assert "1 corrupt" in resumed.stdout
         assert "1 point(s) simulated" in resumed.stdout
-        assert "journal 3 hit(s)" in resumed.stdout
-        # Healed journal: well-formed, all four points present.
-        loaded = SweepJournal.load(journal)
-        assert len(loaded) == 4
-        for payload in loaded.values():
-            assert json.loads(json.dumps(payload)) == payload
+        # The entry was stored again, byte for byte.
+        assert torn.read_bytes() == whole

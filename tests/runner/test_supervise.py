@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.runner.supervise as supervise
 from repro.model.torus import TorusShape
 from repro.runner import (
     SimPoint,
@@ -23,12 +30,16 @@ from repro.runner.supervise import (
     SweepIncompleteError,
     SweepJournal,
     active_supervision,
+    backoff_for,
     derive_timeout,
     resolve_supervision,
     supervising,
     watchdog,
 )
 from repro.strategies import ARDirect, DRDirect
+from repro.util.jsonl import read_records
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +52,12 @@ def _isolated_cache(tmp_path, monkeypatch):
     counters.reset()
     yield
     counters.reset()
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retries without the production backoff pauses."""
+    monkeypatch.setattr(supervise, "BACKOFF_S", 0.01)
 
 
 def _points(n=3):
@@ -152,17 +169,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SuperviseConfig(max_attempts=0)
         with pytest.raises(ValueError):
-            SuperviseConfig(quarantine_strikes=0)
-        with pytest.raises(ValueError):
             SuperviseConfig(point_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            SuperviseConfig(backoff_factor=0.5)
 
     def test_backoff_schedule_is_exponential_and_deterministic(self):
-        cfg = SuperviseConfig(backoff_s=0.25, backoff_factor=2.0)
-        assert cfg.backoff_for(2) == 0.25
-        assert cfg.backoff_for(3) == 0.5
-        assert cfg.backoff_for(4) == 1.0
+        assert backoff_for(2) == 0.25
+        assert backoff_for(3) == 0.5
+        assert backoff_for(4) == 1.0
 
     def test_inactive_config_has_no_timeout(self):
         cfg = SuperviseConfig()
@@ -207,54 +219,29 @@ class TestConfig:
 
 
 class TestJournal:
-    def test_roundtrip_and_idempotence(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path) as j:
-            assert j.record("k1", {"a": 1})
-            assert j.record("k2", {"b": 2})
-            assert not j.record("k1", {"a": 999})  # idempotent per key
-        loaded = SweepJournal.load(path)
-        assert loaded == {"k1": {"a": 1}, "k2": {"b": 2}}
-
-    def test_reopen_absorbs_existing_keys(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with SweepJournal(path) as j:
-            j.record("k1", {"a": 1})
-        with SweepJournal(path) as j:
-            assert not j.record("k1", {"a": 2})
-            assert j.record("k2", {"b": 2})
-        assert SweepJournal.load(path) == {"k1": {"a": 1}, "k2": {"b": 2}}
-
     def test_torn_final_line_is_skipped_and_terminated(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with SweepJournal(path) as j:
-            j.record("k1", {"a": 1})
+            assert j.note({"kind": "heartbeat", "key": "k1"})
         # Simulate SIGKILL mid-write: a partial record, no newline.
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind":"point","key":"k2","payl')
-        assert SweepJournal.load(path) == {"k1": {"a": 1}}
+            fh.write('{"kind":"heartbeat","key":"k2","elap')
         # Appending after the torn write must not splice records.
         with SweepJournal(path) as j:
-            assert j.record("k3", {"c": 3})
-        assert SweepJournal.load(path) == {"k1": {"a": 1}, "k3": {"c": 3}}
-
-    def test_schema_mismatch_refuses_to_load(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text(
-            '{"kind":"header","journal_version":1,"schema":999}\n'
-        )
-        with pytest.raises(ValueError, match="schema"):
-            SweepJournal.load(path)
+            assert j.note({"kind": "heartbeat", "key": "k3"})
+        notes = read_records(path, "journal", lambda header: None, ("heartbeat",))
+        assert [rec["key"] for _, rec in notes] == ["k1", "k3"]
 
 
 class TestRunSweepChaos:
-    def test_sequential_chaos_kill_converges_bit_identically(self):
+    def test_sequential_chaos_kill_converges_bit_identically(
+        self, fast_backoff
+    ):
         pts = _points(3)
         clean = run_points(pts, jobs=1)
         counters.reset()
         cfg = SuperviseConfig(
             chaos=ChaosPlan(kill_prob=0.4, seed=2),
-            backoff_s=0.01,
             max_attempts=10,
         )
         sweep = run_sweep(pts, jobs=1, supervise=cfg)
@@ -263,14 +250,15 @@ class TestRunSweepChaos:
         # through it, so results must be byte-identical regardless.
         assert _bits(sweep.runs) == _bits(clean)
 
-    def test_sequential_chaos_kill_cold_cache(self, monkeypatch, tmp_path):
+    def test_sequential_chaos_kill_cold_cache(
+        self, monkeypatch, fast_backoff
+    ):
         pts = _points(3)
         clean = run_points(pts, jobs=1)
         monkeypatch.setenv("REPRO_CACHE", "0")
         counters.reset()
         cfg = SuperviseConfig(
             chaos=ChaosPlan(kill_prob=0.4, seed=2),
-            backoff_s=0.01,
             max_attempts=10,
         )
         sweep = run_sweep(pts, jobs=1, supervise=cfg)
@@ -280,24 +268,25 @@ class TestRunSweepChaos:
 
     @pytest.mark.slow
     def test_pooled_chaos_kill_survives_pool_breaks(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, fast_backoff
     ):
         pts = _points(4)
         clean = run_points(pts, jobs=1)
         monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setattr(supervise, "QUARANTINE_STRIKES", 10)
         counters.reset()
         cfg = SuperviseConfig(
             chaos=ChaosPlan(kill_prob=0.4, seed=2),
-            backoff_s=0.01,
             max_attempts=10,
-            quarantine_strikes=10,
         )
         sweep = run_sweep(pts, jobs=2, supervise=cfg)
         assert sweep.complete, sweep.failures
         assert _bits(sweep.runs) == _bits(clean)
         assert counters.pool_breaks >= 1
 
-    def test_chaos_hang_trips_timeout_then_converges(self, monkeypatch):
+    def test_chaos_hang_trips_timeout_then_converges(
+        self, monkeypatch, fast_backoff
+    ):
         pts = _points(2)
         clean = run_points(pts, jobs=1)
         monkeypatch.setenv("REPRO_CACHE", "0")
@@ -305,7 +294,6 @@ class TestRunSweepChaos:
         cfg = SuperviseConfig(
             chaos=ChaosPlan(hang_prob=0.5, seed=1, hang_s=30.0),
             point_timeout_s=0.5,
-            backoff_s=0.01,
             max_attempts=10,
         )
         sweep = run_sweep(pts, jobs=1, supervise=cfg)
@@ -313,11 +301,12 @@ class TestRunSweepChaos:
         assert _bits(sweep.runs) == _bits(clean)
         assert counters.timeouts >= 1
 
-    def test_graceful_exhaustion_returns_structured_failures(self):
+    def test_graceful_exhaustion_returns_structured_failures(
+        self, fast_backoff
+    ):
         pts = _points(2)
         cfg = SuperviseConfig(
             chaos=ChaosPlan(kill_prob=1.0, seed=0),
-            backoff_s=0.0,
             max_attempts=2,
         )
         sweep = run_sweep(pts, jobs=1, supervise=cfg)
@@ -332,11 +321,10 @@ class TestRunSweepChaos:
             d = f.to_dict()
             assert json.loads(json.dumps(d)) == d
 
-    def test_strict_mode_raises_sweep_incomplete(self):
+    def test_strict_mode_raises_sweep_incomplete(self, fast_backoff):
         pts = _points(2)
         cfg = SuperviseConfig(
             chaos=ChaosPlan(kill_prob=1.0, seed=0),
-            backoff_s=0.0,
             max_attempts=2,
         )
         with pytest.raises(SweepIncompleteError) as ei:
@@ -365,66 +353,113 @@ class TestRunSweepChaos:
         assert counters.retries == 0
 
 
-class TestRunSweepJournal:
-    def test_journal_records_every_point_and_resume_skips_them(
-        self, monkeypatch, tmp_path
-    ):
+class TestResumeFromCache:
+    def test_partial_cache_resumes_only_missing_points(self, tmp_path):
         pts = _points(3)
         clean = run_points(pts, jobs=1)
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        path = tmp_path / "sweep.jsonl"
+        # Drop one entry, as if the sweep died before that point landed.
+        (entry,) = (tmp_path / "cache").rglob(f"{point_key(pts[1])}.json")
+        entry.unlink()
         counters.reset()
-        sweep = run_sweep(
-            pts, jobs=1, supervise=SuperviseConfig(journal=path)
-        )
-        assert sweep.complete
-        assert counters.journal_records == 3
-        assert set(SweepJournal.load(path)) == {point_key(p) for p in pts}
-        # Resume: nothing left to simulate, bit-identical results.
-        counters.reset()
-        resumed = run_sweep(
-            pts, jobs=1, supervise=SuperviseConfig(resume=path)
-        )
-        assert counters.simulated == 0
-        assert counters.journal_hits == 3
-        assert _bits(resumed.runs) == _bits(clean)
-
-    def test_partial_journal_resumes_only_missing_points(
-        self, monkeypatch, tmp_path
-    ):
-        pts = _points(3)
-        clean = run_points(pts, jobs=1)
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        path = tmp_path / "sweep.jsonl"
-        run_sweep(pts, jobs=1, supervise=SuperviseConfig(journal=path))
-        # Drop the last record (simulates dying mid-sweep).
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        counters.reset()
-        resumed = run_sweep(
-            pts,
-            jobs=1,
-            supervise=SuperviseConfig(journal=path, resume=path),
-        )
+        resumed = run_sweep(pts, jobs=1)
         assert resumed.complete
-        assert counters.journal_hits == 2
+        assert counters.cache_hits == 2
         assert counters.simulated == 1
         assert _bits(resumed.runs) == _bits(clean)
-        # The journal healed: all three points are present again.
-        assert len(SweepJournal.load(path)) == 3
+        # The cache healed: the missing point is stored again.
+        assert counters.cache_stores == 1
+        assert entry.exists()
 
-    def test_journal_is_self_contained_with_cache_hits(
-        self, monkeypatch, tmp_path
-    ):
-        pts = _points(2)
-        run_points(pts, jobs=1)  # warm the cache
+
+class TestRunSweepJournal:
+    def test_journal_holds_only_header_and_heartbeats(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
-        counters.reset()
         sweep = run_sweep(
-            pts, jobs=1, supervise=SuperviseConfig(journal=path)
+            _points(3), jobs=1, supervise=SuperviseConfig(journal=path)
         )
         assert sweep.complete
-        assert counters.simulated == 0  # all cache hits
-        # Cache-served points still land in the journal, so the journal
-        # alone can resume the sweep on a cacheless machine.
-        assert set(SweepJournal.load(path)) == {point_key(p) for p in pts}
+        assert counters.simulated == 3
+        kinds = [json.loads(ln)["kind"] for ln in path.read_text().splitlines()]
+        assert kinds[0] == "header"
+        # One immediate beat per attempt; no result payloads.
+        assert kinds[1:] == ["heartbeat"] * counters.heartbeats
+        assert counters.heartbeats >= 3
+
+
+#: Runs a 4-point pooled sweep in which the first attempt of one point
+#: takes the heartbeat queue's cross-process write lock and dies holding
+#: it, as a worker SIGKILLed mid-``put`` would.  Workers that go on using
+#: that queue block on the lock when they exit, so ``pool.shutdown``
+#: never returns; a fresh queue per pool lets the sweep finish.
+_HB_LOCK_HARNESS = """
+import json, os
+import repro.runner.supervise as sup
+from repro.model.torus import TorusShape
+from repro.runner import SimPoint, counters, point_key, run_sweep
+from repro.strategies import ARDirect, DRDirect
+
+points = [
+    SimPoint(
+        ARDirect() if i % 2 == 0 else DRDirect(),
+        TorusShape.parse("2x2"),
+        16 + 16 * i,
+        seed=1,
+    )
+    for i in range(4)
+]
+victim = point_key(points[0])
+orig = sup._worker_entry
+
+def dies_holding_queue_lock(point, key, attempt, *rest):
+    if key == victim and attempt == 1:
+        sup._HB["emit"].__self__._wlock.acquire()
+        os._exit(42)
+    return orig(point, key, attempt, *rest)
+
+sup._worker_entry = dies_holding_queue_lock
+sweep = run_sweep(points, jobs=2)
+print(json.dumps({"complete": sweep.complete, "pool_breaks": counters.pool_breaks}))
+"""
+
+
+class TestHeartbeatQueue:
+    def test_worker_dying_with_queue_lock_cannot_wedge_sweep(
+        self, tmp_path
+    ):
+        env = dict(os.environ)
+        for name in (
+            "REPRO_CHAOS", "REPRO_POINT_TIMEOUT", "REPRO_JOBS", "REPRO_HEARTBEAT"
+        ):
+            env.pop(name, None)
+        env.update(
+            PYTHONPATH=str(SRC),
+            REPRO_CACHE="0",
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+            REPRO_PROGRESS="1",
+        )
+        # Own session, so a wedged run's workers can be killed as a group.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _HB_LOCK_HARNESS],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(
+                "sweep wedged after a worker died holding the heartbeat "
+                "queue's write lock"
+            )
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 0, err
+        assert json.loads(out.splitlines()[-1]) == {
+            "complete": True,
+            "pool_breaks": 1,
+        }

@@ -1,11 +1,12 @@
 """The append-only JSONL store behind the sweep journal and run history.
 
-``data/journal_v1.jsonl`` and ``data/history_v1.jsonl`` were written by
-the journal and history code as it stood before both moved onto
-:mod:`repro.util.jsonl`, from the records below.  They pin the on-disk
-formats: old files load unchanged, and the same records still produce
-the same bytes (the journal in insertion-order compact JSON, the
-history in sorted-key canonical JSON).
+``data/journal_notes_v1.jsonl`` was written by the journal code as it
+stood before the journal stopped holding result payloads, and
+``data/history_v1.jsonl`` by the history code as it stood before it
+moved onto :mod:`repro.util.jsonl`, both from the records below.  They
+pin the on-disk formats: the same records still produce the same bytes
+(the journal in insertion-order compact JSON, the history in sorted-key
+canonical JSON), and the history file loads unchanged.
 """
 
 from __future__ import annotations
@@ -15,32 +16,34 @@ from pathlib import Path
 
 from repro.obs.history import RunHistory, _record
 from repro.runner.supervise import SweepJournal
+from repro.util.jsonl import read_records
 
 DATA = Path(__file__).parent / "data"
-JOURNAL = DATA / "journal_v1.jsonl"
+JOURNAL = DATA / "journal_notes_v1.jsonl"
 HISTORY = DATA / "history_v1.jsonl"
 
-POINTS = [
-    (
-        "k-alpha",
-        {
-            "schema": 2,
-            "result": {"time_cycles": 1234.5, "events_processed": 77},
-            "label": "AR@2x2x2",
-        },
-    ),
-    ("k-beta", {"zeta": [1, 2.5, None], "alpha": {"y": True, "x": "é"}}),
+NOTES = [
+    {
+        "key": "k-alpha",
+        "label": "AR@2x2x2/64B/seed1",
+        "attempt": 1,
+        "elapsed_s": 0.0,
+        "pid": 4242,
+        "sim_cycles": None,
+        "delivered": None,
+        "kind": "heartbeat",
+    },
+    {
+        "key": "k-beta",
+        "label": "TPS@4x2x2/256B/seed0",
+        "attempt": 2,
+        "elapsed_s": 5.003,
+        "pid": 4243,
+        "sim_cycles": 1234.5,
+        "delivered": 77,
+        "kind": "heartbeat",
+    },
 ]
-HEARTBEAT = {
-    "key": "k-beta",
-    "label": "AR@2x2x2/64B/seed1",
-    "attempt": 1,
-    "elapsed_s": 0.5,
-    "pid": 4242,
-    "sim_cycles": 100.0,
-    "delivered": 3,
-    "kind": "heartbeat",
-}
 RUNS = [
     _record(
         {
@@ -72,9 +75,13 @@ RUNS = [
 
 def _write_journal(path: Path) -> None:
     with SweepJournal(path) as journal:
-        journal.record(*POINTS[0])
-        journal.note(HEARTBEAT)
-        journal.record(*POINTS[1])
+        for note in NOTES:
+            journal.note(note)
+
+
+def _notes(path: Path) -> list:
+    records = read_records(path, "journal", lambda header: None, ("heartbeat",))
+    return [rec for _, rec in records]
 
 
 def _write_history(path: Path) -> None:
@@ -90,9 +97,6 @@ def _tear(path: Path) -> None:
 
 
 class TestOldFilesLoad:
-    def test_journal_fixture_loads_unchanged(self):
-        assert SweepJournal.load(JOURNAL) == dict(POINTS)
-
     def test_history_fixture_loads_unchanged(self):
         assert RunHistory(HISTORY).records() == RUNS
 
@@ -102,13 +106,13 @@ class TestTornTail:
         path = tmp_path / "journal.jsonl"
         shutil.copy(JOURNAL, path)
         _tear(path)
+        extra = {"key": "k-gamma", "kind": "heartbeat"}
         with SweepJournal(path) as journal:
-            assert journal.record("k-gamma", {"n": 3})
-        loaded = SweepJournal.load(path)
-        assert loaded == {**dict(POINTS), "k-gamma": {"n": 3}}
+            assert journal.note(extra)
+        assert _notes(path) == NOTES + [extra]
         # The torn line was terminated, not spliced into.
         assert path.read_bytes().endswith(
-            b'"payl\n{"kind":"point","key":"k-gamma","payload":{"n":3}}\n'
+            b'"payl\n{"key":"k-gamma","kind":"heartbeat"}\n'
         )
 
     def test_history_record_after_torn_tail_is_readable(self, tmp_path):

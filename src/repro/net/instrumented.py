@@ -91,23 +91,14 @@ class Instrumentation(SimObserver):
         link_busy = net._link_busy
 
         tr = self.tracer = (
-            Tracer(
-                capacity=obs.trace_capacity,
-                sample=obs.trace_sample,
-                kinds=obs.trace_kinds,
-            )
-            if obs.trace
-            else None
+            Tracer(sample=obs.trace_sample) if obs.trace else None
         )
         kinds = tr.kinds if tr is not None else frozenset()
         want = tr.want if tr is not None else None
         emit = tr.emit if tr is not None else None
         metrics = axis_ts = lat_hist = None
         if obs.metrics:
-            metrics = self.metrics = MetricsRegistry(
-                default_bucket_cycles=obs.metrics_bucket_cycles,
-                max_buckets=obs.metrics_max_buckets,
-            )
+            metrics = self.metrics = MetricsRegistry()
             axis_ts = [
                 metrics.timeseries(f"link_busy_cycles.{_AXIS_NAMES[a]}")
                 for a in range(ndim)

@@ -26,9 +26,11 @@ classes carry no instrumentation and no branches):
   busy-cycle attribution with wall/CPU estimates and a Chrome-trace
   span track (``ObsConfig(profile=True)`` / the CLI's ``--profile``).
 * **Run history** (:mod:`repro.obs.history`) — append-only JSONL store
-  of experiment/bench results with deterministic payload digests and
+  of experiment results with deterministic payload digests and
   regression/improvement/neutral diff verdicts (``--history DIR`` /
-  ``python -m repro.obs.history``).
+  ``python -m repro.obs.history``).  Import it as
+  ``repro.obs.history``: importing it here would make runpy warn on
+  every ``python -m repro.obs.history``.
 
 Activation: pass an :class:`ObsConfig` to
 :func:`repro.api.simulate_alltoall` / :func:`repro.runner.run_points`,
@@ -48,7 +50,6 @@ from repro.obs.metrics import (
     TimeSeries,
     aggregate_metrics,
 )
-from repro.obs.history import RunHistory, diff_records, format_diff
 from repro.obs.profile import (
     PhaseProfiler,
     merge_profiles,
@@ -89,9 +90,6 @@ __all__ = [
     "MetricsRegistry",
     "TimeSeries",
     "aggregate_metrics",
-    "RunHistory",
-    "diff_records",
-    "format_diff",
     "PhaseProfiler",
     "merge_profiles",
     "profile_chrome_events",

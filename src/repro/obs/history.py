@@ -7,7 +7,7 @@ moved between two checkouts.  :class:`RunHistory` closes that gap with
 an append-only JSONL store (schema-pinned header, per-line flush,
 torn-tail healing — :mod:`repro.util.jsonl`, shared with
 :class:`~repro.runner.supervise.SweepJournal`) that records one line per
-:class:`~repro.experiments.common.ExperimentResult` or bench summary.
+:class:`~repro.experiments.common.ExperimentResult`.
 
 Each record is split in two, deliberately:
 
@@ -28,15 +28,15 @@ Each record is split in two, deliberately:
     python -m repro.obs.history list  runs/history.jsonl
     python -m repro.obs.history show  runs/history.jsonl -1
     python -m repro.obs.history diff  runs/history.jsonl -2 -1
-    python -m repro.obs.history append-bench BENCH_history.jsonl BENCH_simcore.json
 
 ``diff`` compares two records metric by metric with a tolerance band
 (default ±10 %) and emits a single verdict — ``regression``,
 ``improvement`` or ``neutral`` — exiting non-zero on a regression so CI
-can gate on it.  Wall-clock metrics regress upward, throughput metrics
-regress downward; a changed ``payload_digest`` between records of the
-same configuration is additionally flagged as outcome drift (the
-simulation itself changed, not just its speed).
+can gate on it.  Times, latencies and backlogs regress upward;
+bandwidths, shares of peak and speedups regress downward; a changed
+``payload_digest`` between records of the same configuration is
+additionally flagged as outcome drift (the simulation itself changed,
+not just its speed).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import hashlib
 import json
 import logging
 import math
-import platform
+import re
 import sys
 import time
 from pathlib import Path
@@ -67,25 +67,26 @@ DEFAULT_TOLERANCE = 0.10
 #: ``higher`` = higher is better (regression when it shrinks).  Names not
 #: matched here are reported as informational drift, never a verdict —
 #: a column whose "good" direction is unknown must not fail CI.
-_LOWER_IS_BETTER = (
-    "wall_s", "cpu_s", "time_cycles", "time_us", "time_ms", "latency",
-    "cycles", "stall", "overhead",
+#:
+#: A name is lower-is-better when one of its words is a time unit or a
+#: cost (``AR ms``, ``time (cycles)``, ``peak fwd backlog``, ``wall_s``).
+#: Words, not substrings, so ``us`` never matches inside another word;
+#: and tested first, so ``peak us`` (the time at peak rate) is a time,
+#: not a share of peak.
+_LOWER_WORDS = frozenset(
+    ("us", "ms", "time", "cycles", "latency", "backlog", "overhead", "wall")
 )
-_HIGHER_IS_BETTER = (
-    "events_per_sec", "percent_of_peak", "pct", "peak", "speedup",
-    "mb_per_s", "bandwidth", "throughput",
-)
+_HIGHER_IS_BETTER = ("mb/s", "peak", "speedup")
 
 
 def metric_direction(name: str) -> Optional[str]:
     """``"lower"`` / ``"higher"`` / ``None`` (no verdict) for *name*."""
     low = name.lower()
+    if _LOWER_WORDS.intersection(re.findall(r"[a-z]+", low)):
+        return "lower"
     for pat in _HIGHER_IS_BETTER:
         if pat in low:
             return "higher"
-    for pat in _LOWER_IS_BETTER:
-        if pat in low:
-            return "lower"
     return None
 
 
@@ -161,44 +162,6 @@ def experiment_record(result: Any) -> dict:
     return _record(payload, meta)
 
 
-#: Bench report keys copied into the deterministic payload per benchmark
-#: (identity of the measured work) vs. the perf meta (the measurement).
-_BENCH_PAYLOAD_KEYS = ("shape", "msg_bytes", "seed", "events", "time_cycles")
-_BENCH_METRIC_KEYS = (
-    "wall_s", "events_per_sec", "cpu_s_default", "cpu_s_core",
-    "overhead_frac", "wall_s_jobs1", "wall_s_jobs4", "parallel_speedup",
-)
-
-
-def bench_record(report: dict) -> dict:
-    """Record for one ``BENCH_simcore.json``-style report."""
-    payload = {
-        "kind": "bench",
-        "scale": report.get("scale"),
-        "schema": report.get("schema"),
-        "benchmarks": {
-            b["name"]: {
-                k: b[k] for k in _BENCH_PAYLOAD_KEYS if k in b
-            }
-            for b in report.get("benchmarks", [])
-        },
-    }
-    metrics: dict[str, float] = {}
-    for b in report.get("benchmarks", []):
-        for k in _BENCH_METRIC_KEYS:
-            if k in b and isinstance(b[k], (int, float)):
-                metrics[f"{b['name']}.{k}"] = float(b[k])
-    meta = {
-        "git": report.get("provenance", {}).get("git"),
-        "python": report.get("python", platform.python_version()),
-        "machine": report.get("machine"),
-        "cpus": report.get("cpus"),
-        "metrics": metrics,
-        "timestamp_unix": time.time(),
-    }
-    return _record(payload, meta)
-
-
 def _record(payload: dict, meta: dict) -> dict:
     digest = payload_digest(payload)
     return {
@@ -246,10 +209,6 @@ class RunHistory:
     def append_experiment(self, result: Any) -> dict:
         """Record one finished :class:`ExperimentResult`."""
         return self.append(experiment_record(result))
-
-    def append_bench(self, report: dict) -> dict:
-        """Record one bench report (``BENCH_simcore.json`` contents)."""
-        return self.append(bench_record(report))
 
     # -- reading ---------------------------------------------------- #
 
@@ -331,17 +290,13 @@ class RunHistory:
 
 
 def _flat_metrics(rec: dict) -> dict[str, float]:
-    """Comparable numeric metrics of one record: payload column means,
-    bench perf metrics and wall time, flattened to one namespace."""
+    """Comparable numeric metrics of one record: payload column means
+    and wall time, flattened to one namespace."""
     out: dict[str, float] = {}
     for name, v in (rec["payload"].get("metrics") or {}).items():
         if isinstance(v, (int, float)) and math.isfinite(v):
             out[name] = float(v)
-    meta = rec.get("meta") or {}
-    for name, v in (meta.get("metrics") or {}).items():
-        if isinstance(v, (int, float)) and math.isfinite(v):
-            out[name] = float(v)
-    wall = meta.get("wall_s")
+    wall = (rec.get("meta") or {}).get("wall_s")
     if isinstance(wall, (int, float)) and math.isfinite(wall):
         out["wall_s"] = float(wall)
     return out
@@ -477,12 +432,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         default=DEFAULT_TOLERANCE,
         help="relative change treated as neutral (default 0.10)",
     )
-    p_bench = sub.add_parser(
-        "append-bench",
-        help="record a BENCH_simcore.json report into the history",
-    )
-    p_bench.add_argument("path")
-    p_bench.add_argument("report", help="bench report JSON file")
     args = ap.parse_args(argv)
 
     history = RunHistory(args.path)
@@ -503,12 +452,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     if args.cmd == "show":
         print(json.dumps(history.resolve(args.ref), indent=2, sort_keys=True))
-        return 0
-    if args.cmd == "append-bench":
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        rec = history.append_bench(report)
-        print(f"recorded {rec['id']} into {history.path}")
         return 0
     # diff
     recs = history.records()

@@ -2,10 +2,11 @@
 
 The network is exactly :class:`TorusNetwork` or
 :class:`FaultyTorusNetwork` for every fault × obs × check combination —
-observation and checking attach as observers, never as subclasses — and
-never a different simulation: every combination reproduces the plain
-run's ``time_cycles`` and ``events_processed``.  Any other observer
-attaches the same way.
+observation and checking attach as observers, never as subclasses, and
+a network built without either carries none — and never a different
+simulation: every combination reproduces the plain run's
+``time_cycles`` and ``events_processed``.  Any other observer attaches
+the same way.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class TestLayerLattice:
         net, res = _run(faulty, obs, check)
 
         assert type(net) is (FaultyTorusNetwork if faulty else TorusNetwork)
+        assert len(net._observers) == observed + checked
         assert (res.time_cycles, res.events_processed) == _plain(faulty)
         assert ("obs" in res.extras) == observed
         if faulty:

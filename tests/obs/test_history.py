@@ -11,6 +11,10 @@ on — a 2x slowdown must classify as ``regression``, identical runs as
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,6 @@ from repro.obs.history import (
     DEFAULT_TOLERANCE,
     HISTORY_VERSION,
     RunHistory,
-    bench_record,
     diff_records,
     experiment_record,
     format_diff,
@@ -28,6 +31,8 @@ from repro.obs.history import (
     payload_digest,
 )
 from repro.runner import counters
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -38,9 +43,11 @@ def _isolated_cache(tmp_path, monkeypatch):
     counters.reset()
 
 
-def _result(wall_s=1.0, measured=10.5) -> ExperimentResult:
+def _result(
+    wall_s=1.0, measured=10.5, exp_id="fig1_ar_midplane"
+) -> ExperimentResult:
     res = ExperimentResult(
-        exp_id="fig1_ar_midplane",
+        exp_id=exp_id,
         title="AR direct on a midplane",
         columns=["m bytes", "measured us"],
     )
@@ -60,28 +67,6 @@ def _result(wall_s=1.0, measured=10.5) -> ExperimentResult:
         "git": "abc1234",
     }
     return res
-
-
-BENCH_REPORT = {
-    "schema": 2,
-    "scale": "ci",
-    "python": "3.11.0",
-    "machine": "x86_64",
-    "cpus": 4,
-    "provenance": {"git": "abc1234"},
-    "benchmarks": [
-        {
-            "name": "single_point_ci",
-            "shape": "4x4x4",
-            "msg_bytes": 64,
-            "seed": 1,
-            "events": 48960,
-            "time_cycles": 53720.67,
-            "wall_s": 0.15,
-            "events_per_sec": 326400.0,
-        }
-    ],
-}
 
 
 class TestRecords:
@@ -109,15 +94,6 @@ class TestRecords:
             "m bytes": 160.0,
             "measured us": 25.0,
         }
-
-    def test_bench_record_flattens_metrics_into_meta(self):
-        rec = bench_record(BENCH_REPORT)
-        assert rec["payload"]["kind"] == "bench"
-        assert rec["payload"]["benchmarks"]["single_point_ci"]["events"] == 48960
-        assert rec["meta"]["metrics"]["single_point_ci.wall_s"] == 0.15
-        assert rec["meta"]["git"] == "abc1234"
-        # Perf numbers must not leak into the deterministic payload.
-        assert "wall_s" not in rec["payload"]["benchmarks"]["single_point_ci"]
 
     def test_digest_is_canonical_json(self):
         assert payload_digest({"b": 1, "a": 2}) == payload_digest(
@@ -174,7 +150,7 @@ class TestStore:
     def test_trend_filters_by_exp_id(self, tmp_path):
         store = RunHistory(tmp_path / "h.jsonl")
         store.append_experiment(_result())
-        store.append_bench(BENCH_REPORT)
+        store.append_experiment(_result(exp_id="fig6_compare_512"))
         trend = store.trend("fig1_ar_midplane")
         assert len(trend) == 1
         assert store.trend("nope") == []
@@ -218,9 +194,9 @@ class TestDiff:
         assert diff_records(a, b)["verdict"] == "improvement"
 
     def test_directionless_metric_is_drift_not_verdict(self):
-        # "measured us" contains no direction keyword... but "us" does
-        # not match; "m bytes" neither.  Construct an explicitly unknown
-        # metric and check it cannot drive the verdict.
+        # "measured us" is a time and "m bytes" has no direction;
+        # construct an explicitly unknown metric and check it cannot
+        # drive the verdict.
         a = experiment_record(_result())
         b = experiment_record(_result())
         a["payload"]["metrics"]["mystery_column"] = 1.0
@@ -260,15 +236,29 @@ class TestDiff:
 
 
 class TestDirections:
+    # Column names of the paper tables; wall_s and time_cycles check
+    # that an underscore separates words.
     @pytest.mark.parametrize(
         "name,expected",
         [
-            ("wall_s", "lower"),
-            ("single_point_ci.events_per_sec", "higher"),
-            ("analytics_off_overhead_ci.overhead_frac", "lower"),
-            ("sweep_scaling_ci.parallel_speedup", "higher"),
+            ("peak fwd backlog", "lower"),
+            ("peak us", "lower"),
+            ("peak(16x16x16) us", "lower"),
+            ("AR ms", "lower"),
+            ("TPS us", "lower"),
+            ("measured us", "lower"),
+            ("time vs plain TPS %", "lower"),
+            ("predicted bw overhead %", "lower"),
+            ("time (cycles)", "lower"),
             ("time_cycles", "lower"),
+            ("wall_s", "lower"),
+            ("per-node MB/s", "higher"),
+            ("large-m MB/s/node", "higher"),
+            ("% of peak", "higher"),
+            ("peak MB/s/node", "higher"),
+            ("VMesh/AR speedup", "higher"),
             ("m bytes", None),
+            ("dead links %", None),
         ],
     )
     def test_direction_table(self, name, expected):
@@ -306,43 +296,18 @@ class TestCli:
         assert main(["diff", path]) == 0
         assert "nothing to compare" in capsys.readouterr().out
 
-    def test_append_bench_then_diff(self, tmp_path, capsys):
-        report_path = tmp_path / "BENCH.json"
-        report_path.write_text(json.dumps(BENCH_REPORT))
-        hist = str(tmp_path / "bench-hist.jsonl")
-        assert main(["append-bench", hist, str(report_path)]) == 0
-        assert main(["append-bench", hist, str(report_path)]) == 0
-        assert main(["diff", hist]) == 0
-        out = capsys.readouterr().out
-        assert "single_point_ci.events_per_sec" in out
-        assert "verdict: neutral" in out
-
-    def test_append_bench_accepts_skipped_sweep_record(self, tmp_path, capsys):
-        # bench_simcore.py records sweep scaling as skipped, with no
-        # speedup ratio, on machines with fewer CPUs than workers.
-        skipped = {
-            "name": "sweep_scaling_ci",
-            "shape": "4x4x4",
-            "points": 4,
-            "workers": 4,
-            "cpus": 2,
-            "status": "skipped",
-            "reason": "2 cpu(s) cannot express 4 workers",
-        }
-        report = dict(
-            BENCH_REPORT, benchmarks=BENCH_REPORT["benchmarks"] + [skipped]
+    def test_module_cli_runs_without_runpy_warning(self, tmp_path):
+        # runpy warns when ``python -m`` finds the module already imported
+        # by its own package's ``__init__``; that warning must not exist.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.obs.history", "list", str(tmp_path),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
-        report_path = tmp_path / "BENCH.json"
-        report_path.write_text(json.dumps(report))
-        hist = str(tmp_path / "bench-hist.jsonl")
-        assert main(["append-bench", hist, str(report_path)]) == 0
-        assert main(["append-bench", hist, str(report_path)]) == 0
-        rec = RunHistory(hist).records()[-1]
-        assert rec["payload"]["benchmarks"]["sweep_scaling_ci"] == {
-            "shape": "4x4x4"
-        }
-        assert not any(
-            k.startswith("sweep_scaling_ci.") for k in rec["meta"]["metrics"]
-        )
-        assert main(["diff", hist]) == 0
-        assert "verdict: neutral" in capsys.readouterr().out
+        assert proc.returncode == 0, proc.stderr

@@ -37,18 +37,20 @@ Resilience (DESIGN.md section 12): every completed point lands in the
 result cache as it finishes, so after a crash or Ctrl-C re-running the
 same command simulates only the missing points — the merged results are
 bit-identical to an uninterrupted run (a private ``REPRO_CACHE_DIR``
-makes a self-contained checkpoint).  ``--journal PATH`` appends worker
-heartbeats to a JSONL log for post-mortems of a long or killed sweep.
-``--point-timeout S`` (or ``REPRO_POINT_TIMEOUT``) bounds each point's
-wall clock; ``--retries N`` bounds reschedules of timed-out/crashed
-points.  ``REPRO_CHAOS=kill:0.1,hang:0.05,seed=0`` injects deterministic
-worker deaths and stalls to exercise the supervision layer.
+makes a self-contained checkpoint).  SIGTERM is handled like Ctrl-C
+for the whole ``run``: the sweep unwinds through its cleanup, prints
+how to resume and exits 130.  ``--point-timeout S`` (or
+``REPRO_POINT_TIMEOUT``) bounds each point's wall clock; ``--retries
+N`` bounds reschedules of timed-out/crashed points.
+``REPRO_CHAOS=kill:0.1,hang:0.05,seed=0`` injects deterministic worker
+deaths and stalls to exercise the supervision layer.
 
 Telemetry & history (DESIGN.md section 15): a live sweep status line
-(TTY) or periodic progress log lines (elsewhere) render by default —
-``--no-progress`` or ``REPRO_PROGRESS=0`` disables, ``--quiet`` implies
-off.  ``--profile PATH`` runs the phase-level time profiler and writes
-per-point + aggregate phase attributions as JSON (with ``--trace *.json``
+(TTY) or periodic progress log lines (elsewhere) render by default,
+built from the supervisor's own events — ``--no-progress`` or
+``REPRO_PROGRESS=0`` disables, ``--quiet`` implies off.  ``--profile
+PATH`` runs the phase-level time profiler and writes per-point +
+aggregate phase attributions as JSON (with ``--trace *.json``
 the phase spans also land in the Chrome trace).  ``--history DIR``
 appends every finished experiment to a cross-run history store
 (``DIR/history.jsonl``); ``--compare REF`` then diffs the newest record
@@ -60,6 +62,7 @@ inspects and diffs the store standalone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -157,9 +160,28 @@ def _print_cache_stats() -> None:
             f"{counters.retries} retr{'y' if counters.retries == 1 else 'ies'}, "
             f"{counters.timeouts} timeout(s), "
             f"{counters.pool_breaks} pool break(s), "
-            f"{counters.quarantined} quarantined; "
-            f"{counters.heartbeats} heartbeat(s)"
+            f"{counters.quarantined} quarantined"
         )
+
+
+@contextlib.contextmanager
+def _sigterm_interrupts():
+    """Raise ``KeyboardInterrupt`` on SIGTERM inside the block.
+
+    A killed run then unwinds through ``run_sweep``'s cleanup (pool
+    workers killed) and prints the resume message, like Ctrl-C, instead
+    of dying mid-state.  The previous handler is restored on exit, so an
+    in-process caller keeps its own.
+    """
+
+    def _raise(signum, frame):  # pragma: no cover - signal path
+        raise KeyboardInterrupt
+
+    prev = signal.signal(signal.SIGTERM, _raise)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, prev)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -253,14 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default 4); deterministic exponential backoff, no jitter",
     )
     runp.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="append worker heartbeats to this JSONL log for "
-        "post-mortems (flushed per line; survives crashes and Ctrl-C); "
-        "completed points are checkpointed in the result cache either way",
-    )
-    runp.add_argument(
         "--profile",
         metavar="PATH",
         default=None,
@@ -352,8 +366,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         ctx = observe(cfg)
     else:
-        import contextlib
-
         ctx = contextlib.nullcontext([])
 
     if args.check:
@@ -362,8 +374,6 @@ def main(argv: list[str] | None = None) -> int:
 
         chk_ctx = checking(CheckConfig())
     else:
-        import contextlib
-
         chk_ctx = contextlib.nullcontext()
 
     from repro.runner.supervise import SuperviseConfig, supervising
@@ -373,21 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         sup_overrides["point_timeout_s"] = args.point_timeout
     if args.retries is not None:
         sup_overrides["max_attempts"] = args.retries + 1
-    if args.journal is not None:
-        sup_overrides["journal"] = args.journal
-    sup_cfg = SuperviseConfig.from_env(**sup_overrides)
-
-    if args.journal is not None:
-        # Converting SIGTERM into KeyboardInterrupt unwinds through
-        # run_sweep's cleanup (pool workers killed, the journal closed)
-        # instead of dying mid-state.
-        def _sigterm(signum, frame):  # pragma: no cover - signal path
-            raise KeyboardInterrupt
-
-        signal.signal(signal.SIGTERM, _sigterm)
+    sup_ctx = supervising(SuperviseConfig.from_env(**sup_overrides))
 
     try:
-        with ctx as collected, chk_ctx, supervising(sup_cfg):
+        with _sigterm_interrupts(), ctx as collected, chk_ctx, sup_ctx:
             results = []
             for eid in ids:
                 t0 = time.time()

@@ -142,31 +142,6 @@ _SRC_PLAN = 2
 
 _ADAPTIVE = int(RoutingMode.ADAPTIVE)
 
-#: The network currently inside :meth:`TorusNetwork.run`, if any.  Set
-#: and cleared per run; read *cross-thread* by the heartbeat sampler
-#: (:mod:`repro.runner.supervise`) via :func:`live_progress`.  A plain
-#: dict slot: assignment is atomic, and the readers tolerate torn or
-#: slightly stale values — this is telemetry, not synchronization.
-_live: dict = {"net": None}
-
-
-def live_progress():
-    """``(sim_cycles, delivered_packets)`` of the in-flight run, or None.
-
-    Best-effort and read-only: sampled from another thread while the
-    main loop mutates the same fields, so the two numbers may be
-    mutually inconsistent by an event or two.  Good enough to tell a
-    progressing simulation from a wedged one, which is its only job.
-    """
-    net = _live["net"]
-    if net is None:
-        return None
-    try:
-        return (net._now * TICK_UNSCALE, net.stats.delivered_packets)
-    except (AttributeError, TypeError):  # pragma: no cover - teardown race
-        return None
-
-
 #: ``flags`` bits of the ``launch`` hook: the hop left the pristine
 #: torus's minimal paths (a fault reroute) / the packet died on the wire.
 LAUNCH_REROUTED = 1
@@ -605,11 +580,9 @@ class TorusNetwork:
         # scans cost more than they reclaim here.
         gc_was = gc.isenabled()
         gc.disable()
-        _live["net"] = self
         try:
             n_events = self._run_fused(program, hooks)
         finally:
-            _live["net"] = None
             if gc_was:
                 gc.enable()
 

@@ -20,8 +20,8 @@ classes carry no instrumentation and no branches):
   no simulator code, but is kept out of this namespace so importing
   :mod:`repro.obs.config` stays featherweight for pool workers.
 * **Sweep telemetry** (:mod:`repro.obs.progress`) — the live status
-  line, worker-heartbeat display and single-writer stderr coordinator
-  the runner drives during a sweep.
+  line and single-writer stderr coordinator, driven by the sweep
+  supervisor's own events during a sweep.
 * **Phase profiler** (:mod:`repro.obs.profile`) — per-(phase, axis)
   busy-cycle attribution with wall/CPU estimates and a Chrome-trace
   span track (``ObsConfig(profile=True)`` / the CLI's ``--profile``).

@@ -5,8 +5,7 @@ remembers *results* (keyed by configuration), but nothing remembers
 *runs* — how long they took, what they measured, and whether the numbers
 moved between two checkouts.  :class:`RunHistory` closes that gap with
 an append-only JSONL store (schema-pinned header, per-line flush,
-torn-tail healing — :mod:`repro.util.jsonl`, shared with
-:class:`~repro.runner.supervise.SweepJournal`) that records one line per
+torn-tail healing — :mod:`repro.util.jsonl`) that records one line per
 :class:`~repro.experiments.common.ExperimentResult`.
 
 Each record is split in two, deliberately:

@@ -1,28 +1,23 @@
-"""Live sweep telemetry: a single-writer status line + worker heartbeats.
+"""Live sweep telemetry: a single-writer status line.
 
 A multi-hour sweep used to run silently: the only signs of life were the
 final tables and whatever ``-v`` logging scrolled past.  This module
 gives the parent process one coordinated view of a sweep in flight:
 
 * :class:`SweepProgress` — counts (completed / running / failed /
-  retrying), the cache-hit split, an EWMA-based ETA, and the stalest
-  in-flight point (from heartbeats), rendered as a carriage-return
-  status line when stderr is a TTY and as periodic ``repro`` logger
-  lines otherwise — CI logs and piped output never see ANSI control
-  sequences.
+  retrying), the cache-hit split, an EWMA-based ETA, and the slowest
+  in-flight point, rendered as a carriage-return status line when
+  stderr is a TTY and as periodic ``repro`` logger lines otherwise — CI
+  logs and piped output never see ANSI control sequences.  Its only
+  inputs are the supervisor's own events (:mod:`repro.runner.supervise`)
+  and a periodic ``tick``: a point's start event dates it, so a wedged
+  point is named as the slowest *before* the watchdog kills it.
 * :class:`OutputCoordinator` — the single stderr writer.  Log records
   and the status line share one stream; the coordinator erases the
   status line, lets the record through, and redraws, so worker log
   lines and the progress bar coexist instead of shredding each other.
   :func:`repro.obs.logconf.setup_logging` routes its handler through
   :func:`coordinated_handler`.
-* Heartbeats — each supervised attempt (see
-  :mod:`repro.runner.supervise`) emits ``{key, label, attempt,
-  elapsed_s, sim_cycles, delivered, pid}`` records: one immediately when
-  the attempt starts and one per interval while it runs, sampled live
-  from the simulator's clock.  A wedged worker is therefore visible
-  (its heartbeat elapsed keeps growing while ``sim_cycles`` stalls)
-  *before* the watchdog kills it.
 
 Activation: :func:`resolve_progress` — on by default, ``REPRO_PROGRESS=0``
 (or the CLI's ``--no-progress``) turns it off, ``--quiet`` suppresses it
@@ -52,9 +47,8 @@ LOG_INTERVAL_S = 5.0
 #: EWMA smoothing factor for per-point durations (higher = snappier ETA).
 EWMA_ALPHA = 0.3
 
-#: A running point whose latest heartbeat is older than this many
-#: seconds (and at least twice the EWMA duration) is called out as
-#: stale on the status line.
+#: A point running for longer than this many seconds (and at least twice
+#: the EWMA duration) is named as the slowest on the status line.
 STALE_AFTER_S = 5.0
 
 
@@ -187,8 +181,8 @@ class SweepProgress:
 
     Fed by the supervised executor's event stream (``start`` / ``retry``
     / ``timeout`` / ``crash`` / ``failed`` / ``pool_break``), completion
-    callbacks and heartbeat records.  Thread-safe: sequential sweeps
-    deliver heartbeats from an in-process sampler thread.
+    callbacks and :meth:`tick`.  Thread-safe: sequential sweeps tick
+    from the supervisor's ticker thread.
     """
 
     def __init__(
@@ -213,9 +207,6 @@ class SweepProgress:
         self._running: dict[str, tuple[str, float]] = {}
         #: keys waiting out a retry backoff.
         self._retrying: set[str] = set()
-        #: key -> latest heartbeat record.
-        self._beats: dict[str, dict] = {}
-        self.heartbeats = 0
         self._ewma_s: Optional[float] = None
         self._t0 = 0.0
         self._last_render = 0.0
@@ -253,28 +244,23 @@ class SweepProgress:
             elif kind == "retry":
                 self.retries += 1
                 self._running.pop(task.key, None)
-                self._beats.pop(task.key, None)
                 self._retrying.add(task.key)
             elif kind in ("timeout", "crash"):
                 self._running.pop(task.key, None)
-                self._beats.pop(task.key, None)
             elif kind == "failed":
                 self.failed += 1
                 self._running.pop(task.key, None)
-                self._beats.pop(task.key, None)
                 self._retrying.discard(task.key)
             elif kind == "pool_break":
                 # Every in-flight future died with the pool; survivors
                 # re-announce themselves with fresh start events.
                 self._running.clear()
-                self._beats.clear()
         self._render()
 
     def complete(self, task) -> None:
         with self._lock:
             self.completed += 1
             entry = self._running.pop(task.key, None)
-            self._beats.pop(task.key, None)
             self._retrying.discard(task.key)
             if entry is not None:
                 dt = time.monotonic() - entry[1]
@@ -285,12 +271,8 @@ class SweepProgress:
                 )
         self._render()
 
-    def heartbeat(self, rec: dict) -> None:
-        with self._lock:
-            self.heartbeats += 1
-            key = rec.get("key")
-            if key is not None:
-                self._beats[key] = rec
+    def tick(self) -> None:
+        """Repaint (throttled) so in-flight points age between events."""
         self._render()
 
     # -- rendering ---------------------------------------------------- #
@@ -303,23 +285,18 @@ class SweepProgress:
             return 0.0
         return remaining * self._ewma_s / self.jobs
 
-    def _stale_locked(self) -> Optional[dict]:
-        """The stalest in-flight heartbeat worth calling out, if any."""
-        worst = None
-        for rec in self._beats.values():
-            el = rec.get("elapsed_s")
-            if not isinstance(el, (int, float)):
-                continue
-            if worst is None or el > worst.get("elapsed_s", 0.0):
-                worst = rec
-        if worst is None:
+    def _slowest_locked(self) -> Optional[tuple[str, float]]:
+        """``(label, elapsed_s)`` of the longest-running in-flight point,
+        if it is slow enough to call out."""
+        if not self._running:
             return None
-        el = worst["elapsed_s"]
-        if el < STALE_AFTER_S:
+        label, started = min(self._running.values(), key=lambda e: e[1])
+        elapsed = time.monotonic() - started
+        if elapsed < STALE_AFTER_S:
             return None
-        if self._ewma_s is not None and el < 2.0 * self._ewma_s:
+        if self._ewma_s is not None and elapsed < 2.0 * self._ewma_s:
             return None
-        return worst
+        return label, elapsed
 
     def _summary_locked(self) -> str:
         done = self.completed + self.cached
@@ -338,14 +315,9 @@ class SweepProgress:
         eta = self._eta_s_locked()
         if eta is not None and (self._running or self._retrying):
             parts.append(f"eta {_fmt_eta(eta)}")
-        stale = self._stale_locked()
-        if stale is not None:
-            cyc = stale.get("sim_cycles")
-            at = f" @ {cyc:.3g} cycles" if isinstance(cyc, float) else ""
-            parts.append(
-                f"slowest {stale.get('label', stale.get('key', '?'))} "
-                f"{stale['elapsed_s']:.0f}s{at}"
-            )
+        slowest = self._slowest_locked()
+        if slowest is not None:
+            parts.append(f"slowest {slowest[0]} {slowest[1]:.0f}s")
         return " | ".join(parts)
 
     def _render(self, force: bool = False) -> None:

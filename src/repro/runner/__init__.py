@@ -33,7 +33,6 @@ from repro.runner.supervise import (
     PointTimeoutError,
     SuperviseConfig,
     SweepIncompleteError,
-    SweepJournal,
     SweepResult,
     active_supervision,
     derive_timeout,
@@ -51,7 +50,6 @@ __all__ = [
     "SimPoint",
     "SuperviseConfig",
     "SweepIncompleteError",
-    "SweepJournal",
     "SweepResult",
     "active_supervision",
     "cache_enabled",

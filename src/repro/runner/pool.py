@@ -15,9 +15,8 @@ Guarantees:
   results.
 * **Resilience** — every sweep runs under the supervision layer
   (:mod:`repro.runner.supervise`): per-point wall-clock timeouts,
-  bounded deterministic retries, ``BrokenProcessPool`` recovery with
-  per-point quarantine, and an optional heartbeat journal
-  (``--journal``).  :func:`run_sweep` returns a
+  bounded deterministic retries and ``BrokenProcessPool`` recovery with
+  per-point quarantine.  :func:`run_sweep` returns a
   :class:`~repro.runner.supervise.SweepResult` carrying completed runs
   plus structured failures; :func:`run_points` keeps the historical
   list-returning contract (deterministic simulation errors re-raise
@@ -42,9 +41,10 @@ oracles watching).
 
 The module-level :data:`counters` record how many points were actually
 simulated vs. served from cache (plus retries, timeouts, pool breaks,
-quarantines, corrupt entries, heartbeats, simulated cycles/events and the
-executed point keys for provenance) — tests assert on them, and the CLI
-reports them.
+quarantines, corrupt entries, simulated cycles/events and the executed
+point keys for provenance) — tests assert on them, and the CLI reports
+them.  The same supervisor events drive the live status line
+(:mod:`repro.obs.progress`).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from repro.runner.codec import decode_run, encode_run, point_key
 from repro.runner.point import SimPoint
 from repro.runner.supervise import (
     SuperviseConfig,
-    SweepJournal,
     SweepResult,
     execute_supervised,
     resolve_supervision,
@@ -88,8 +87,6 @@ class RunnerCounters:
     timeouts: int = 0
     pool_breaks: int = 0
     quarantined: int = 0
-    #: Worker heartbeat records consumed by the parent (telemetry).
-    heartbeats: int = 0
     #: Simulated-time and event totals over freshly executed points.
     sim_cycles: float = 0.0
     sim_events: int = 0
@@ -247,9 +244,9 @@ def run_sweep(
         " [observed/checked, cache bypassed]" if bypass else "",
     )
 
-    # Live telemetry (status line / progress log lines + heartbeats).
-    # Imported lazily: pool workers import this module but never run a
-    # sweep themselves.
+    # Live telemetry (status line / progress log lines), fed by the
+    # supervisor's events and ticks.  Imported lazily: pool workers
+    # import this module but never run a sweep themselves.
     from repro.obs.progress import resolve_progress
 
     progress = resolve_progress(len(points))
@@ -258,12 +255,8 @@ def run_sweep(
             total=len(points), cached=len(points) - len(misses), jobs=jobs
         )
 
-    journal: Optional[SweepJournal] = None
     failures = []
     try:
-        if cfg.journal is not None:
-            journal = SweepJournal(cfg.journal).open_append()
-
         if misses:
             todo = [
                 (i, points[i], keys[i], labels[i]) for i in misses
@@ -290,19 +283,6 @@ def run_sweep(
                 if progress is not None:
                     progress.event(kind, task)
 
-            def _on_heartbeat(rec: dict) -> None:
-                counters.heartbeats += 1
-                if progress is not None:
-                    progress.heartbeat(rec)
-                if journal is not None:
-                    journal.note(dict(rec, kind="heartbeat"))
-
-            heartbeat = (
-                _on_heartbeat
-                if (progress is not None or journal is not None)
-                else None
-            )
-
             fresh, failures = execute_supervised(
                 todo,
                 jobs,
@@ -312,15 +292,13 @@ def run_sweep(
                 on_complete=_on_complete,
                 on_event=_on_event,
                 strict_errors=not graceful,
-                heartbeat=heartbeat,
+                tick=progress.tick if progress is not None else None,
             )
             for i, payload in fresh.items():
                 payloads[i] = payload
     finally:
         if progress is not None:
             progress.finish()
-        if journal is not None:
-            journal.close()
 
     counters.failures.extend(f.to_dict() for f in failures)
     if observed:

@@ -1,4 +1,4 @@
-"""Sweep supervision: timeouts, retries, quarantine, chaos, heartbeats.
+"""Sweep supervision: timeouts, retries, quarantine, chaos.
 
 The parallel runner (:mod:`repro.runner.pool`) fans independent
 simulation points over a process pool.  Without supervision, one hung
@@ -31,9 +31,7 @@ scheduler:
 * **Resume from the cache** — the runner stores every completed point
   in the content-addressed result cache (:mod:`repro.runner.cache`) the
   moment it lands, so re-running an interrupted sweep simulates only the
-  missing points, bit-identically.  The optional :class:`SweepJournal`
-  is an append-only log of worker heartbeats for post-mortems; it holds
-  no results.
+  missing points, bit-identically.
 * **Deterministic chaos** — ``REPRO_CHAOS=kill:0.05,hang:0.02,seed=N``
   makes workers die (``os._exit``) or stall before simulating, decided
   by a hash of ``(seed, point key, attempt)``: reproducible, and a
@@ -41,17 +39,23 @@ scheduler:
   the whole layer is tested in CI.
 
 Every sweep, pooled or sequential, runs through :func:`execute_supervised`.
-With no timeout, journal or chaos configured (supervision not *active*)
-the sequential supervisor is a thin wrapper: the watchdog is a no-op, and
-in strict mode a deterministic error re-raises as the same exception
-object a direct call would have raised.
+With no timeout or chaos configured (supervision not *active*) the
+sequential supervisor is a thin wrapper: the watchdog is a no-op, and in
+strict mode a deterministic error re-raises as the same exception object
+a direct call would have raised.
+
+Telemetry is the supervisor's own event stream: ``on_event`` reports
+each start, retry, timeout, crash, pool break and failure, and
+``on_complete`` each landed point.  A ``tick`` callable, if given, is
+called at least once per :data:`TICK_S` while points run, so a status
+line can age its in-flight points between events.  Workers report
+nothing on a side channel.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import logging
 import os
 import signal
@@ -61,16 +65,9 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from repro.runner.codec import SCHEMA_VERSION
-from repro.util.jsonl import open_append, write_line
-
 _log = logging.getLogger("repro.runner.supervise")
-
-#: Journal line-format version (independent of the payload schema).
-JOURNAL_VERSION = 1
 
 
 # --------------------------------------------------------------------- #
@@ -158,6 +155,15 @@ def watchdog(seconds: Optional[float], what: str = "operation") -> Iterator[None
 # --------------------------------------------------------------------- #
 
 
+#: ``REPRO_CHAOS`` field name -> (:class:`ChaosPlan` attribute, parser).
+_CHAOS_FIELDS = {
+    "kill": ("kill_prob", float),
+    "hang": ("hang_prob", float),
+    "seed": ("seed", int),
+    "hang_s": ("hang_s", float),
+}
+
+
 @dataclass(frozen=True)
 class ChaosPlan:
     """Deterministic fault injection for the supervision layer itself.
@@ -208,22 +214,15 @@ class ChaosPlan:
                 )
             name = name.strip()
             try:
-                if name == "kill":
-                    kw["kill_prob"] = float(value)
-                elif name == "hang":
-                    kw["hang_prob"] = float(value)
-                elif name == "seed":
-                    kw["seed"] = int(value)
-                elif name == "hang_s":
-                    kw["hang_s"] = float(value)
-                else:
-                    raise ValueError(
-                        f"unknown chaos field {name!r} in {spec!r} "
-                        "(known: kill, hang, seed, hang_s)"
-                    )
-            except ValueError as exc:
-                if "chaos" in str(exc) or "unknown" in str(exc):
-                    raise
+                attr, convert = _CHAOS_FIELDS[name]
+            except KeyError:
+                raise ValueError(
+                    f"unknown chaos field {name!r} in {spec!r} "
+                    f"(known: {', '.join(_CHAOS_FIELDS)})"
+                ) from None
+            try:
+                kw[attr] = convert(value)
+            except ValueError:
                 raise ValueError(
                     f"bad chaos value {value!r} for {name!r} in {spec!r}"
                 ) from None
@@ -267,6 +266,8 @@ BACKOFF_FACTOR = 2.0
 QUARANTINE_STRIKES = 3
 #: Seconds past a point's own timeout before the parent kills its worker.
 GRACE_S = 10.0
+#: Longest gap between two calls of a sweep's ``tick`` while points run.
+TICK_S = 1.0
 
 
 def backoff_for(attempt: int) -> float:
@@ -282,37 +283,25 @@ class SuperviseConfig:
     are needed (chaos active, or supervision explicitly activated) and
     "no timeout" otherwise.  ``max_attempts`` bounds every retry cause
     together; :data:`QUARANTINE_STRIKES` separately bounds how many pool
-    breaks a single point may be present for.  ``journal`` names the
-    heartbeat log (:class:`SweepJournal`).
+    breaks a single point may be present for.
     """
 
     point_timeout_s: Optional[float] = None
     max_attempts: int = 5
-    journal: Optional[Path] = None
     chaos: Optional[ChaosPlan] = None
-    #: Seconds between worker heartbeats (``REPRO_HEARTBEAT``; 0 turns
-    #: them off).  Deliberately *not* part of :attr:`is_active` — a
-    #: heartbeat cadence alone shouldn't arm per-point timeouts.
-    heartbeat_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.point_timeout_s is not None and self.point_timeout_s <= 0:
             raise ValueError("point_timeout_s must be positive")
-        if self.heartbeat_s < 0:
-            raise ValueError("heartbeat_s must be >= 0")
-        if self.journal is not None:
-            self.journal = Path(self.journal)
 
     @property
     def is_active(self) -> bool:
         """Whether any supervision feature is actually requested; only
         then does a point without an explicit limit get a derived one."""
-        return (
-            self.point_timeout_s is not None
-            or self.journal is not None
-            or (self.chaos is not None and self.chaos.enabled)
+        return self.point_timeout_s is not None or (
+            self.chaos is not None and self.chaos.enabled
         )
 
     def timeout_for(self, point) -> Optional[float]:
@@ -339,14 +328,6 @@ class SuperviseConfig:
         env_c = os.environ.get("REPRO_CHAOS", "").strip()
         if env_c:
             kw["chaos"] = ChaosPlan.parse(env_c)
-        env_h = os.environ.get("REPRO_HEARTBEAT", "").strip()
-        if env_h:
-            try:
-                kw["heartbeat_s"] = float(env_h)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_HEARTBEAT must be seconds, got {env_h!r}"
-                ) from None
         kw.update(overrides)
         return cls(**kw)
 
@@ -449,165 +430,6 @@ class SweepResult:
 
 
 # --------------------------------------------------------------------- #
-# journal
-# --------------------------------------------------------------------- #
-
-
-def _compact(record: dict) -> str:
-    """A journal line: compact JSON in the record's own key order."""
-    return json.dumps(record, separators=(",", ":"))
-
-
-class SweepJournal:
-    """Append-only JSONL log of a sweep's worker heartbeats.
-
-    Line 1 is a header pinning the journal and payload schema versions;
-    every other line is an auxiliary record written by :meth:`note`
-    (``kind="heartbeat"``, see :mod:`repro.obs.progress`) — diagnostics
-    for a human reading the journal of a dead sweep.  It holds no
-    results: completed points live in the result cache, which is what a
-    re-run resumes from.  Records are flushed per line, and a torn final
-    line from a SIGKILL is newline-terminated before the next append.
-    The file handling is :mod:`repro.util.jsonl`, shared with the run
-    history.  Writes are serialized by a lock: on the sequential path an
-    attempt's first heartbeat comes from the main thread and the rest
-    from its sampler thread.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._fh = None
-        self._lock = threading.Lock()
-
-    def open_append(self) -> "SweepJournal":
-        """Open for appending, writing the header on a fresh file."""
-        header = {
-            "kind": "header",
-            "journal_version": JOURNAL_VERSION,
-            "schema": SCHEMA_VERSION,
-        }
-        self._fh = open_append(self.path, _compact(header))
-        return self
-
-    def note(self, record: dict) -> bool:
-        """Append one auxiliary record (e.g. ``kind="heartbeat"``).
-
-        Best-effort diagnostics: non-JSON-encodable records are dropped
-        with a warning rather than killing the sweep.
-        """
-        with self._lock:
-            if self._fh is None:
-                return False
-            try:
-                line = _compact(record)
-            except (TypeError, ValueError):
-                _log.warning(
-                    "journal %s: dropping non-JSON note %r", self.path, record
-                )
-                return False
-            write_line(self._fh, line)
-            return True
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                try:
-                    self._fh.flush()
-                    self._fh.close()
-                finally:
-                    self._fh = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self.open_append()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------- #
-# worker heartbeats
-# --------------------------------------------------------------------- #
-
-#: Per-worker heartbeat plumbing, set once by the pool initializer
-#: (:func:`_hb_init`).  Pool workers inherit the queue through the
-#: fork/spawn machinery; the sequential path passes an emit callable to
-#: :func:`_worker_entry` directly instead.
-_HB: dict = {"emit": None, "interval": 0.0}
-
-
-def _hb_init(queue, interval: float) -> None:
-    """``ProcessPoolExecutor`` initializer: arm heartbeats in a worker."""
-    _HB["emit"] = queue.put_nowait
-    _HB["interval"] = interval
-
-
-def _heartbeat_record(key: str, label: str, attempt: int, t0: float) -> dict:
-    rec = {
-        "key": key,
-        "label": label,
-        "attempt": attempt,
-        "elapsed_s": round(time.monotonic() - t0, 3),
-        "pid": os.getpid(),
-        "sim_cycles": None,
-        "delivered": None,
-    }
-    try:
-        from repro.net.simulator import live_progress
-
-        live = live_progress()
-        if live is not None:
-            rec["sim_cycles"], rec["delivered"] = live
-    except Exception:  # pragma: no cover - telemetry must never break a run
-        pass
-    return rec
-
-
-@contextlib.contextmanager
-def _heartbeats(
-    key: str,
-    label: str,
-    attempt: int,
-    emit: Optional[Callable],
-    interval: float,
-) -> Iterator[None]:
-    """Emit heartbeat records while the wrapped attempt runs.
-
-    One record goes out immediately (so even sub-second points leave a
-    breadcrumb), then one per *interval* from a daemon sampler thread.
-    The thread only ever *reads* simulator state
-    (:func:`repro.net.simulator.live_progress`), so the simulation
-    itself is unperturbed; emit failures (parent gone, queue full) are
-    swallowed — telemetry must never take down the point it watches.
-    """
-    if emit is None or interval <= 0:
-        yield
-        return
-    t0 = time.monotonic()
-    stop = threading.Event()
-
-    def _send() -> None:
-        try:
-            emit(_heartbeat_record(key, label, attempt, t0))
-        except Exception:
-            pass
-
-    def _pulse() -> None:
-        while not stop.wait(interval):
-            _send()
-
-    _send()
-    thread = threading.Thread(
-        target=_pulse, name=f"heartbeat:{label}", daemon=True
-    )
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=1.0)
-
-
-# --------------------------------------------------------------------- #
 # worker body
 # --------------------------------------------------------------------- #
 
@@ -621,39 +443,30 @@ def _worker_entry(
     obs,
     check,
     in_pool: bool,
-    hb_emit: Optional[Callable] = None,
-    hb_interval: float = 0.0,
 ) -> dict:
     """One supervised attempt: chaos, watchdog, simulate, encode.
 
     Runs in a pool worker (``in_pool=True``) or inline in the parent for
     sequential sweeps.  The watchdog arms *before* chaos so an injected
-    hang is caught exactly like a real one.  Heartbeats come from the
-    pool initializer's queue (pooled) or the explicit ``hb_emit``
-    callable (sequential) and cover chaos hangs too — a stalled worker
-    is visible from its flatlining ``sim_cycles``.
+    hang is caught exactly like a real one.
     """
     from repro.runner.pool import _simulate_encoded, point_label
 
-    if in_pool and hb_emit is None:
-        hb_emit = _HB["emit"]
-        hb_interval = _HB["interval"]
     label = point_label(point)
     with watchdog(timeout_s, f"point {label} (attempt {attempt})"):
-        with _heartbeats(key, label, attempt, hb_emit, hb_interval):
-            if chaos is not None and chaos.enabled:
-                fate = chaos.decide(key, attempt)
-                if fate == "kill":
-                    if in_pool:
-                        # A hard worker death: the parent sees
-                        # BrokenProcessPool, exactly like an OOM kill.
-                        os._exit(42)
-                    raise ChaosKilled(
-                        f"chaos killed point {label} (attempt {attempt})"
-                    )
-                if fate == "hang":
-                    time.sleep(chaos.hang_s)
-            return _simulate_encoded(point, obs, check)
+        if chaos is not None and chaos.enabled:
+            fate = chaos.decide(key, attempt)
+            if fate == "kill":
+                if in_pool:
+                    # A hard worker death: the parent sees
+                    # BrokenProcessPool, exactly like an OOM kill.
+                    os._exit(42)
+                raise ChaosKilled(
+                    f"chaos killed point {label} (attempt {attempt})"
+                )
+            if fate == "hang":
+                time.sleep(chaos.hang_s)
+        return _simulate_encoded(point, obs, check)
 
 
 # --------------------------------------------------------------------- #
@@ -696,7 +509,7 @@ class _Supervisor:
         on_complete: Optional[Callable] = None,
         on_event: Optional[Callable] = None,
         strict_errors: bool = True,
-        heartbeat: Optional[Callable] = None,
+        tick: Optional[Callable] = None,
     ) -> None:
         self.cfg = cfg
         self.obs = obs
@@ -704,34 +517,47 @@ class _Supervisor:
         self.on_complete = on_complete
         self.on_event = on_event or (lambda kind, task: None)
         self.strict_errors = strict_errors
-        self.heartbeat = heartbeat
+        self.tick = tick
         self.payloads: dict[int, dict] = {}
         self.failures: list[PointFailure] = []
-        self._hb_queue = None
 
-    # -- heartbeat plumbing ----------------------------------------- #
+    # -- telemetry -------------------------------------------------- #
 
-    def _hb_consume(self, rec: dict) -> None:
-        """Hand one heartbeat to the consumer; never let it kill the
-        sweep (the consumer renders UI and journals diagnostics)."""
-        if self.heartbeat is None:
+    def _tick(self) -> None:
+        """Call the tick consumer; never let it kill the sweep (it only
+        repaints a status line)."""
+        if self.tick is None:
             return
         try:
-            self.heartbeat(rec)
+            self.tick()
         except Exception:
-            _log.debug("heartbeat consumer failed", exc_info=True)
+            _log.debug("sweep tick failed", exc_info=True)
 
-    def _drain_heartbeats(self) -> None:
-        q = self._hb_queue
-        if q is None:
+    @contextlib.contextmanager
+    def _ticker(self) -> Iterator[None]:
+        """Tick from one daemon thread while the wrapped block runs.
+
+        The sequential path simulates on the calling thread, so nothing
+        else would tick between a point's start and its completion.
+        """
+        if self.tick is None:
+            yield
             return
-        while True:
-            try:
-                rec = q.get_nowait()
-            except Exception:
-                # queue.Empty normally; OSError/ValueError mid-teardown.
-                break
-            self._hb_consume(rec)
+        stop = threading.Event()
+
+        def _loop() -> None:
+            while not stop.wait(TICK_S):
+                self._tick()
+
+        thread = threading.Thread(
+            target=_loop, name="sweep-ticker", daemon=True
+        )
+        thread.start()
+        try:
+            yield
+        finally:
+            stop.set()
+            thread.join(timeout=1.0)
 
     # -- shared outcome handlers ------------------------------------ #
 
@@ -816,11 +642,6 @@ class _Supervisor:
     # -- sequential path -------------------------------------------- #
 
     def run_sequential(self, tasks: list) -> None:
-        hb_emit = (
-            self._hb_consume
-            if self.heartbeat is not None and self.cfg.heartbeat_s > 0
-            else None
-        )
         queue = deque(tasks)
         while queue:
             task = queue.popleft()
@@ -838,8 +659,6 @@ class _Supervisor:
                     self.obs,
                     self.check,
                     in_pool=False,
-                    hb_emit=hb_emit,
-                    hb_interval=self.cfg.heartbeat_s,
                 )
             except PointTimeoutError as exc:
                 again = self._retry_or_fail(
@@ -860,34 +679,12 @@ class _Supervisor:
 
     # -- pooled path ------------------------------------------------ #
 
-    def _spawn_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        """A worker pool, with heartbeats armed when a consumer wants
-        them (the queue rides into workers via the pool initializer).
-
-        Each pool gets a fresh queue; the previous pool's is drained and
-        closed.  A queue's feeder threads share one cross-process write
-        lock, and a worker that dies holding it (chaos ``os._exit``, an
-        OOM SIGKILL) leaves it taken for good.  Workers of a respawned
-        pool sharing that queue would block on the lock in their feeder
-        threads, then at exit, where each joins its feeder thread, so the
-        final ``shutdown(wait=True)`` would never return.
-        """
-        self._drain_heartbeats()
-        self._close_hb_queue()
-        if self.heartbeat is None or self.cfg.heartbeat_s <= 0:
-            return ProcessPoolExecutor(max_workers=max_workers)
-        import multiprocessing as mp
-
-        self._hb_queue = mp.Queue()
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_hb_init,
-            initargs=(self._hb_queue, self.cfg.heartbeat_s),
-        )
-
     def run_pooled(self, tasks: list, jobs: int) -> None:
+        """Fan *tasks* over a worker pool.  The parent starts no thread
+        of its own here (a fork with threads alive can deadlock a
+        worker); it ticks after every ``wait`` instead."""
         max_workers = min(jobs, len(tasks))
-        pool = self._spawn_pool(max_workers)
+        pool = ProcessPoolExecutor(max_workers=max_workers)
         ready: deque = deque(tasks)
         waiting: list = []
         in_flight: dict = {}
@@ -935,18 +732,18 @@ class _Supervisor:
                     if waiting:
                         pause = min(t.not_before for t in waiting) - now
                         if pause > 0:
-                            time.sleep(min(pause, 1.0))
+                            time.sleep(min(pause, TICK_S))
                     continue
                 horizon = min(t.deadline for t in in_flight.values())
                 for t in waiting:
                     horizon = min(horizon, t.not_before)
-                wait_s = min(max(horizon - now, 0.02), 1.0)
+                wait_s = min(max(horizon - now, 0.02), TICK_S)
                 done, _ = wait(
                     set(in_flight),
                     timeout=wait_s,
                     return_when=FIRST_COMPLETED,
                 )
-                self._drain_heartbeats()
+                self._tick()
                 now = time.monotonic()
                 if not done:
                     overdue = [
@@ -993,20 +790,8 @@ class _Supervisor:
         except BaseException:
             _kill_pool_workers(pool)
             pool.shutdown(wait=False, cancel_futures=True)
-            self._close_hb_queue()
             raise
         pool.shutdown(wait=True, cancel_futures=True)
-        self._drain_heartbeats()
-        self._close_hb_queue()
-
-    def _close_hb_queue(self) -> None:
-        q, self._hb_queue = self._hb_queue, None
-        if q is not None:
-            try:
-                q.close()
-                q.join_thread()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
 
     def _recover_pool_break(
         self, pool, in_flight: dict, waiting: list, max_workers: int
@@ -1018,7 +803,6 @@ class _Supervisor:
             "worker pool broke with %d point(s) in flight; respawning",
             len(in_flight),
         )
-        self._drain_heartbeats()
         now = time.monotonic()
         # A pool break takes down *every* in-flight future, culprit and
         # bystander alike.  For real crashes (OOM, segfault) the parent
@@ -1081,7 +865,7 @@ class _Supervisor:
                 waiting.append(again)
         in_flight.clear()
         pool.shutdown(wait=False, cancel_futures=True)
-        return self._spawn_pool(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _kill_pool_workers(pool) -> None:
@@ -1103,7 +887,7 @@ def execute_supervised(
     on_complete: Optional[Callable] = None,
     on_event: Optional[Callable] = None,
     strict_errors: bool = True,
-    heartbeat: Optional[Callable] = None,
+    tick: Optional[Callable] = None,
 ) -> tuple[dict, list]:
     """Run ``(index, point, key, label)`` items under supervision.
 
@@ -1111,11 +895,12 @@ def execute_supervised(
     payload)`` fires as each point lands (cache/counters hook);
     ``on_event(kind, task)`` fires on start/retry/timeout/crash/
     pool_break/quarantined/failed transitions (counters + progress
-    hook); ``heartbeat(record)`` receives worker heartbeat dicts on the
-    parent's thread (pooled) or the sampler thread (sequential) when
-    ``cfg.heartbeat_s > 0``.  With ``strict_errors`` deterministic
-    simulation errors re-raise immediately (the historical contract);
-    otherwise they become structured failures like everything else.
+    hook); ``tick()`` is called at least once per :data:`TICK_S` while
+    points run, from the parent's main thread (pooled) or from one
+    daemon ticker thread (sequential, whose main thread is busy
+    simulating).  With ``strict_errors`` deterministic simulation errors
+    re-raise immediately (the historical contract); otherwise they
+    become structured failures like everything else.
     """
     sup = _Supervisor(
         cfg,
@@ -1124,7 +909,7 @@ def execute_supervised(
         on_complete=on_complete,
         on_event=on_event,
         strict_errors=strict_errors,
-        heartbeat=heartbeat,
+        tick=tick,
     )
     tasks = [
         _Task(
@@ -1139,19 +924,18 @@ def execute_supervised(
     if jobs > 1 and len(tasks) > 1:
         sup.run_pooled(tasks, jobs)
     else:
-        sup.run_sequential(tasks)
+        with sup._ticker():
+            sup.run_sequential(tasks)
     return sup.payloads, sup.failures
 
 
 __all__ = [
     "ChaosKilled",
     "ChaosPlan",
-    "JOURNAL_VERSION",
     "PointFailure",
     "PointTimeoutError",
     "SuperviseConfig",
     "SweepIncompleteError",
-    "SweepJournal",
     "SweepResult",
     "active_supervision",
     "derive_timeout",

@@ -1,8 +1,8 @@
 """Append-only JSONL files: a header line, then one record per line.
 
-The one durability model behind the sweep journal
-(:class:`repro.runner.supervise.SweepJournal`) and the run history
-(:class:`repro.obs.history.RunHistory`):
+The durability model behind the run history
+(:class:`repro.obs.history.RunHistory`), the repo's one append-only
+JSONL store:
 
 * a fresh file starts with a header line that pins the caller's format
   version;
@@ -15,7 +15,8 @@ The one durability model behind the sweep journal
   the caller's check (which raises on a version it does not speak), and
   yields the records of the kinds the caller asked for.
 
-Callers serialize their own lines, so each format keeps its exact bytes.
+The caller serializes its own lines, so its format keeps its exact
+bytes.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Every experiment driver is deterministic under the parallel runner.
 
-Satellite of the fast-path PR: at tiny scale each driver must produce
-identical rows with ``jobs=1`` and ``jobs=4``, and a second (warm-cache)
-run must execute zero simulations.
+For each driver at tiny scale: a cold ``jobs=1`` run on cache A and a
+cold ``jobs=4`` run on cache B must simulate the same number of points
+and produce identical rows and rendering.  Because the pooled leg has a
+cache of its own, the pool really simulates rather than replaying what
+the sequential leg stored.  A warm rerun on cache A must then simulate
+nothing and hit the cache once per point the cold leg simulated.
 """
 
 from __future__ import annotations
@@ -14,32 +17,38 @@ from repro.runner import counters
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+def _isolated_env(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     counters.reset()
 
 
+def _run(exp_id: str, jobs: int, cache, monkeypatch):
+    """Run *exp_id* at tiny scale on *cache* with fresh counters."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    counters.reset()
+    return run_experiment(exp_id, scale="tiny", jobs=jobs)
+
+
 @pytest.mark.parametrize("exp_id", sorted(ALL))
-def test_driver_rows_identical_across_job_counts(exp_id: str) -> None:
-    seq = run_experiment(exp_id, scale="tiny", jobs=1)
-    par = run_experiment(exp_id, scale="tiny", jobs=4)
+def test_driver_rows_identical_across_job_counts(
+    exp_id: str, tmp_path, monkeypatch
+) -> None:
+    seq = _run(exp_id, 1, tmp_path / "a", monkeypatch)
+    cold_simulated = counters.simulated
+    par = _run(exp_id, 4, tmp_path / "b", monkeypatch)
+    assert counters.simulated == cold_simulated, (
+        f"{exp_id}: pooled cold leg simulated {counters.simulated} "
+        f"point(s), sequential {cold_simulated}"
+    )
     assert par.columns == seq.columns
     assert par.rows == seq.rows
     assert par.render() == seq.render()
 
-
-@pytest.mark.parametrize("exp_id", sorted(ALL))
-def test_second_run_is_served_entirely_from_cache(exp_id: str) -> None:
-    cold = run_experiment(exp_id, scale="tiny", jobs=1)
-    first_simulated = counters.simulated
-    counters.reset()
-    warm = run_experiment(exp_id, scale="tiny", jobs=4)
+    warm = _run(exp_id, 4, tmp_path / "a", monkeypatch)
     assert counters.simulated == 0, (
         f"{exp_id}: warm rerun executed {counters.simulated} simulations"
     )
     # fig5 is a pure closed-form model: zero points either way is fine.
-    if first_simulated:
-        assert counters.cache_hits == first_simulated
-    assert warm.rows == cold.rows
+    assert counters.cache_hits == cold_simulated
+    assert warm.rows == seq.rows

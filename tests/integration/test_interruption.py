@@ -1,7 +1,7 @@
-"""End-to-end interruption drills: SIGINT mid-sweep, chaos worker kills,
-torn cache entries — resumed runs must be bit-identical to uninterrupted
-ones.  Resuming is re-running the same command: completed points are
-served from the result cache.
+"""End-to-end interruption drills: SIGINT or SIGTERM mid-sweep, chaos
+worker kills, torn cache entries — resumed runs must be bit-identical to
+uninterrupted ones.  Resuming is re-running the same command: completed
+points are served from the result cache.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 REPO = Path(__file__).resolve().parents[2]
 
 #: Stall harness: runs the real CLI but wedges the sweep after the first
-#: two points have completed, so the parent can SIGINT a mid-sweep run
+#: two points have completed, so the parent can signal a mid-sweep run
 #: at a deterministic spot.  Patching ``_simulate_encoded`` on the pool
 #: module is visible to the sequential supervised path (workers import
 #: it by attribute at call time).
@@ -97,8 +97,11 @@ def clean_output(tmp_path_factory):
 
 
 class TestSigintResume:
+    # The CLI turns SIGTERM into the same KeyboardInterrupt as Ctrl-C, so
+    # a killed job unwinds and reports exactly like an interrupted one.
+    @pytest.mark.parametrize("sig", ["SIGINT", "SIGTERM"])
     def test_sigint_mid_sweep_then_resume_is_bit_identical(
-        self, tmp_path, clean_output
+        self, tmp_path, clean_output, sig
     ):
         cache = tmp_path / "cache"
         env = _env(tmp_path, REPRO_CACHE="1")
@@ -125,7 +128,7 @@ class TestSigintResume:
                 if "STALLED" in line:
                     break
                 assert time.monotonic() < deadline, "harness never stalled"
-            child.send_signal(signal.SIGINT)
+            child.send_signal(getattr(signal, sig))
             child.wait(timeout=60)
         finally:
             if child.poll() is None:

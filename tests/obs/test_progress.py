@@ -1,9 +1,11 @@
-"""Live sweep telemetry: coordinator, renderer, heartbeats (DESIGN.md §15).
+"""Live sweep telemetry: coordinator, renderer, ticks (DESIGN.md §15).
 
 The non-negotiables: a non-TTY stream never sees ANSI control sequences
 (CI logs stay clean), the status line and log records share one stream
-without shredding each other, and the renderer's summary arithmetic
-(done counts, cache split, EWMA ETA, stale-heartbeat callout) is right.
+without shredding each other, the renderer's summary arithmetic (done
+counts, cache split, EWMA ETA, slowest-point callout) is right, and a
+slow point is named while it runs on both the sequential and the pooled
+path.
 """
 
 from __future__ import annotations
@@ -11,9 +13,12 @@ from __future__ import annotations
 import io
 import logging
 import os
+import threading
 
 import pytest
 
+import repro.obs.progress as progress_mod
+import repro.runner.supervise as supervise
 from repro.net.topology import TorusShape
 from repro.obs.progress import (
     STALE_AFTER_S,
@@ -25,7 +30,15 @@ from repro.obs.progress import (
     progress_wanted,
     resolve_progress,
 )
-from repro.runner import SimPoint, counters, run_points
+from repro.runner import (
+    ChaosPlan,
+    SimPoint,
+    SuperviseConfig,
+    counters,
+    point_label,
+    run_points,
+    run_sweep,
+)
 from repro.strategies import ARDirect
 
 
@@ -195,34 +208,50 @@ class TestSweepProgress:
         assert "eta 0:10" in s
         p.finish()
 
-    def test_stale_heartbeat_called_out(self):
+    @staticmethod
+    def _age(p: SweepProgress, key: str, seconds: float) -> None:
+        """Backdate the start of in-flight *key* by *seconds*."""
+        label, started = p._running[key]
+        p._running[key] = (label, started - seconds)
+
+    def test_stale_point_called_out(self):
         p = self._progress()
         p.event("start", Task("k", label="8x8x8/m64"))
-        p.heartbeat(
-            {
-                "key": "k",
-                "label": "8x8x8/m64",
-                "elapsed_s": STALE_AFTER_S + 5.0,
-                "sim_cycles": 1234.5,
-            }
-        )
-        s = p._summary_locked()
-        assert "slowest 8x8x8/m64 10s" in s
-        assert "@ 1.23e+03 cycles" in s
-        assert p.heartbeats == 1
+        p.event("start", Task("j", label="4x4x4/m64"))
+        self._age(p, "k", STALE_AFTER_S + 5.0)
+        self._age(p, "j", STALE_AFTER_S + 1.0)
+        assert "slowest 8x8x8/m64 10s" in p._summary_locked()
         p.finish()
 
-    def test_fresh_heartbeat_not_called_out(self):
+    def test_fresh_point_not_called_out(self):
         p = self._progress()
         p.event("start", Task("k"))
-        p.heartbeat({"key": "k", "elapsed_s": 0.1, "sim_cycles": 1.0})
+        p.tick()
         assert "slowest" not in p._summary_locked()
+        p.finish()
+
+    def test_point_within_twice_the_ewma_not_called_out(self):
+        p = self._progress()
+        p._ewma_s = STALE_AFTER_S * 2
+        p.event("start", Task("k"))
+        self._age(p, "k", STALE_AFTER_S + 1.0)
+        assert "slowest" not in p._summary_locked()
+        p.finish()
+
+    def test_tick_repaints_the_aging_point(self):
+        tty = TtyStringIO()
+        p = self._progress(stream=tty)
+        p.event("start", Task("k", label="8x8x8/m64"))
+        assert "slowest" not in tty.getvalue()
+        self._age(p, "k", STALE_AFTER_S + 5.0)
+        p.tick()  # no event arrived; the tick alone repaints
+        assert tty.getvalue().endswith("slowest 8x8x8/m64 10s")
         p.finish()
 
     def test_pool_break_clears_in_flight_state(self):
         p = self._progress()
         p.event("start", Task("a"))
-        p.heartbeat({"key": "a", "elapsed_s": 99.0})
+        self._age(p, "a", 99.0)
         p.event("pool_break", Task("a"))
         s = p._summary_locked()
         assert "running" not in s and "slowest" not in s
@@ -274,6 +303,27 @@ class TestActivation:
         assert resolve_progress(3) is None
 
 
+class _Probe(SweepProgress):
+    """A TTY renderer that records the thread of every tick."""
+
+    def __init__(self) -> None:
+        super().__init__(stream=TtyStringIO(), render_interval_s=0.0)
+        self.tick_threads: list[str] = []
+
+    def tick(self) -> None:
+        self.tick_threads.append(threading.current_thread().name)
+        super().tick()
+
+
+def _install_probe(monkeypatch) -> _Probe:
+    """Make the next sweep render through a fresh :class:`_Probe`."""
+    probe = _Probe()
+    monkeypatch.setattr(
+        progress_mod, "resolve_progress", lambda total, stream=None: probe
+    )
+    return probe
+
+
 class TestSweepIntegration:
     def test_run_points_drives_the_renderer(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_PROGRESS", "1")
@@ -285,16 +335,46 @@ class TestSweepIntegration:
         finished = [m for m in messages if m.startswith("sweep finished:")]
         assert finished and "2/2 done" in finished[0]
 
-    def test_supervised_sweep_emits_heartbeats(self, monkeypatch):
-        from repro.runner.pool import run_sweep
-
+    def test_supervised_sweep_ticks_the_renderer(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROGRESS", "1")
+        monkeypatch.setattr(supervise, "TICK_S", 0.01)
+        probe = _install_probe(monkeypatch)
         shape = TorusShape.parse("2x2x2")
         pts = [SimPoint(ARDirect(), shape, m, seed=1) for m in (32, 64)]
-        sweep = run_sweep(pts)  # graceful => supervised sequential path
+        # A chaos hang keeps each point in flight for a few tick periods.
+        cfg = SuperviseConfig(chaos=ChaosPlan(hang_prob=1.0, hang_s=0.1))
+        sweep = run_sweep(pts, jobs=1, supervise=cfg)
         assert sweep.failures == []
-        # Every supervised attempt emits one heartbeat immediately.
-        assert counters.heartbeats >= 2
+        # The sequential path ticks from its ticker thread, which is
+        # gone once the sweep returns.
+        assert set(probe.tick_threads) == {"sweep-ticker"}
+        assert not [
+            t for t in threading.enumerate() if t.name == "sweep-ticker"
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_slow_point_named_while_it_runs(self, monkeypatch, jobs):
+        monkeypatch.setenv("REPRO_PROGRESS", "1")
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        monkeypatch.setattr(progress_mod, "STALE_AFTER_S", 0.2)
+        monkeypatch.setattr(supervise, "TICK_S", 0.05)
+        probe = _install_probe(monkeypatch)
+        shape = TorusShape.parse("2x2x2")
+        pts = [SimPoint(ARDirect(), shape, m, seed=1) for m in (32, 64)]
+        # Every attempt stalls for 0.8 s before simulating, in the
+        # parent (jobs=1) or in a pool worker (jobs=2); no event
+        # arrives meanwhile, so only ticks can name the slow point.
+        cfg = SuperviseConfig(chaos=ChaosPlan(hang_prob=1.0, hang_s=0.8))
+        sweep = run_sweep(pts, jobs=jobs, supervise=cfg)
+        assert sweep.complete, sweep.failures
+        out = probe.stream.getvalue()
+        assert any(
+            f"slowest {point_label(pt)} " in out for pt in pts
+        ), out
+        if jobs > 1:
+            # The pooled path ticks on the parent's own thread: it
+            # starts no thread of its own before forking workers.
+            assert set(probe.tick_threads) == {"MainThread"}
 
     def test_progress_off_is_silent(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_PROGRESS", "0")

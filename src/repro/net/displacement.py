@@ -1,13 +1,10 @@
-"""Wrap-aware shortest-displacement lookup tables.
+"""Wrap-aware shortest displacement, and the route state built from it.
 
 This module is the single home of the "wrap / mod / halfbits" branch
 cluster that decides which way around the torus a packet travels on one
-axis.  The same logic used to be written out inline four times in
-:mod:`repro.net.simulator` and consulted again by the fault-aware
-network; it is now computed **once per shape** into flat per-axis lookup
-tables, and the
-hot path does a couple of list indexings instead of a mod and three
-comparisons per routing decision.
+axis.  It is computed **once per shape** into flat per-axis lookup
+tables; the simulator consults them once per packet, at injection, and
+from then on routes on the packet's *route state* (below).
 
 Semantics (pinned by ``tests/net/test_displacement.py`` against the
 original inline logic):
@@ -21,12 +18,28 @@ original inline logic):
   tie-break would overload one direction by 25 % and cap all-to-all at
   80 % of the Eq. 2 peak.
 
-Tables are indexed ``[axis][halfbit][ccur * n + cdst]`` with ``n`` the
-axis extent.  For axes where the halfbit cannot matter (odd extent, mesh,
-extent <= 2) both halfbit variants share one list object, so a 3-D shape
-costs at most six small lists.  :func:`displacement_tables` memoizes per
-shape: every simulation point of a sweep over the same partition reuses
-the same table objects.
+Displacement tables are indexed ``[axis][halfbit][ccur * n + cdst]`` with
+``n`` the axis extent.  For axes where the halfbit cannot matter (odd
+extent, mesh, extent <= 2) both halfbit variants share one list object,
+so a 3-D shape costs at most six small lists.
+
+**Route state.**  Like the hint bits of a BG/L packet header, a packet
+carries its remaining signed displacement with it: one mixed-radix index
+whose digit on axis *a* is ``disp_a + reach_a`` (``reach_a`` is the
+largest ``|disp|`` the axis allows; axis 0 is the least significant
+digit).  The index is fixed at injection from the displacement tables,
+halfbits included, and each hop adds the per-direction :attr:`~RouteTables.step`
+— a hop in ``+`` on axis *a* lowers that axis' displacement by one.  Every
+minimal hop leaves exactly the displacement the tables give from the next
+node, so the route state never drifts from a recomputation.  Routing
+decisions then read three tables over the index space
+(``prod(2 * reach_a + 1)`` entries, 729 at 8x8x8): the productive
+directions, the dimension-order direction and the productive-direction
+bitmask.
+
+:func:`displacement_tables` and :func:`route_tables` memoize per shape:
+every simulation point of a sweep over the same partition reuses the same
+table objects.
 """
 
 from __future__ import annotations
@@ -58,54 +71,37 @@ def reference_displacement(
 
 
 class DisplacementTables:
-    """Per-axis displacement and minimal-direction lookup tables.
+    """Per-axis displacement lookup tables.
 
     Attributes
     ----------
     disp:
         ``disp[axis][halfbit][ccur * n + cdst]`` -> signed shortest
         displacement on *axis* (wrap-aware).
-    dirs:
-        Same indexing -> direction index ``2*axis + (0 if disp > 0 else
-        1)``, or ``-1`` when the displacement is zero (axis resolved).
     """
 
-    __slots__ = ("shape", "disp", "dirs")
+    __slots__ = ("shape", "disp")
 
     def __init__(self, shape: TorusShape) -> None:
         self.shape = shape
         disp: list[tuple[list[int], list[int]]] = []
-        dirs: list[tuple[list[int], list[int]]] = []
         for axis in range(shape.ndim):
             n = shape.dims[axis]
             wrap = shape.wrap_effective(axis)
-            per_hb_disp: list[list[int]] = []
-            per_hb_dir: list[list[int]] = []
-            for hb in (0, 1):
-                dtab = [0] * (n * n)
-                rtab = [0] * (n * n)
-                for cc in range(n):
-                    base = cc * n
-                    for cd in range(n):
-                        d = reference_displacement(n, wrap, cd - cc, hb)
-                        dtab[base + cd] = d
-                        rtab[base + cd] = (
-                            -1 if d == 0 else 2 * axis + (0 if d > 0 else 1)
-                        )
-                per_hb_disp.append(dtab)
-                per_hb_dir.append(rtab)
-            if per_hb_disp[0] == per_hb_disp[1]:
+            per_hb = [
+                [
+                    reference_displacement(n, wrap, cd - cc, hb)
+                    for cc in range(n)
+                    for cd in range(n)
+                ]
+                for hb in (0, 1)
+            ]
+            if per_hb[0] == per_hb[1]:
                 # Halfbit can't matter here (mesh, odd, or tiny extent):
                 # share one table object for both variants.
-                per_hb_disp[1] = per_hb_disp[0]
-                per_hb_dir[1] = per_hb_dir[0]
-            disp.append((per_hb_disp[0], per_hb_disp[1]))
-            dirs.append((per_hb_dir[0], per_hb_dir[1]))
+                per_hb[1] = per_hb[0]
+            disp.append((per_hb[0], per_hb[1]))
         self.disp = tuple(disp)
-        self.dirs = tuple(dirs)
-
-    # Convenience accessors (tests, analysis; the simulator indexes the
-    # raw tables directly).
 
     def displacement(
         self, axis: int, ccur: int, cdst: int, halfbits: int = 0
@@ -114,12 +110,84 @@ class DisplacementTables:
         n = self.shape.dims[axis]
         return self.disp[axis][(halfbits >> axis) & 1][ccur * n + cdst]
 
-    def direction(
-        self, axis: int, ccur: int, cdst: int, halfbits: int = 0
-    ) -> int:
-        """Minimal direction index on *axis*, or -1 when already aligned."""
-        n = self.shape.dims[axis]
-        return self.dirs[axis][(halfbits >> axis) & 1][ccur * n + cdst]
+
+class RouteTables:
+    """The route-state index space of one shape and its direction tables.
+
+    Attributes
+    ----------
+    reach:
+        Per axis, the largest ``|disp|`` a packet can carry on it.
+    stride:
+        Per axis, the index weight of one unit of displacement.
+    home:
+        The index of the all-zero displacement (the packet has arrived).
+    step:
+        ``step[d]`` is added to the index by a hop in direction *d*.
+    offset:
+        ``offset[axis][halfbit][ccur * n + cdst]`` -> that axis' term of the
+        index, ``disp * stride[axis]``; an injection sums the axes' terms
+        onto :attr:`home`.  Halfbit variants share lists as in
+        :class:`DisplacementTables`.
+    prod:
+        ``prod[r]`` -> tuple of the productive directions, in axis order.
+    dor:
+        ``dor[r]`` -> the dimension-order direction (the first productive
+        one), or -1 at the destination.
+    mask:
+        ``mask[r]`` -> bitmask of the productive directions.
+    """
+
+    __slots__ = (
+        "shape", "reach", "stride", "home", "step", "offset",
+        "prod", "dor", "mask",
+    )
+
+    def __init__(self, shape: TorusShape) -> None:
+        self.shape = shape
+        disp = displacement_tables(shape).disp
+        reach = tuple(max(abs(x) for x in tabs[0] + tabs[1]) for tabs in disp)
+        stride = []
+        size = 1
+        for r in reach:
+            stride.append(size)
+            size *= 2 * r + 1
+        self.reach = reach
+        self.stride = tuple(stride)
+        self.home = sum(r * s for r, s in zip(reach, stride))
+        self.step = tuple(
+            s * sign for s in stride for sign in (-1, 1)
+        )
+        offset = []
+        for axis, (t0, t1) in enumerate(disp):
+            s = stride[axis]
+            o0 = [x * s for x in t0]
+            o1 = o0 if t1 is t0 else [x * s for x in t1]
+            offset.append((o0, o1))
+        self.offset = tuple(offset)
+        prod: list[tuple[int, ...]] = []
+        for r in range(size):
+            dirs = []
+            for axis, d in enumerate(self.decode(r)):
+                if d:
+                    dirs.append(2 * axis + (0 if d > 0 else 1))
+            prod.append(tuple(dirs))
+        self.prod = prod
+        self.dor = [dirs[0] if dirs else -1 for dirs in prod]
+        self.mask = [sum(1 << d for d in dirs) for dirs in prod]
+
+    def encode(self, disps) -> int:
+        """Route index of the per-axis displacements *disps*."""
+        return self.home + sum(d * s for d, s in zip(disps, self.stride))
+
+    def decode(self, r: int) -> tuple[int, ...]:
+        """Per-axis signed displacements of route index *r*."""
+        out = []
+        for reach in self.reach:
+            radix = 2 * reach + 1
+            out.append(r % radix - reach)
+            r //= radix
+        return tuple(out)
 
 
 @lru_cache(maxsize=128)
@@ -127,3 +195,10 @@ def displacement_tables(shape: TorusShape) -> DisplacementTables:
     """Memoized tables for *shape* (shared across simulator instances —
     every point of a sweep over one partition reuses the same objects)."""
     return DisplacementTables(shape)
+
+
+@lru_cache(maxsize=128)
+def route_tables(shape: TorusShape) -> RouteTables:
+    """Memoized route-state tables for *shape*, built from
+    :func:`displacement_tables`."""
+    return RouteTables(shape)

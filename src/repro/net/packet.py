@@ -173,7 +173,11 @@ class PacketPool:
     value) and ``inject_time`` is stored in whatever timebase the owner
     uses (the simulator stores scaled ticks).  ``deliver_time`` has no
     column: delivery is the moment the handle dies, so the owner passes
-    the delivery timestamp straight to :meth:`materialize`.
+    the delivery timestamp straight to :meth:`materialize`.  One column
+    has no :class:`Packet` field: ``route``, the pristine kernel's route
+    state (the remaining displacement as one index, see
+    :mod:`repro.net.displacement`), which the kernel sets at injection
+    and steps at every hop; :meth:`alloc` leaves it alone.
 
     Handles are recycled through a LIFO ``free`` list (hot handles stay
     cache-warm).  When the pool runs dry it doubles every column *in
@@ -198,6 +202,7 @@ class PacketPool:
         "halfbits",
         "seq",
         "downphase",
+        "route",
     )
 
     def __init__(self, capacity: int = 512) -> None:
@@ -220,6 +225,7 @@ class PacketPool:
         self.halfbits = [0] * capacity
         self.seq = [-1] * capacity
         self.downphase = [False] * capacity
+        self.route = [0] * capacity
 
     @property
     def live(self) -> int:
@@ -244,6 +250,7 @@ class PacketPool:
         self.halfbits.extend([0] * old)
         self.seq.extend([-1] * old)
         self.downphase.extend([False] * old)
+        self.route.extend([0] * old)
         self.free.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 

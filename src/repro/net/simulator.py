@@ -36,8 +36,12 @@ implementation.  The load-bearing structures:
 
 * **Packet pool.**  Packets live as integer handles into the parallel
   columns of a :class:`repro.net.packet.PacketPool`; a real ``Packet``
-  object is materialized only at the delivery boundary for the node
-  program.  No per-hop allocation, no attribute dictionaries.
+  object is materialized only at the delivery boundary, and only for a
+  node program whose delivery hook reads it.  A program that inherits
+  :meth:`BaseProgram.on_delivery` unchanged (every direct strategy,
+  :class:`~repro.net.program.ListProgram`) gets that hook's
+  final-destination check on the pool column instead.  No per-hop or
+  per-delivery allocation, no attribute dictionaries.
 
 * **Integer timebase.**  All event times are cycle values scaled by
   ``TICK_SCALE`` = 2**64.  Scaling by a power of two is exact and commutes
@@ -65,9 +69,15 @@ implementation.  The load-bearing structures:
   another.  A per-node bitmask of non-empty ports lets arbitration
   rotate over waiting ports only, via low-bit extraction.
 
-* wrap-aware displacement decisions index precomputed per-axis tables
-  (:mod:`repro.net.displacement`) instead of re-running the mod/halfbits
-  branch cluster on every routing decision.
+* **Route state rides the packet.**  At injection the kernel stores a
+  packet's remaining wrap-aware displacement, tie bits from its
+  ``halfbits`` included, as one mixed-radix index in the pool's ``route``
+  column; each launch adds a per-direction step.  Routing and arbitration
+  read the productive directions, the dimension-order direction and the
+  direction bitmask from three per-shape tables over that index
+  (:mod:`repro.net.displacement`) instead of re-deriving the displacement
+  per axis at every hop and every arbitration probe.  Fault runs route on
+  their BFS tables and never touch the column.
 
 * **One run kernel.**  Every network, pristine or faulty, runs through
   :meth:`TorusNetwork._run_fused`, whose handlers are closures over
@@ -94,7 +104,7 @@ import numpy as np
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.config import NetworkConfig
-from repro.net.displacement import displacement_tables
+from repro.net.displacement import displacement_tables, route_tables
 from repro.net.errors import (
     DeadlockError,
     SimulationError,
@@ -102,7 +112,7 @@ from repro.net.errors import (
 )
 from repro.net.faults import loss_draw
 from repro.net.packet import PacketPool, PacketSpec, RoutingMode
-from repro.net.program import NodeProgram
+from repro.net.program import BaseProgram, NodeProgram
 from repro.net.topology import Topology
 from repro.net.trace import SimStats, SimulationResult
 
@@ -198,8 +208,7 @@ class TorusNetwork:
         "shape", "params", "config", "topo", "stats",
         "_p", "_ndim", "_ndirs", "_nvcs", "_ndyn", "_bubble", "_nfifos",
         "_vc_depth", "_bubble_entry",
-        "_nbr", "_coord", "_colm", "_dims", "_wrap", "_half",
-        "_dtab", "_dirtab",
+        "_nbr", "_coord", "_colm", "_dtab", "_route",
         "_link_busy", "_tokens", "_fifo_free", "_recv_free",
         "_q_buf", "_q_hd", "_q_n", "_q_shift", "_q_mask",
         "_rp_buf", "_rp_hd", "_rp_n", "_rp_shift", "_rp_mask",
@@ -213,7 +222,7 @@ class TorusNetwork:
         "_link_packets", "_program", "_num_links",
         "_pool", "_P_pid", "_P_src", "_P_dst", "_P_wire", "_P_mode",
         "_P_tag", "_P_final", "_P_inject", "_P_hops", "_P_vc", "_P_half",
-        "_P_seq", "_P_down",
+        "_P_seq", "_P_down", "_P_route", "_plain_delivery",
         "_beta", "_hop_latency", "_cpu_fixed", "_cpu_incr", "_alpha",
         "_svc_f", "_svc_t", "_cpu_f", "_cpu_t", "_tbl_len",
         "_hop_t", "_observers",
@@ -253,15 +262,11 @@ class TorusNetwork:
         self._coord: list[list[int]] = [
             self.topo.coords[:, a].tolist() for a in range(self._ndim)
         ]
-        self._dims = shape.dims
-        self._wrap = tuple(shape.wrap_effective(a) for a in range(self._ndim))
-        self._half = tuple(d // 2 for d in shape.dims)
-        # Displacement/direction tables (shared per shape, see
-        # repro.net.displacement) and row-premultiplied coordinates so a
-        # routing decision is two list indexings and an add.
-        dt = displacement_tables(shape)
-        self._dtab = dt.disp
-        self._dirtab = dt.dirs
+        # Displacement and route-state tables (shared per shape, see
+        # repro.net.displacement) and row-premultiplied coordinates, so an
+        # axis' displacement is two list indexings and an add.
+        self._dtab = displacement_tables(shape).disp
+        self._route = route_tables(shape)
         self._colm: list[list[int]] = [
             [c * shape.dims[a] for c in self._coord[a]]
             for a in range(self._ndim)
@@ -348,6 +353,8 @@ class TorusNetwork:
         self._P_half = pool.halfbits
         self._P_seq = pool.seq
         self._P_down = pool.downphase
+        self._P_route = pool.route
+        self._plain_delivery = False
 
         # --- scheduler ------------------------------------------------------
         # Far-future events keyed by tick -> bucket list; a heap orders the
@@ -420,8 +427,8 @@ class TorusNetwork:
         """Grow the per-size cost tables to cover *wire_bytes*.
 
         Every packet passes through the run kernel's ``begin_injection``,
-        whose guard is the single growth site; all other users index
-        blindly."""
+        whose guard (:meth:`_admit`) is the single growth site; all other
+        users index blindly."""
         beta = self._beta
         cf = self._cpu_fixed
         ci = self._cpu_incr
@@ -435,6 +442,23 @@ class TorusNetwork:
             cpu_f.append(c)
             cpu_t.append(c * TICK_SCALE)
         self._tbl_len = wire_bytes + 1
+
+    def _admit(self, u: int, spec: PacketSpec) -> None:
+        """Cold half of ``begin_injection``'s guard: reject a spec the
+        network cannot carry, else grow the cost tables to its size.
+
+        A size below one byte would index the cost tables from the end
+        (or cost nothing), and a destination outside ``[0, p)`` would
+        index the routing tables from the end or past them; both fail
+        here, before the packet exists."""
+        wb = spec.wire_bytes
+        if wb < 1 or not 0 <= spec.dst < self._p:
+            raise SimulationError(
+                f"node {u} injected a malformed packet: dst={spec.dst}, "
+                f"wire_bytes={wb} (dst must be a node in [0, {self._p}) "
+                f"and wire_bytes >= 1)"
+            )
+        self._extend_tables(wb)
 
     # ------------------------------------------------------------------ #
     # public knobs
@@ -478,29 +502,13 @@ class TorusNetwork:
 
         Cold path: only the link-stats observer calls this, to decide
         whether a failed arbitration left a direction-matched head waiting
-        (stall accounting).  The fault-aware subclass overrides it with
-        its distance-table routing truth."""
-        axis = d >> 1
-        halfbits = self._P_half[h]
-        dst = self._P_dst[h]
+        (stall accounting).  It reads the packet's route state; the
+        fault-aware subclass overrides it with its distance-table routing
+        truth."""
+        r = self._P_route[h]
         if self._P_mode[h] == _ADAPTIVE:
-            return d == self._dirtab[axis][(halfbits >> axis) & 1][
-                self._colm[axis][u] + self._coord[axis][dst]
-            ]
-        return self._dor_dir(u, dst, halfbits) == d
-
-    def _dor_dir(self, cur: int, dst: int, halfbits: int) -> int:
-        """Dimension-order next direction, or -1 at destination."""
-        coord = self._coord
-        colm = self._colm
-        dirtab = self._dirtab
-        for axis in range(self._ndim):
-            d = dirtab[axis][(halfbits >> axis) & 1][
-                colm[axis][cur] + coord[axis][dst]
-            ]
-            if d >= 0:
-                return d
-        return -1
+            return bool(self._route.mask[r] >> d & 1)
+        return self._route.dor[r] == d
 
     def _plan_peek(self, u: int) -> Optional[PacketSpec]:
         nxt = self._plan_next[u]
@@ -533,7 +541,12 @@ class TorusNetwork:
 
     def _finish_delivery(self, u: int, h: int) -> None:
         """Record a drained packet, run the program's delivery hook, and
-        retire the handle."""
+        retire the handle.
+
+        Under a program that inherits :meth:`BaseProgram.on_delivery`
+        (:attr:`_plain_delivery`), a final delivery is all that hook
+        accepts and it forwards nothing, so no ``Packet`` is built; a
+        non-final one still goes to the hook, which raises."""
         now = self._now
         now_f = now * TICK_UNSCALE
         st = self.stats
@@ -547,6 +560,9 @@ class TorusNetwork:
             st.final_latency_sum += lat
             if lat > st.final_latency_max:
                 st.final_latency_max = lat
+            if self._plain_delivery:
+                self._pool.free.append(h)
+                return
         else:
             st.forwarded_packets += 1
         assert self._program is not None
@@ -566,6 +582,13 @@ class TorusNetwork:
     def run(self, program: NodeProgram) -> SimulationResult:
         """Execute *program* to quiescence and return the results."""
         self._program = program
+        # Decided once per run: whether the delivery hook is
+        # BaseProgram's own (duck-typed programs keep the general path).
+        self._plain_delivery = (
+            getattr(type(program), "on_delivery", None)
+            is BaseProgram.on_delivery
+            and "on_delivery" not in getattr(program, "__dict__", ())
+        )
         hooks: dict[str, list] = {}
         for ob in self._observers:
             for name, fn in ob.bind(self).items():
@@ -667,8 +690,14 @@ class TorusNetwork:
         nbr = self._nbr
         colm = self._colm
         coord = self._coord
-        dirtab = self._dirtab
         port_axis = self._port_axis
+        rt = self._route
+        r_home = rt.home
+        r_step = rt.step
+        r_off = rt.offset
+        r_prod = rt.prod
+        r_dor = rt.dor
+        r_mask = rt.mask
         tok_evs = self._tok_evs
         fifo_evs = self._fifo_evs
         link_evs = self._link_evs
@@ -681,6 +710,7 @@ class TorusNetwork:
         P_dst = self._P_dst
         P_mode = self._P_mode
         P_half = self._P_half
+        P_route = self._P_route
         P_vc = self._P_vc
         P_hops = self._P_hops
         P_wire = self._P_wire
@@ -701,6 +731,8 @@ class TorusNetwork:
         # network's dedup) or a test's patch of the method takes effect.
         finish_delivery = self._finish_delivery
 
+        p = self._p
+        admit = self._admit
         max_cycles = self.config.max_cycles
         max_events = self.config.max_events
         max_cycles_t = max_cycles * TICK_SCALE
@@ -718,15 +750,6 @@ class TorusNetwork:
                 else:
                     b.append(ev)
 
-        def dor_dir(cur: int, dst: int, halfbits: int) -> int:
-            for axis in range(ndim):
-                d = dirtab[axis][(halfbits >> axis) & 1][
-                    colm[axis][cur] + coord[axis][dst]
-                ]
-                if d >= 0:
-                    return d
-            return -1
-
         def launch(u: int, d: int, v: int, h: int, vc: int) -> None:
             # Start transmitting h from u to v on (d, vc).  The caller
             # already removed the packet from its queue and released its
@@ -735,6 +758,8 @@ class TorusNetwork:
             P_vc[h] = vc
             P_hops[h] += 1
             st.total_hops += 1
+            r = P_route[h] + r_step[d]
+            P_route[h] = r
             wb = P_wire[h]
             done = now + svc_t[wb]
             li = u * ndirs + d
@@ -756,9 +781,9 @@ class TorusNetwork:
             # hop while the body still streams behind it (an unobstructed
             # header races ahead, as on the real torus); the link itself
             # stays busy for the full service time.  On the packet's FINAL
-            # hop the payload is only usable once its tail arrives, so
-            # delivery waits for the tail.
-            arrive = (done if P_dst[h] == v else now) + hop_t
+            # hop (no displacement left) the payload is only usable once
+            # its tail arrives, so delivery waits for the tail.
+            arrive = (done if r == r_home else now) + hop_t
             ev = (1, v, (d ^ 1) * nvcs + vc, h)
             if arrive <= now:
                 imm_append(ev)
@@ -776,23 +801,10 @@ class TorusNetwork:
             # directions).  The caller pops the packet on success.
             nbr_u = nbr[u]
             lbase = u * ndirs
-            dst = P_dst[h]
-            halfbits = P_half[h]
+            r = P_route[h]
             if P_mode[h] == _ADAPTIVE:
                 best_d, best_vc, best_free = -1, -1, 0
-                first_d = -1
-                for axis in range(ndim):
-                    d = dirtab[axis][(halfbits >> axis) & 1][
-                        colm[axis][u] + coord[axis][dst]
-                    ]
-                    if d < 0:
-                        continue
-                    if first_d < 0:
-                        # Same table walked in the same axis order, so the
-                        # first valid direction IS the dimension-order one:
-                        # the bubble fallback below reuses it instead of
-                        # recomputing dor_dir.
-                        first_d = d
+                for d in r_prod[r]:
                     v = nbr_u[d]
                     if v < 0 or link_busy[lbase + d] > now:
                         continue
@@ -804,20 +816,9 @@ class TorusNetwork:
                 if best_d >= 0:
                     launch(u, best_d, nbr_u[best_d], h, best_vc)
                     return True
-                d = first_d
-                if d < 0:
-                    return False
-                v = nbr_u[d]
-                if v < 0 or link_busy[lbase + d] > now:
-                    return False
-                entering = P_vc[h] != bubble or in_axis != (d >> 1)
-                base = (v * ndirs + (d ^ 1)) * nvcs
-                need = bubble_entry if entering else 1
-                if tokens[base + bubble] >= need:
-                    launch(u, d, v, h, bubble)
-                    return True
-                return False
-            d = dor_dir(u, dst, halfbits)
+            # The bubble VC in dimension order: the escape of an adaptive
+            # packet, the only path of a deterministic one.
+            d = r_dor[r]
             if d < 0:
                 return False
             v = nbr_u[d]
@@ -902,11 +903,9 @@ class TorusNetwork:
             m = pmask[u]
             ubase = u * nports
             axis = d >> 1
+            dbit = 1 << d
             base = (v * ndirs + (d ^ 1)) * nvcs
             bubble_tok = tokens[base + bubble]
-            dt_axis = dirtab[axis]
-            colm_u = colm[axis][u]
-            coord_ax = coord[axis]
             start = arb[li]
             b_port = -1
             b_h = -1
@@ -927,21 +926,12 @@ class TorusNetwork:
                     port -= nports
                 qi = ubase + port
                 h = q_buf[(qi << qsh) | q_hd[qi]]
-                dst = P_dst[h]
-                if port < nvp:
-                    if dst == u:
-                        continue  # waiting for reception space
-                    in_axis = port // nvcs >> 1
-                else:
-                    in_axis = -1
-                halfbits = P_half[h]
-                if d != dt_axis[(halfbits >> axis) & 1][
-                    colm_u + coord_ax[dst]
-                ]:
-                    # Not this packet's direction on the link's own axis:
-                    # neither the adaptive pick (productive-direction rule)
-                    # nor the bubble fallback (dor_dir starts with this
-                    # axis' entry) can choose link d.
+                r = P_route[h]
+                if not r_mask[r] & dbit:
+                    # Not one of this packet's productive directions (a
+                    # head waiting for reception space has none): neither
+                    # the adaptive pick nor the bubble fallback can choose
+                    # link d.
                     continue
                 if P_mode[h] == _ADAPTIVE:
                     best, best_free = -1, 0
@@ -952,22 +942,14 @@ class TorusNetwork:
                     if best >= 0:
                         b_port, b_h, b_vc = port, h, best
                         break
-                if b_port < 0:
-                    # dor_dir(u, dst, halfbits) == d iff every earlier axis
-                    # is already aligned (its dirtab entry is -1).
-                    for ax in range(axis):
-                        if dirtab[ax][(halfbits >> ax) & 1][
-                            colm[ax][u] + coord[ax][dst]
-                        ] >= 0:
-                            break
-                    else:
-                        need = (
-                            bubble_entry
-                            if P_vc[h] != bubble or in_axis != axis
-                            else 1
-                        )
-                        if bubble_tok >= need:
-                            b_port, b_h, b_vc = port, h, bubble
+                if b_port < 0 and r_dor[r] == d:
+                    need = (
+                        bubble_entry
+                        if P_vc[h] != bubble or port_axis[port] != axis
+                        else 1
+                    )
+                    if bubble_tok >= need:
+                        b_port, b_h, b_vc = port, h, bubble
             if b_port < 0:
                 return
             port = b_port
@@ -998,8 +980,8 @@ class TorusNetwork:
 
         def begin_injection(u: int, spec, fifo: int, src: int) -> None:
             wb = spec.wire_bytes
-            if wb >= self._tbl_len:
-                self._extend_tables(wb)
+            if not (0 < wb < self._tbl_len and 0 <= spec.dst < p):
+                admit(u, spec)
             fifo_free[u * nfifos + fifo] -= 1
             cost = self._cpu_f[wb] + spec.extra_cpu_cycles
             if spec.new_message:
@@ -1075,7 +1057,6 @@ class TorusNetwork:
             # dynamic VCs, ties in direction order); the escape VC follows
             # up*/down* next hops, where one free slot suffices (the
             # escape channel dependency graph is acyclic, so no bubble).
-            p = self._p
             dist = self._dist
             prod = self._prod
             nh_up = self._nh_up
@@ -1443,6 +1424,17 @@ class TorusNetwork:
                     else:
                         if fault_inject is not None:
                             fault_inject(a, h, spec)
+                        else:
+                            # The route state: the displacement to go, each
+                            # axis' tie bit taken from the packet's halfbits.
+                            dst = spec.dst
+                            hb = P_half[h]
+                            r = r_home
+                            for ax in range(ndim):
+                                r += r_off[ax][(hb >> ax) & 1][
+                                    colm[ax][a] + coord[ax][dst]
+                                ]
+                            P_route[h] = r
                         port = nvp + fifo
                         qi = a * nports + port
                         n = q_n[qi]

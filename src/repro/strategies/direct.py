@@ -18,9 +18,8 @@ differ in routing mode and injection policy:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, Optional
-
-import numpy as np
 
 from repro.model.alltoall import peak_time_cycles, simple_direct_time_cycles
 from repro.model.machine import MachineParams
@@ -35,8 +34,13 @@ from repro.util.validation import require
 class DirectProgram(DirectProgramBase):
     """Node program for all direct variants.
 
-    Packets are generated lazily (one spec object at a time) so that
-    million-packet schedules never materialize in memory.
+    Without ``carry_data`` a spec depends only on its destination and its
+    index in the message, so the program builds one spec per (dst, index)
+    on first use and every node's plan yields those shared objects: a
+    run allocates no spec per packet.  With ``carry_data`` each spec's
+    :class:`ChunkTag` names its source, so specs are built one at a time
+    as the plan is consumed and million-packet schedules never
+    materialize in memory.
     """
 
     def __init__(
@@ -59,16 +63,21 @@ class DirectProgram(DirectProgramBase):
         self.mode = mode
         self._pace = pace
         self._alpha_override = alpha_override
-        self._payload_offsets = np.concatenate(
-            ([0], np.cumsum(self.payload_split[:-1]))
-        ).astype(np.int64)
+        self._payload_offsets = [0, *accumulate(self.payload_split[:-1])]
+        #: ``_shared[dst]``: the message's specs, built on first use
+        #: (``carry_data`` off only).
+        self._shared: Optional[list[tuple[PacketSpec, ...]]] = None
 
-    def _make_spec(self, src: int, dst: int, pkt_idx: int) -> PacketSpec:
+    def _make_spec(
+        self, dst: int, pkt_idx: int, src: int = -1
+    ) -> PacketSpec:
+        """Packet *pkt_idx* of the message to *dst*; with ``carry_data``,
+        its :class:`ChunkTag` names the message's source *src*."""
         payload = self.payload_split[pkt_idx]
         if self.carry_data and payload > 0:
             tag: object = ChunkTag(
                 PHASE_DIRECT,
-                (DataChunk(src, dst, int(self._payload_offsets[pkt_idx]), payload),),
+                (DataChunk(src, dst, self._payload_offsets[pkt_idx], payload),),
             )
         else:
             tag = PHASE_DIRECT
@@ -84,24 +93,32 @@ class DirectProgram(DirectProgramBase):
         )
 
     def injection_plan(self, node: int) -> Iterator[PacketSpec]:
+        # Round-robin over this node's random destination order, k
+        # packets per destination per sweep.  Every message has the same
+        # packet count, so all destinations advance in lockstep: the sweep
+        # starting at packet lo sends packets [lo, lo + k) of each message.
         if node in self.dead_nodes:
             return
-        order = self.destination_order(node)
+        order = self.destination_order(node).tolist()
         npk = len(self.packet_sizes)
         k = self.packets_per_round
-        cursors = np.zeros(len(order), dtype=np.int64)
-        remaining = len(order) * npk
-        while remaining > 0:
-            for di in range(len(order)):
-                c = int(cursors[di])
-                take = min(k, npk - c)
-                if take <= 0:
-                    continue
-                dst = int(order[di])
-                for i in range(take):
-                    yield self._make_spec(node, dst, c + i)
-                cursors[di] = c + take
-                remaining -= take
+        if self.carry_data:
+            for lo in range(0, npk, k):
+                idx = range(lo, min(lo + k, npk))
+                for dst in order:
+                    for i in idx:
+                        yield self._make_spec(dst, i, node)
+            return
+        shared = self._shared
+        if shared is None:
+            shared = self._shared = [
+                tuple(self._make_spec(dst, i) for i in range(npk))
+                for dst in range(self.shape.nnodes)
+            ]
+        for lo in range(0, npk, k):
+            hi = lo + k
+            for dst in order:
+                yield from shared[dst][lo:hi]
 
     def expected_final_deliveries(self) -> int:
         a = self.alive_count()

@@ -15,6 +15,7 @@ from repro.net import (
     NetworkConfig,
     PacketSpec,
     RoutingMode,
+    SimulationError,
     SimulationLimitError,
     TorusNetwork,
 )
@@ -349,3 +350,71 @@ class TestForwarding:
         assert res.final_deliveries == 5
         assert res.forwarded_packets == 5
         assert res.injected_packets == 10  # 5 original + 5 re-injected
+
+
+class TestMalformedTraffic:
+    """Specs the network cannot carry fail at injection, naming the node,
+    the destination and the size."""
+
+    @pytest.mark.parametrize(
+        "dst, wire_bytes",
+        [(1, -5), (1, 0), (-1, 64), (9, 64)],
+        ids=["negative-size", "zero-size", "negative-dst", "dst-past-end"],
+    )
+    def test_bad_spec_raises_at_injection(self, dst, wire_bytes):
+        shape = TorusShape.parse("4")
+        prog = ListProgram(
+            [[], [], [PacketSpec(dst=dst, wire_bytes=wire_bytes)], []]
+        )
+        with pytest.raises(SimulationError) as exc_info:
+            TorusNetwork(shape).run(prog)
+        assert type(exc_info.value) is SimulationError
+        msg = str(exc_info.value)
+        assert "node 2" in msg
+        assert f"dst={dst}" in msg
+        assert f"wire_bytes={wire_bytes}" in msg
+
+
+class _Proxy:
+    """A duck-typed program: forwards everything to a wrapped program,
+    so its class does not inherit ``BaseProgram.on_delivery``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestNonForwardingDelivery:
+    """``BaseProgram.on_delivery`` rejects a non-final delivery, on the
+    plain path (no ``Packet`` built) and through a duck-typed program."""
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["plain", "proxy"])
+    def test_non_final_delivery_raises(self, wrap):
+        shape = TorusShape.parse("4")
+        spec = PacketSpec(dst=1, wire_bytes=64, final_dst=3)
+        prog = ListProgram([[spec], [], [], []])
+        net = TorusNetwork(shape)
+        with pytest.raises(RuntimeError, match=(
+            r"non-final packet delivered to node 1 under a non-forwarding "
+            r"program \(final_dst=3\)"
+        )):
+            net.run(_Proxy(prog) if wrap else prog)
+        assert net._plain_delivery is not wrap
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["plain", "proxy"])
+    def test_final_deliveries_agree_across_paths(self, wrap):
+        from repro.strategies import ARDirect
+
+        shape = TorusShape.parse("4x2")
+        prog = ARDirect().build_program(shape, 500, seed=3)
+        net = TorusNetwork(shape)
+        res = net.run(_Proxy(prog) if wrap else prog)
+        ref = TorusNetwork(shape).run(ARDirect().build_program(shape, 500, seed=3))
+        assert net._plain_delivery is not wrap
+        assert (res.time_cycles, res.events_processed, res.final_deliveries) == (
+            ref.time_cycles,
+            ref.events_processed,
+            ref.final_deliveries,
+        )

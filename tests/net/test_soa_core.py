@@ -75,7 +75,15 @@ class TestPacketPool:
         pool = PacketPool(2)
         # The simulator hoists column references once, at construction.
         src_col, dst_col, tag_col = pool.src, pool.dst, pool.tag
-        handles = [pool.alloc(i, i, _spec(dst=i + 10), 0.0) for i in range(5)]
+        route_col = pool.route
+        handles = []
+        for i in range(5):
+            h = pool.alloc(i, i, _spec(dst=i + 10), 0.0)
+            # The kernel sets the route state right after alloc, through
+            # its hoisted reference; values written before a growth must
+            # survive it.
+            route_col[h] = 100 + i
+            handles.append(h)
         # 2 -> 4 -> 8: two doublings to satisfy the fifth allocation.
         assert pool.capacity == 8
         assert pool.live == 5
@@ -84,10 +92,13 @@ class TestPacketPool:
         assert pool.src is src_col
         assert pool.dst is dst_col
         assert pool.tag is tag_col
+        assert pool.route is route_col
+        assert len(route_col) == pool.capacity
         assert len(handles) == len(set(handles))
         for i, h in enumerate(handles):
             assert src_col[h] == i
             assert dst_col[h] == i + 10
+            assert route_col[h] == 100 + i
 
     def test_regrowth_preserves_free_list_integrity(self):
         pool = PacketPool(1)

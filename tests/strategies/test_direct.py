@@ -5,7 +5,9 @@ import pytest
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.packet import RoutingMode
+from repro.net.faults import FaultPlan
+from repro.net.packet import PacketSpec, RoutingMode
+from repro.strategies.data import PHASE_DIRECT, ChunkTag, DataChunk
 from repro.strategies.direct import ARDirect, DRDirect, MPIDirect, ThrottledAR
 
 
@@ -146,3 +148,119 @@ class TestPrediction:
         assert MPIDirect().predict_cycles(shape, 64, bgl) > ARDirect().predict_cycles(
             shape, 64, bgl
         )
+
+
+def reference_plan(prog, node):
+    """The numpy-cursor plan the shared-spec plan replaced, verbatim in
+    its order and values: a fresh spec per packet, cursors per
+    destination advanced by up to ``packets_per_round`` per sweep."""
+    if node in prog.dead_nodes:
+        return
+    offsets = np.concatenate(
+        ([0], np.cumsum(prog.payload_split[:-1]))
+    ).astype(np.int64)
+
+    def make_spec(src, dst, pkt_idx):
+        payload = prog.payload_split[pkt_idx]
+        if prog.carry_data and payload > 0:
+            tag = ChunkTag(
+                PHASE_DIRECT,
+                (DataChunk(src, dst, int(offsets[pkt_idx]), payload),),
+            )
+        else:
+            tag = PHASE_DIRECT
+        return PacketSpec(
+            dst=dst,
+            wire_bytes=prog.packet_sizes[pkt_idx],
+            mode=prog.mode,
+            new_message=(pkt_idx == 0),
+            tag=tag,
+            final_dst=dst,
+            payload_bytes=payload,
+            alpha_cycles=prog._alpha_override,
+        )
+
+    order = prog.destination_order(node)
+    npk = len(prog.packet_sizes)
+    k = prog.packets_per_round
+    cursors = np.zeros(len(order), dtype=np.int64)
+    remaining = len(order) * npk
+    while remaining > 0:
+        for di in range(len(order)):
+            c = int(cursors[di])
+            take = min(k, npk - c)
+            if take <= 0:
+                continue
+            dst = int(order[di])
+            for i in range(take):
+                yield make_spec(node, dst, c + i)
+            cursors[di] = c + take
+            remaining -= take
+
+
+DIRECT = {
+    "AR": ARDirect,
+    "DR": DRDirect,
+    "AR-throttle": ThrottledAR,
+    "MPI": MPIDirect,
+}
+
+
+def _program(name, shape, m, k, carry_data, faults=None):
+    strategy = DIRECT[name]()
+    strategy.packets_per_round = k
+    return strategy.build_program(
+        shape, m, seed=5, carry_data=carry_data, faults=faults
+    )
+
+
+class TestSharedSpecPlan:
+    """The shared-spec plan yields what the numpy-cursor plan yielded."""
+
+    @pytest.mark.parametrize("carry_data", [False, True], ids=["plain", "data"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m, npk", [(64, 1), (500, 3), (4000, 16)])
+    @pytest.mark.parametrize("name", sorted(DIRECT))
+    def test_matches_reference_plan(self, name, m, npk, k, carry_data):
+        shape = TorusShape.parse("3x2")
+        prog = _program(name, shape, m, k, carry_data)
+        assert len(prog.packet_sizes) == npk
+        for node in range(shape.nnodes):
+            got = list(prog.injection_plan(node))
+            assert got == list(reference_plan(prog, node))
+            assert len(got) == (shape.nnodes - 1) * npk
+
+    @pytest.mark.parametrize("carry_data", [False, True], ids=["plain", "data"])
+    @pytest.mark.parametrize("name", sorted(DIRECT))
+    def test_matches_reference_plan_around_dead_nodes(self, name, carry_data):
+        shape = TorusShape.parse("4x2")
+        plan = FaultPlan(dead_nodes=frozenset({2, 5}))
+        prog = _program(name, shape, 500, 2, carry_data, faults=plan)
+        for node in range(shape.nnodes):
+            got = list(prog.injection_plan(node))
+            assert got == list(reference_plan(prog, node))
+            if node in plan.dead_nodes:
+                assert got == []
+            else:
+                assert not {s.dst for s in got} & plan.dead_nodes
+                assert len(got) == 5 * 3
+
+    def test_plain_specs_are_shared_across_nodes(self, shape, bgl):
+        prog = ARDirect().build_program(shape, 500, bgl)
+        seen = {}
+        for node in range(shape.nnodes):
+            per_dst = {}
+            for spec in prog.injection_plan(node):
+                idx = per_dst.get(spec.dst, 0)
+                per_dst[spec.dst] = idx + 1
+                first = seen.setdefault((spec.dst, idx), spec)
+                assert first is spec
+        assert len(seen) == shape.nnodes * 3
+
+    def test_data_specs_name_their_source(self, shape, bgl):
+        prog = ARDirect().build_program(shape, 500, bgl, carry_data=True)
+        for node in range(shape.nnodes):
+            for spec in prog.injection_plan(node):
+                assert isinstance(spec.tag, ChunkTag)
+                assert [c.src for c in spec.tag.chunks] == [node]
+                assert [c.dst for c in spec.tag.chunks] == [spec.dst]

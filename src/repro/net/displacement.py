@@ -28,10 +28,12 @@ carries its remaining signed displacement with it: one mixed-radix index
 whose digit on axis *a* is ``disp_a + reach_a`` (``reach_a`` is the
 largest ``|disp|`` the axis allows; axis 0 is the least significant
 digit).  The index is fixed at injection from the displacement tables,
-halfbits included, and each hop adds the per-direction :attr:`~RouteTables.step`
-— a hop in ``+`` on axis *a* lowers that axis' displacement by one.  Every
-minimal hop leaves exactly the displacement the tables give from the next
-node, so the route state never drifts from a recomputation.  Routing
+halfbits included, and each hop adds the per-direction
+:attr:`RouteTables.step` (a hop in ``+`` on axis *a* lowers that axis'
+displacement by one).  After one minimal hop an axis' displacement is
+below half its extent, where the minimal representative is unique, so
+the route state always equals what the tables give from the packet's
+current node.  Routing
 decisions then read three tables over the index space
 (``prod(2 * reach_a + 1)`` entries, 729 at 8x8x8): the productive
 directions, the dimension-order direction and the productive-direction
@@ -127,8 +129,8 @@ class RouteTables:
     offset:
         ``offset[axis][halfbit][ccur * n + cdst]`` -> that axis' term of the
         index, ``disp * stride[axis]``; an injection sums the axes' terms
-        onto :attr:`home`.  Halfbit variants share lists as in
-        :class:`DisplacementTables`.
+        onto :attr:`home`.  Halfbit variants share one tuple where
+        :class:`DisplacementTables` shares one list.
     prod:
         ``prod[r]`` -> tuple of the productive directions, in axis order.
     dor:
@@ -155,26 +157,25 @@ class RouteTables:
         self.reach = reach
         self.stride = tuple(stride)
         self.home = sum(r * s for r, s in zip(reach, stride))
-        self.step = tuple(
-            s * sign for s in stride for sign in (-1, 1)
-        )
+        self.step = tuple(s * sign for s in stride for sign in (-1, 1))
+        # Tuples, not lists: every network of the shape shares them.
         offset = []
         for axis, (t0, t1) in enumerate(disp):
             s = stride[axis]
-            o0 = [x * s for x in t0]
-            o1 = o0 if t1 is t0 else [x * s for x in t1]
+            o0 = tuple(x * s for x in t0)
+            o1 = o0 if t1 is t0 else tuple(x * s for x in t1)
             offset.append((o0, o1))
         self.offset = tuple(offset)
-        prod: list[tuple[int, ...]] = []
-        for r in range(size):
-            dirs = []
-            for axis, d in enumerate(self.decode(r)):
-                if d:
-                    dirs.append(2 * axis + (0 if d > 0 else 1))
-            prod.append(tuple(dirs))
-        self.prod = prod
-        self.dor = [dirs[0] if dirs else -1 for dirs in prod]
-        self.mask = [sum(1 << d for d in dirs) for dirs in prod]
+        self.prod = tuple(
+            tuple(
+                2 * axis + (0 if d > 0 else 1)
+                for axis, d in enumerate(self.decode(r))
+                if d
+            )
+            for r in range(size)
+        )
+        self.dor = tuple(dirs[0] if dirs else -1 for dirs in self.prod)
+        self.mask = tuple(sum(1 << d for d in dirs) for dirs in self.prod)
 
     def encode(self, disps) -> int:
         """Route index of the per-axis displacements *disps*."""

@@ -656,7 +656,9 @@ class TorusNetwork:
         nports = self._nports
         nvp = self._nvp
         nvcs = self._nvcs
-        ndyn = self._ndyn
+        # The dynamic VCs as a tuple: iterating it skips building a range
+        # object per JSQ probe.
+        dyn_vcs = tuple(range(self._ndyn))
         ndirs = self._ndirs
         ndim = self._ndim
         nfifos = self._nfifos
@@ -804,12 +806,15 @@ class TorusNetwork:
             r = P_route[h]
             if P_mode[h] == _ADAPTIVE:
                 best_d, best_vc, best_free = -1, -1, 0
+                # A productive direction always has a neighbor (a mesh
+                # edge never points toward a destination), so only the
+                # link's busy horizon gates it.
                 for d in r_prod[r]:
-                    v = nbr_u[d]
-                    if v < 0 or link_busy[lbase + d] > now:
+                    if link_busy[lbase + d] > now:
                         continue
+                    v = nbr_u[d]
                     base = (v * ndirs + (d ^ 1)) * nvcs
-                    for vc in range(ndyn):
+                    for vc in dyn_vcs:
                         f = tokens[base + vc]
                         if f > best_free:
                             best_d, best_vc, best_free = d, vc, f
@@ -819,11 +824,9 @@ class TorusNetwork:
             # The bubble VC in dimension order: the escape of an adaptive
             # packet, the only path of a deterministic one.
             d = r_dor[r]
-            if d < 0:
+            if d < 0 or link_busy[lbase + d] > now:
                 return False
             v = nbr_u[d]
-            if v < 0 or link_busy[lbase + d] > now:
-                return False
             entering = P_vc[h] != bubble or in_axis != (d >> 1)
             base = (v * ndirs + (d ^ 1)) * nvcs
             need = bubble_entry if entering else 1
@@ -935,7 +938,7 @@ class TorusNetwork:
                     continue
                 if P_mode[h] == _ADAPTIVE:
                     best, best_free = -1, 0
-                    for vc in range(ndyn):
+                    for vc in dyn_vcs:
                         f = tokens[base + vc]
                         if f > best_free:
                             best, best_free = vc, f
@@ -1160,7 +1163,7 @@ class TorusNetwork:
                         if link_busy[lbase + d] > now:
                             continue
                         base = (nbr_u[d] * ndirs + (d ^ 1)) * nvcs
-                        for vc in range(ndyn):
+                        for vc in dyn_vcs:
                             f = tokens[base + vc]
                             if f > best_free:
                                 best_d, best_vc, best_free = d, vc, f
@@ -1215,7 +1218,7 @@ class TorusNetwork:
                         dv = dist[db + v]
                         if 0 <= dv < dist[db + u]:
                             best, best_free = -1, 0
-                            for vc in range(ndyn):
+                            for vc in dyn_vcs:
                                 f = tokens[base + vc]
                                 if f > best_free:
                                     best, best_free = vc, f

@@ -189,7 +189,12 @@ def test_route_direction_tables_match_decoded_displacement(spec: str) -> None:
 
 @pytest.mark.parametrize(
     "spec, reach",
-    [("8", (4,)), ("5x3", (2, 1)), ("4Mx4x2", (3, 2, 1)), ("1x4x3", (0, 2, 1))],
+    [
+        ("8", (4,)),
+        ("5x3", (2, 1)),
+        ("4Mx4x2", (3, 2, 1)),
+        ("1x4x3", (0, 2, 1)),
+    ],
 )
 def test_route_reach_per_axis_kind(spec: str, reach: tuple) -> None:
     assert RouteTables(TorusShape.parse(spec)).reach == reach
@@ -220,8 +225,9 @@ class _RouteAudit(SimObserver):
         P_route, P_dst, P_half = net._P_route, net._P_dst, net._P_half
 
         def launch(u, d, v, h, vc, now, busy0, flags):
+            here, dst = coords[v], coords[P_dst[h]]
             want = tuple(
-                tabs.displacement(a, coords[v][a], coords[P_dst[h]][a], P_half[h])
+                tabs.displacement(a, here[a], dst[a], P_half[h])
                 for a in range(shape.ndim)
             )
             assert rt.decode(P_route[h]) == want, (u, d, v, h)

@@ -214,10 +214,13 @@ def _program(name, shape, m, k, carry_data, faults=None):
     )
 
 
+CARRY, CARRY_IDS = [False, True], ["plain", "data"]
+
+
 class TestSharedSpecPlan:
     """The shared-spec plan yields what the numpy-cursor plan yielded."""
 
-    @pytest.mark.parametrize("carry_data", [False, True], ids=["plain", "data"])
+    @pytest.mark.parametrize("carry_data", CARRY, ids=CARRY_IDS)
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m, npk", [(64, 1), (500, 3), (4000, 16)])
     @pytest.mark.parametrize("name", sorted(DIRECT))
@@ -230,7 +233,7 @@ class TestSharedSpecPlan:
             assert got == list(reference_plan(prog, node))
             assert len(got) == (shape.nnodes - 1) * npk
 
-    @pytest.mark.parametrize("carry_data", [False, True], ids=["plain", "data"])
+    @pytest.mark.parametrize("carry_data", CARRY, ids=CARRY_IDS)
     @pytest.mark.parametrize("name", sorted(DIRECT))
     def test_matches_reference_plan_around_dead_nodes(self, name, carry_data):
         shape = TorusShape.parse("4x2")

@@ -33,9 +33,8 @@ halfbits included, and each hop adds the per-direction
 displacement by one).  After one minimal hop an axis' displacement is
 below half its extent, where the minimal representative is unique, so
 the route state always equals what the tables give from the packet's
-current node.  Routing
-decisions then read three tables over the index space
-(``prod(2 * reach_a + 1)`` entries, 729 at 8x8x8): the productive
+current node.  Routing decisions then read three tables over the index
+space (``prod(2 * reach_a + 1)`` entries, 729 at 8x8x8): the productive
 directions, the dimension-order direction and the productive-direction
 bitmask.
 
@@ -176,10 +175,6 @@ class RouteTables:
         )
         self.dor = tuple(dirs[0] if dirs else -1 for dirs in self.prod)
         self.mask = tuple(sum(1 << d for d in dirs) for dirs in self.prod)
-
-    def encode(self, disps) -> int:
-        """Route index of the per-axis displacements *disps*."""
-        return self.home + sum(d * s for d, s in zip(disps, self.stride))
 
     def decode(self, r: int) -> tuple[int, ...]:
         """Per-axis signed displacements of route index *r*."""

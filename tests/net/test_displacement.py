@@ -16,7 +16,6 @@ import pytest
 from repro.api import simulate_alltoall
 from repro.model.torus import TorusShape
 from repro.net import build_network
-from repro.net.simulator import SimObserver
 from repro.net.displacement import (
     DisplacementTables,
     RouteTables,
@@ -24,6 +23,7 @@ from repro.net.displacement import (
     reference_displacement,
     route_tables,
 )
+from repro.net.simulator import SimObserver
 from repro.strategies import ARDirect, DRDirect
 
 #: Every axis kind the tables distinguish: even torus (tie bits), odd
@@ -163,7 +163,6 @@ def test_route_offsets_decode_to_reference(spec: str) -> None:
                     for a in range(shape.ndim)
                 )
                 assert rt.decode(r) == want, (spec, hbits, src, dst)
-                assert rt.encode(want) == r
 
 
 @pytest.mark.parametrize("spec", ROUTE_SHAPES)

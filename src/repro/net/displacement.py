@@ -118,16 +118,16 @@ class RouteTables:
     Attributes
     ----------
     reach:
-        Per axis, the largest ``|disp|`` a packet can carry on it.
-    stride:
-        Per axis, the index weight of one unit of displacement.
+        Per axis, the largest ``|disp|`` a packet can carry on it; one
+        unit of axis *a*'s displacement weighs ``prod(2 * reach_b + 1)``
+        over the axes ``b < a``.
     home:
         The index of the all-zero displacement (the packet has arrived).
     step:
         ``step[d]`` is added to the index by a hop in direction *d*.
     offset:
         ``offset[axis][halfbit][ccur * n + cdst]`` -> that axis' term of the
-        index, ``disp * stride[axis]``; an injection sums the axes' terms
+        index, ``disp`` times the axis' weight; an injection sums the terms
         onto :attr:`home`.  Halfbit variants share one tuple where
         :class:`DisplacementTables` shares one list.
     prod:
@@ -140,7 +140,7 @@ class RouteTables:
     """
 
     __slots__ = (
-        "shape", "reach", "stride", "home", "step", "offset",
+        "shape", "reach", "home", "step", "offset",
         "prod", "dor", "mask",
     )
 
@@ -154,7 +154,6 @@ class RouteTables:
             stride.append(size)
             size *= 2 * r + 1
         self.reach = reach
-        self.stride = tuple(stride)
         self.home = sum(r * s for r, s in zip(reach, stride))
         self.step = tuple(s * sign for s in stride for sign in (-1, 1))
         # Tuples, not lists: every network of the shape shares them.

@@ -5,6 +5,8 @@ pipelining, token flow control, local delivery, deterministic vs adaptive
 routing, FIFO reservation groups, pacing, and error detection.
 """
 
+import itertools
+
 import pytest
 
 from repro.model.machine import MachineParams
@@ -20,6 +22,7 @@ from repro.net import (
     TorusNetwork,
 )
 from repro.net.program import BaseProgram
+from repro.runner.supervise import watchdog
 
 
 def ideal_params(**over):
@@ -302,6 +305,29 @@ class TestLimits:
         msg = str(err)
         assert "events_processed=" in msg
         assert "packets_in_flight=" in msg
+
+    def test_tick_that_never_ends_trips_the_event_budget(self):
+        # Self-messages never touch the network, and with free CPU ops
+        # every injection completes at the tick it starts: an endless
+        # plan grows one tick without bound.  The budget must still trip
+        # (a loop that checked it only at tick ends would never return);
+        # the watchdog turns such a hang into a failure.
+        class Endless(BaseProgram):
+            def injection_plan(self, node):
+                if node == 0:
+                    return itertools.repeat(PacketSpec(dst=0, wire_bytes=64))
+                return iter(())
+
+            def expected_final_deliveries(self):
+                return 0
+
+        prm = ideal_params(cpu_links=float("inf"))
+        cfg = NetworkConfig.from_machine(prm, max_events=10_000)
+        net = TorusNetwork(TorusShape.parse("4"), prm, cfg)
+        with watchdog(20.0, "endless-tick run"):
+            with pytest.raises(SimulationLimitError) as ei:
+                net.run(Endless())
+        assert ei.value.events_processed > 10_000
 
 
 class TestDeterminism:

@@ -51,23 +51,34 @@ implementation.  The load-bearing structures:
   Unscaling by ``TICK_UNSCALE`` at the result boundary reproduces the
   historical floats bit for bit.
 
-* **Calendar-queue scheduler.**  Events at the same tick share a bucket
-  (``dict`` keyed by tick); a heap orders only the *distinct* pending
-  ticks.  When time advances, the whole bucket is drained into the
-  immediate FIFO and consumed in posting order, which reproduces the
-  global (time, seq) order of a plain heap without storing sequence
-  numbers at all (events posted while processing tick T land either in
-  the FIFO, behind the bucket's remains, or in strictly later buckets).
+* **Calendar-queue scheduler, one list per tick.**  Events at the same
+  tick share a bucket (``dict`` keyed by tick); a heap orders only the
+  *distinct* pending ticks.  When time advances, the tick's bucket
+  becomes the current list, which the kernel iterates with a plain
+  ``for`` loop while handlers append same-tick events to its tail.  That
+  reproduces the global (time, seq) order of a plain heap without
+  storing sequence numbers at all (events posted while processing tick T
+  land either at the tail of T's list or in strictly later buckets), and
+  costs no per-event pop, counter or limit test: the event count grows
+  by each list's length, the cycle budget is checked as time advances
+  and the event budget as a tick ends (and on the zero-delay posting
+  path, the one way a tick can grow without bound).
 
 * **Interned events.**  Five of the six event kinds are per-entity
   constants — ``(kind, a, b, c)`` tuples built once at construction —
-  so posting them allocates nothing.  Only ARRIVE carries a per-flight
-  payload (destination, input port, packet handle).
+  so posting them allocates nothing.  LINK_FREE carries its node and
+  link index, TOKEN its credit counter and upstream node and link (-1
+  at a mesh edge), so neither handler re-derives a link from the
+  neighbor table.  Only ARRIVE carries a per-flight payload
+  (destination, input port, packet handle).
 
 * **Flat ring buffers + port bitmask.**  VC queues and injection FIFOs
   are fixed-stride rings over one flat list; reception FIFOs over
   another.  A per-node bitmask of non-empty ports lets arbitration
-  rotate over waiting ports only, via low-bit extraction.
+  rotate over waiting ports only, via low-bit extraction.  As on the
+  BG/L router, a header reaching an empty VC buffer (bound elsewhere)
+  or a packet injected into an empty FIFO tries its links first; only
+  one that cannot launch touches a ring.
 
 * **Route state rides the packet.**  At injection the kernel stores a
   packet's remaining wrap-aware displacement, tie bits from its
@@ -86,8 +97,8 @@ implementation.  The load-bearing structures:
   :class:`SimObserver` s whose hooks the kernel calls after each step;
   no layer subclasses or overrides the network.
 
-``tests/net`` pins the semantics; the golden trace, the fault golden and
-the differential harness pin bit-identity.
+``tests/net`` pins the semantics; the pristine, fault and observed-payload
+goldens, the golden trace and the differential harness pin bit-identity.
 """
 
 from __future__ import annotations
@@ -212,7 +223,7 @@ class TorusNetwork:
         "_link_busy", "_tokens", "_fifo_free", "_recv_free",
         "_q_buf", "_q_hd", "_q_n", "_q_shift", "_q_mask",
         "_rp_buf", "_rp_hd", "_rp_n", "_rp_shift", "_rp_mask",
-        "_cpu_active", "_cpu_rr", "_cpu_pending",
+        "_cpu_active", "_cpu_rr", "_cpu_pending", "_cpu_slot",
         "_fwd_pending", "_plan_next", "_plan_iter", "_plan_last_start",
         "_pace", "_fifo_rr", "_ngroups",
         "_arb", "_nports", "_nvp", "_queued", "_pmask",
@@ -320,7 +331,11 @@ class TorusNetwork:
         # --- CPU state ----------------------------------------------------
         self._cpu_active: list[bool] = [False] * p
         self._cpu_rr: list[int] = [0] * p
-        self._cpu_pending: list[Optional[tuple]] = [None] * p
+        # The op a busy CPU is running: an injection's spec, or None for
+        # a reception; _cpu_slot holds the injection's reserved FIFO or
+        # the received handle.
+        self._cpu_pending: list[Optional[PacketSpec]] = [None] * p
+        self._cpu_slot: list[int] = [0] * p
         self._fwd_pending: list[deque[PacketSpec]] = [deque() for _ in range(p)]
         self._plan_next: list[Optional[PacketSpec]] = [None] * p
         self._plan_iter: list[Optional[Iterator[PacketSpec]]] = [None] * p
@@ -357,12 +372,12 @@ class TorusNetwork:
         self._plain_delivery = False
 
         # --- scheduler ------------------------------------------------------
-        # Far-future events keyed by tick -> bucket list; a heap orders the
-        # distinct pending ticks.  Events at (or before) the current tick
-        # go straight to the immediate FIFO.
+        # Future events keyed by tick -> bucket list; a heap orders the
+        # distinct pending ticks.  Events posted at (or before) the start
+        # tick wait in _immediate, the run kernel's first tick list.
         self._buckets: dict[float, list[tuple]] = {}
         self._theap: list[float] = []
-        self._immediate: deque[tuple] = deque()
+        self._immediate: list[tuple] = []
         self._now = 0.0
         self._pid = itertools.count()
         self._busy_cycles: list[float] = [0.0] * (p * ndirs)
@@ -395,8 +410,11 @@ class TorusNetwork:
             for u in range(p)
             for f in range(self._nfifos)
         ]
+        # A LINK_FREE event carries its node and its link index.
         self._link_evs: list[tuple] = [
-            (_EV_LINK_FREE, u, d, 0) for u in range(p) for d in range(ndirs)
+            (_EV_LINK_FREE, u, u * ndirs + d, 0)
+            for u in range(p)
+            for d in range(ndirs)
         ]
         self._cpu_evs: list[tuple] = [(_EV_CPU_DONE, u, 0, 0) for u in range(p)]
         self._wake_evs: list[tuple] = [(_EV_CPU_WAKE, u, 0, 0) for u in range(p)]
@@ -407,20 +425,22 @@ class TorusNetwork:
     def _build_token_events(self) -> None:
         """(Re)build the interned TOKEN events.
 
-        ``_tok_evs[ti]`` returns a credit to ``_tokens[ti]`` (same flat
-        index) and pokes the upstream neighbor's arbitration; the
-        fault-aware subclass re-calls this after masking dead links out
-        of the neighbor table, since the upstream node is baked in."""
+        ``_tok_evs[ti]`` is ``(TOKEN, ti, w, li)``: it returns a credit to
+        ``_tokens[ti]`` (same flat index) and pokes the arbitration of the
+        upstream link ``li`` of node ``w`` (both -1 where no link feeds
+        the buffer).  The fault-aware subclass re-calls this after
+        masking dead links out of the neighbor table, since the upstream
+        link is baked in."""
         ndirs, nvcs = self._ndirs, self._nvcs
         evs = []
         for u in range(self._p):
             nbr_u = self._nbr[u]
             for ind in range(ndirs):
                 w = nbr_u[ind]
-                bd = ind ^ 1
+                uli = w * ndirs + (ind ^ 1) if w >= 0 else -1
                 base = (u * ndirs + ind) * nvcs
                 for vc in range(nvcs):
-                    evs.append((_EV_TOKEN, base + vc, w, bd))
+                    evs.append((_EV_TOKEN, base + vc, w, uli))
         self._tok_evs = evs
 
     def _extend_tables(self, wire_bytes: int) -> None:
@@ -484,8 +504,8 @@ class TorusNetwork:
     # ------------------------------------------------------------------ #
 
     def _post_ev(self, t: float, ev: tuple) -> None:
-        """Schedule *ev* at tick *t* (immediate FIFO if not in the
-        future, else the calendar bucket for *t*)."""
+        """Schedule *ev* at tick *t* before the run (the start tick's
+        list if not in the future, else the calendar bucket for *t*)."""
         if t <= self._now:
             self._immediate.append(ev)
         else:
@@ -522,22 +542,6 @@ class TorusNetwork:
                 return None
             self._plan_next[u] = nxt
         return nxt
-
-    def _pick_fifo(self, u: int, group: int) -> int:
-        """Round-robin over the FIFOs of *group* with a free slot (-1 if
-        none).  Groups partition FIFOs by index modulo the group count."""
-        nf = self._nfifos
-        want = group % self._ngroups
-        base = self._fifo_rr[u]
-        fbase = u * nf
-        for k in range(nf):
-            f = base + k
-            if f >= nf:
-                f -= nf
-            if f % self._ngroups == want and self._fifo_free[fbase + f] > 0:
-                self._fifo_rr[u] = f + 1 if f + 1 < nf else 0
-                return f
-        return -1
 
     def _finish_delivery(self, u: int, h: int) -> None:
         """Record a drained packet, run the program's delivery hook, and
@@ -640,18 +644,21 @@ class TorusNetwork:
         no observer, each hook site costs one ``is not None`` test (or
         nothing, where the hook wraps a closure).  Faithfulness is pinned
         by the observed-vs-plain bit-identity tests plus the golden trace,
-        the fault golden and the differential suites."""
+        the fault golden, the observed-payload golden and the
+        differential suites."""
         st = self.stats
-        imm = self._immediate
-        imm_pop = imm.popleft
-        imm_append = imm.append
-        imm_extend = imm.extend
         theap = self._theap
         buckets = self._buckets
         bucket_pop = buckets.pop
         bucket_get = buckets.get
         tick_pop = heappop
         tick_push = heappush
+        # The event list of the current tick, in posting order.  The loop
+        # below iterates it while handlers append same-tick events to it
+        # through ``imm_append``, which is rebound as each tick starts.
+        # The first list holds what was posted before the run.
+        tick = self._immediate
+        imm_append = tick.append
 
         nports = self._nports
         nvp = self._nvp
@@ -707,7 +714,22 @@ class TorusNetwork:
         wake_evs = self._wake_evs
         svc_f = self._svc_f
         svc_t = self._svc_t
+        cpu_f = self._cpu_f
         cpu_tt = self._cpu_t
+        tbl_len = self._tbl_len
+        alpha = self._alpha
+
+        # Link-indexed tables over li = u * ndirs + d, built from the
+        # current neighbor table (a fault plan's dead links are masked
+        # out of it): the node link li reaches, and the first credit
+        # counter of the VC buffer it feeds (-1 for a missing or dead
+        # link).  aport[d] is the first input port of an arrival over d.
+        lnbr = [v for row in nbr for v in row]
+        tdown = [
+            (v * ndirs + (li % ndirs ^ 1)) * nvcs if v >= 0 else -1
+            for li, v in enumerate(lnbr)
+        ]
+        aport = [(d ^ 1) * nvcs for d in range(ndirs)]
 
         P_dst = self._P_dst
         P_mode = self._P_mode
@@ -720,15 +742,37 @@ class TorusNetwork:
         cpu_active = self._cpu_active
         cpu_rr = self._cpu_rr
         cpu_pending = self._cpu_pending
+        cpu_slot = self._cpu_slot
+        # cpu_order[rr]: the CPU's work sources (reception, forwarding,
+        # plan) in round-robin order from rr; a source that starts an op
+        # leaves rr one past itself, so 3 wraps to 0.
+        cpu_order = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2))
         fwd_pending = self._fwd_pending
         plan_next = self._plan_next
         plan_iter = self._plan_iter
         plan_last_start = self._plan_last_start
         pace = self._pace
+        fifo_rr = self._fifo_rr
+
+        # Injection FIFO groups partition the FIFOs by index modulo the
+        # group count.  fifo_rot[g][s] lists group g's FIFOs in rotation
+        # order from pointer s; fifo_next[f] is the pointer after f.
+        ngroups = self._ngroups
+        fifo_rot = [
+            [
+                tuple(
+                    f
+                    for f in ((s + k) % nfifos for k in range(nfifos))
+                    if f % ngroups == g
+                )
+                for s in range(nfifos)
+            ]
+            for g in range(ngroups)
+        ]
+        fifo_next = [(f + 1) % nfifos for f in range(nfifos)]
 
         alloc = self._pool.alloc
         pid_next = self._pid.__next__
-        pick_fifo = self._pick_fifo
         # Bound here, once per run, so a subclass override (the fault
         # network's dedup) or a test's patch of the method takes effect.
         finish_delivery = self._finish_delivery
@@ -741,8 +785,20 @@ class TorusNetwork:
         now = self._now
         n_events = 0
 
+        def events_exceeded() -> SimulationLimitError:
+            # A CPU op that costs nothing completes within its own tick,
+            # so a zero-delay post is the one way a tick can grow without
+            # bound; the posting site counts the events the run has taken
+            # on (the tick's list included) against the budget.
+            return self._limit_error(
+                f"simulation exceeded {max_events} events",
+                n_events + len(tick) + 1,
+            )
+
         def post_ev(t: float, ev: tuple) -> None:
             if t <= now:
+                if n_events + len(tick) >= max_events:
+                    raise events_exceeded()
                 imm_append(ev)
             else:
                 b = bucket_get(t)
@@ -752,41 +808,38 @@ class TorusNetwork:
                 else:
                     b.append(ev)
 
-        def launch(u: int, d: int, v: int, h: int, vc: int) -> None:
-            # Start transmitting h from u to v on (d, vc).  The caller
-            # already removed the packet from its queue and released its
-            # old slot.
-            tokens[(v * ndirs + (d ^ 1)) * nvcs + vc] -= 1
+        def launch(d: int, li: int, h: int, vc: int) -> None:
+            # Start transmitting h over link li = (u, d) on vc.  The caller
+            # already took the packet off its queue (or never queued it)
+            # and released its old slot.  Service time is positive
+            # (beta > 0, wire_bytes >= 1), so the link frees strictly
+            # after now.
+            tokens[tdown[li] + vc] -= 1
             P_vc[h] = vc
             P_hops[h] += 1
-            st.total_hops += 1
             r = P_route[h] + r_step[d]
             P_route[h] = r
             wb = P_wire[h]
             done = now + svc_t[wb]
-            li = u * ndirs + d
             link_busy[li] = done
             busy_cycles[li] += svc_f[wb]
             link_packets[li] += 1
             ev = link_evs[li]
-            if done <= now:
-                imm_append(ev)
+            b = bucket_get(done)
+            if b is None:
+                buckets[done] = [ev]
+                tick_push(theap, done)
             else:
-                b = bucket_get(done)
-                if b is None:
-                    buckets[done] = [ev]
-                    tick_push(theap, done)
-                else:
-                    b.append(ev)
-            # Virtual cut-through: the *header* reaches v after the
-            # router/wire latency and may immediately compete for its next
-            # hop while the body still streams behind it (an unobstructed
-            # header races ahead, as on the real torus); the link itself
-            # stays busy for the full service time.  On the packet's FINAL
-            # hop (no displacement left) the payload is only usable once
-            # its tail arrives, so delivery waits for the tail.
+                b.append(ev)
+            # Virtual cut-through: the *header* reaches the next node after
+            # the router/wire latency and may immediately compete for its
+            # next hop while the body still streams behind it (an
+            # unobstructed header races ahead, as on the real torus); the
+            # link itself stays busy for the full service time.  On the
+            # packet's FINAL hop (no displacement left) the payload is only
+            # usable once its tail arrives, so delivery waits for the tail.
             arrive = (done if r == r_home else now) + hop_t
-            ev = (1, v, (d ^ 1) * nvcs + vc, h)
+            ev = (1, lnbr[li], aport[d] + vc, h)
             if arrive <= now:
                 imm_append(ev)
             else:
@@ -798,10 +851,9 @@ class TorusNetwork:
                     b.append(ev)
 
         def try_send_head(u: int, h: int, in_axis: int) -> bool:
-            # Packet-centric attempt: launch h (a queue/FIFO head at u)
-            # over the best free link right now (JSQ across its candidate
-            # directions).  The caller pops the packet on success.
-            nbr_u = nbr[u]
+            # Packet-centric attempt: launch h (a queue/FIFO head at u, or
+            # a packet that just reached an empty one) over the best free
+            # link right now (JSQ across its candidate directions).
             lbase = u * ndirs
             r = P_route[h]
             if P_mode[h] == _ADAPTIVE:
@@ -810,28 +862,29 @@ class TorusNetwork:
                 # edge never points toward a destination), so only the
                 # link's busy horizon gates it.
                 for d in r_prod[r]:
-                    if link_busy[lbase + d] > now:
+                    li = lbase + d
+                    if link_busy[li] > now:
                         continue
-                    v = nbr_u[d]
-                    base = (v * ndirs + (d ^ 1)) * nvcs
+                    base = tdown[li]
                     for vc in dyn_vcs:
                         f = tokens[base + vc]
                         if f > best_free:
                             best_d, best_vc, best_free = d, vc, f
                 if best_d >= 0:
-                    launch(u, best_d, nbr_u[best_d], h, best_vc)
+                    launch(best_d, lbase + best_d, h, best_vc)
                     return True
             # The bubble VC in dimension order: the escape of an adaptive
             # packet, the only path of a deterministic one.
             d = r_dor[r]
-            if d < 0 or link_busy[lbase + d] > now:
+            if d < 0:
                 return False
-            v = nbr_u[d]
+            li = lbase + d
+            if link_busy[li] > now:
+                return False
             entering = P_vc[h] != bubble or in_axis != (d >> 1)
-            base = (v * ndirs + (d ^ 1)) * nvcs
             need = bubble_entry if entering else 1
-            if tokens[base + bubble] >= need:
-                launch(u, d, v, h, bubble)
+            if tokens[tdown[li] + bubble] >= need:
+                launch(d, li, h, bubble)
                 return True
             return False
 
@@ -888,26 +941,24 @@ class TorusNetwork:
             if not n:
                 pmask[u] &= nbit[port]
 
-        def arbitrate(u: int, d: int) -> None:
-            # Link (u, d) is free: pick one waiting head packet and launch
-            # it.  Dynamic-VC candidates win over bubble candidates; ties
-            # rotate.  One rotation scan over the NON-EMPTY ports only
+        def arbitrate(u: int, li: int) -> None:
+            # Link li = (u, d) is free: pick one waiting head packet and
+            # launch it.  Dynamic-VC candidates win over bubble candidates;
+            # ties rotate.  One rotation scan over the NON-EMPTY ports only
             # (rotate the occupancy mask by the arbitration pointer and
             # extract low bits) launches the first dynamic-VC candidate,
             # else the first bubble candidate memoized on the way: the
             # checks are pure and nothing mutates before the launch, so
             # this picks what a full dynamic-then-bubble scan would.
             # Both call sites pre-gate on a non-empty port mask and an
-            # idle link, so those checks are not repeated here.
-            v = nbr[u][d]
-            if v < 0:
-                return
-            li = u * ndirs + d
+            # idle link, and name only live links (a LINK_FREE follows a
+            # launch; a TOKEN from a mesh edge carries no upstream link),
+            # so none of those checks is repeated here.
+            d = li - u * ndirs
             m = pmask[u]
             ubase = u * nports
-            axis = d >> 1
             dbit = 1 << d
-            base = (v * ndirs + (d ^ 1)) * nvcs
+            base = tdown[li]
             bubble_tok = tokens[base + bubble]
             start = arb[li]
             b_port = -1
@@ -948,7 +999,7 @@ class TorusNetwork:
                 if b_port < 0 and r_dor[r] == d:
                     need = (
                         bubble_entry
-                        if P_vc[h] != bubble or port_axis[port] != axis
+                        if P_vc[h] != bubble or port_axis[port] != d >> 1
                         else 1
                     )
                     if bubble_tok >= need:
@@ -971,40 +1022,59 @@ class TorusNetwork:
             # it advances eagerly.
             if port < nvp:
                 imm_append(tok_evs[u * nvp + port])
-                launch(u, d, v, b_h, b_vc)
+                launch(d, li, b_h, b_vc)
                 if n:
                     advance_queue_head(u, port)
             else:
                 f = port - nvp
                 imm_append(fifo_evs[u * nfifos + f])
-                launch(u, d, v, b_h, b_vc)
+                launch(d, li, b_h, b_vc)
                 if n:
                     advance_fifo_head(u, f)
 
+        def pick_fifo(u: int, group: int) -> int:
+            # Round robin over the FIFOs of *group* with a free slot (-1
+            # if none).
+            fbase = u * nfifos
+            for f in fifo_rot[group % ngroups][fifo_rr[u]]:
+                if fifo_free[fbase + f] > 0:
+                    fifo_rr[u] = fifo_next[f]
+                    return f
+            return -1
+
         def begin_injection(u: int, spec, fifo: int, src: int) -> None:
+            nonlocal tbl_len
             wb = spec.wire_bytes
-            if not (0 < wb < self._tbl_len and 0 <= spec.dst < p):
+            if not (0 < wb < tbl_len and 0 <= spec.dst < p):
                 admit(u, spec)
+                tbl_len = self._tbl_len
             fifo_free[u * nfifos + fifo] -= 1
-            cost = self._cpu_f[wb] + spec.extra_cpu_cycles
+            cost = cpu_f[wb] + spec.extra_cpu_cycles
             if spec.new_message:
                 cost += (
-                    spec.alpha_cycles
-                    if spec.alpha_cycles >= 0
-                    else self._alpha
+                    spec.alpha_cycles if spec.alpha_cycles >= 0 else alpha
                 )
-            cpu_pending[u] = ("inject", spec, fifo)
+            cpu_pending[u] = spec
+            cpu_slot[u] = fifo
             cpu_active[u] = True
             cpu_rr[u] = src + 1
-            post_ev(now + cost * TICK_SCALE, cpu_evs[u])
+            t = now + cost * TICK_SCALE
+            ev = cpu_evs[u]
+            if t <= now:
+                if n_events + len(tick) >= max_events:
+                    raise events_exceeded()
+                imm_append(ev)
+            else:
+                b = bucket_get(t)
+                if b is None:
+                    buckets[t] = [ev]
+                    tick_push(theap, t)
+                else:
+                    b.append(ev)
 
         def cpu_start_next(u: int) -> None:
-            rr = cpu_rr[u]
             wake_at = -1.0
-            for k in range(3):
-                src = rr + k
-                if src >= 3:
-                    src -= 3
+            for src in cpu_order[cpu_rr[u]]:
                 if src == 0:  # _SRC_RECV
                     n = rp_n[u]
                     if n:
@@ -1012,10 +1082,23 @@ class TorusNetwork:
                         h = rp_buf[(u << rsh) | hd]
                         rp_hd[u] = (hd + 1) & rmask
                         rp_n[u] = n - 1
-                        cpu_pending[u] = ("recv", h)
+                        cpu_pending[u] = None
+                        cpu_slot[u] = h
                         cpu_active[u] = True
-                        cpu_rr[u] = src + 1
-                        post_ev(now + cpu_tt[P_wire[h]], cpu_evs[u])
+                        cpu_rr[u] = 1
+                        t = now + cpu_tt[P_wire[h]]
+                        ev = cpu_evs[u]
+                        if t <= now:
+                            if n_events + len(tick) >= max_events:
+                                raise events_exceeded()
+                            imm_append(ev)
+                        else:
+                            b = bucket_get(t)
+                            if b is None:
+                                buckets[t] = [ev]
+                                tick_push(theap, t)
+                            else:
+                                b.append(ev)
                         return
                 elif src == 1:  # _SRC_FORWARD
                     fp = fwd_pending[u]
@@ -1024,7 +1107,7 @@ class TorusNetwork:
                         f = pick_fifo(u, spec.fifo_group)
                         if f >= 0:
                             fp.popleft()
-                            begin_injection(u, spec, f, src)
+                            begin_injection(u, spec, f, 1)
                             return
                 else:  # _SRC_PLAN
                     nxt = plan_next[u]
@@ -1046,7 +1129,7 @@ class TorusNetwork:
                         if f >= 0:
                             plan_next[u] = None
                             plan_last_start[u] = now
-                            begin_injection(u, nxt, f, src)
+                            begin_injection(u, nxt, f, 2)
                             return
             cpu_active[u] = False
             if wake_at > now:
@@ -1083,14 +1166,14 @@ class TorusNetwork:
             retx_backoff = faults.retx_backoff
             retx_t = retx_timeout * TICK_SCALE
 
-            def launch(u: int, d: int, v: int, h: int, vc: int) -> int:
-                ti = (v * ndirs + (d ^ 1)) * nvcs + vc
+            def launch(d: int, li: int, h: int, vc: int) -> int:
+                u = li // ndirs
+                v = lnbr[li]
+                ti = tdown[li] + vc
                 tokens[ti] -= 1
                 P_vc[h] = vc
                 hops = P_hops[h] + 1
                 P_hops[h] = hops
-                st.total_hops += 1
-                li = u * ndirs + d
                 service = svc_f[P_wire[h]] * degrade[li]
                 done = now + service * TICK_SCALE
                 link_busy[li] = done
@@ -1141,7 +1224,7 @@ class TorusNetwork:
                         free_append(h)
                         return flags | LAUNCH_DROPPED
                 arrive = (done if dst == v else now) + hop_t
-                ev = (1, v, (d ^ 1) * nvcs + vc, h)
+                ev = (1, v, aport[d] + vc, h)
                 if arrive <= now:
                     imm_append(ev)
                 else:
@@ -1154,44 +1237,43 @@ class TorusNetwork:
                 return flags
 
             def try_send_head(u: int, h: int, in_axis: int) -> bool:
-                nbr_u = nbr[u]
                 lbase = u * ndirs
                 db = P_dst[h] * p
                 if P_mode[h] == _ADAPTIVE:
                     best_d, best_vc, best_free = -1, -1, 0
                     for d in prod[db + u]:
-                        if link_busy[lbase + d] > now:
+                        li = lbase + d
+                        if link_busy[li] > now:
                             continue
-                        base = (nbr_u[d] * ndirs + (d ^ 1)) * nvcs
+                        base = tdown[li]
                         for vc in dyn_vcs:
                             f = tokens[base + vc]
                             if f > best_free:
                                 best_d, best_vc, best_free = d, vc, f
                     if best_d >= 0:
-                        launch(u, best_d, nbr_u[best_d], h, best_vc)
+                        launch(best_d, lbase + best_d, h, best_vc)
                         return True
                 # Escape (also the only path for DETERMINISTIC packets).
                 d = (nh_down if P_down[h] else nh_up)[db + u]
                 if d < 0:
                     return False
-                v = nbr_u[d]
-                if v < 0 or link_busy[lbase + d] > now:
+                li = lbase + d
+                base = tdown[li]
+                if base < 0 or link_busy[li] > now:
                     return False
-                if tokens[(v * ndirs + (d ^ 1)) * nvcs + bubble] >= 1:
-                    launch(u, d, v, h, bubble)
+                if tokens[base + bubble] >= 1:
+                    launch(d, li, h, bubble)
                     return True
                 return False
 
-            def arbitrate(u: int, d: int) -> None:
+            def arbitrate(u: int, li: int) -> None:
                 # Same scan and pre-gates as the pristine arbitrate; only
                 # the routing checks differ.
-                v = nbr[u][d]
-                if v < 0:
-                    return
-                li = u * ndirs + d
+                d = li - u * ndirs
+                v = lnbr[li]
                 m = pmask[u]
                 ubase = u * nports
-                base = (v * ndirs + (d ^ 1)) * nvcs
+                base = tdown[li]
                 escape_free = tokens[base + bubble] >= 1
                 start = arb[li]
                 b_port = -1
@@ -1244,13 +1326,13 @@ class TorusNetwork:
                 arb[li] = port + 1 if port + 1 < nports else 0
                 if port < nvp:
                     imm_append(tok_evs[u * nvp + port])
-                    launch(u, d, v, b_h, b_vc)
+                    launch(d, li, b_h, b_vc)
                     if n:
                         advance_queue_head(u, port)
                 else:
                     f = port - nvp
                     imm_append(fifo_evs[u * nfifos + f])
-                    launch(u, d, v, b_h, b_vc)
+                    launch(d, li, b_h, b_vc)
                     if n:
                         advance_fifo_head(u, f)
 
@@ -1308,9 +1390,11 @@ class TorusNetwork:
         if on_launch is not None:
             routed_launch = launch
 
-            def launch(u: int, d: int, v: int, h: int, vc: int) -> None:
-                busy0 = link_busy[u * ndirs + d]
-                flags = routed_launch(u, d, v, h, vc) or 0
+            def launch(d: int, li: int, h: int, vc: int) -> None:
+                busy0 = link_busy[li]
+                flags = routed_launch(d, li, h, vc) or 0
+                u = li // ndirs
+                v = lnbr[li]
                 for fn in on_launch:
                     fn(u, d, v, h, vc, now, busy0, flags)
 
@@ -1318,12 +1402,14 @@ class TorusNetwork:
         if on_stall is not None:
             routed_arbitrate = arbitrate
 
-            def arbitrate(u: int, d: int) -> None:
-                # Every launch counts a hop, so an unchanged count means
-                # the scan found nothing to launch.
-                hops0 = st.total_hops
-                routed_arbitrate(u, d)
-                if st.total_hops == hops0:
+            def arbitrate(u: int, li: int) -> None:
+                # A launch on link li counts in its own link_packets entry
+                # (and the link then stays busy for the rest of the tick),
+                # so an unchanged entry means the scan launched nothing.
+                launched0 = link_packets[li]
+                routed_arbitrate(u, li)
+                if link_packets[li] == launched0:
+                    d = li - u * ndirs
                     for fn in on_stall:
                         fn(u, d)
 
@@ -1357,122 +1443,148 @@ class TorusNetwork:
             if not cpu_active[u]:
                 cpu_start_next(u)
 
+        # One list per tick: the for loop drains the tick's list while
+        # handlers append to it, and when it runs dry the heap names the
+        # next tick, whose calendar bucket becomes the next list.  Events
+        # posted while processing tick T land either at the tail of T's
+        # list or in strictly later buckets, so this replays the global
+        # (time, posting order) of a plain heap.  The event budget is
+        # checked as each tick ends (and on the zero-delay posting path,
+        # see events_exceeded), the cycle budget as time advances.
         while True:
-            if imm:
-                kind, a, b, c = imm_pop()
-            elif theap:
-                self._now = now = tick_pop(theap)
-                imm_extend(bucket_pop(now))
-                kind, a, b, c = imm_pop()
-            else:
-                break
-            n_events += 1
-            if kind == 1:  # _EV_ARRIVE (inlined _on_arrive)
-                qi = a * nports + b
-                n = q_n[qi]
-                if not n and P_dst[c] == a and recv_free[a] > 0:
-                    # Straight into the reception FIFO; the VC slot frees
-                    # immediately.
-                    recv_free[a] -= 1
-                    rn = rp_n[a]
-                    rp_buf[(a << rsh) | ((rp_hd[a] + rn) & rmask)] = c
-                    rp_n[a] = rn + 1
-                    imm_append(tok_evs[a * nvp + b])
-                    if not cpu_active[a]:
-                        cpu_start_next(a)
-                else:
-                    q_buf[(qi << qsh) | ((q_hd[qi] + n) & qmask)] = c
-                    q_n[qi] = n + 1
-                    queued[a] += 1
-                    if not n:
-                        pmask[a] |= pbit[b]
-                        advance_queue_head(a, b)
-                if on_arrive is not None:
-                    for fn in on_arrive:
-                        fn(a, b, c, n)
-            elif kind == 2:  # _EV_TOKEN
-                tokens[a] += 1
-                # Busy-link gate inlined: ~40 % of token returns poke a
-                # still-transmitting upstream link, which the arbitration
-                # scan would reject anyway.
-                if b >= 0 and pmask[b] and link_busy[b * ndirs + c] <= now:
-                    arbitrate(b, c)
-            elif kind == 0:  # _EV_LINK_FREE
-                if pmask[a] and link_busy[a * ndirs + b] <= now:
-                    arbitrate(a, b)
-            elif kind == 3:  # _EV_CPU_DONE (inlined _cpu_complete)
-                op = cpu_pending[a]
-                cpu_pending[a] = None
-                if op[0] == "recv":
-                    recv_free[a] += 1
-                    finish_delivery(a, op[1])
-                    # Inlined _deliver_local_heads.
-                    m = pmask[a] & pm_vc
-                    while m:
-                        if recv_free[a] <= 0:
-                            break
-                        low = m & -m
-                        m -= low
-                        advance_queue_head(a, low.bit_length() - 1)
-                else:  # inject
-                    spec = op[1]
-                    fifo = op[2]
-                    h = alloc(pid_next(), a, spec, now)
-                    st.injected_packets += 1
-                    st.injected_wire_bytes += spec.wire_bytes
-                    if spec.dst == a:
-                        # Local (self) message: bypasses the network.
-                        fifo_free[a * nfifos + fifo] += 1
-                        finish_delivery(a, h)
-                    else:
-                        if fault_inject is not None:
-                            fault_inject(a, h, spec)
-                        else:
-                            # The route state: the displacement to go, each
-                            # axis' tie bit taken from the packet's halfbits.
-                            dst = spec.dst
-                            hb = P_half[h]
-                            r = r_home
-                            for ax in range(ndim):
-                                r += r_off[ax][(hb >> ax) & 1][
-                                    colm[ax][a] + coord[ax][dst]
-                                ]
-                            P_route[h] = r
-                        port = nvp + fifo
-                        qi = a * nports + port
-                        n = q_n[qi]
-                        q_buf[(qi << qsh) | ((q_hd[qi] + n) & qmask)] = h
+            for kind, a, b, c in tick:
+                if kind == 1:  # _EV_ARRIVE: handle c reaches a's port b
+                    qi = a * nports + b
+                    n = q_n[qi]
+                    if n:
+                        # Behind other packets: join the VC buffer.
+                        q_buf[(qi << qsh) | ((q_hd[qi] + n) & qmask)] = c
                         q_n[qi] = n + 1
                         queued[a] += 1
-                        if not n:
-                            pmask[a] |= pbit[port]
-                            advance_fifo_head(a, fifo)
-                cpu_start_next(a)
-                if on_inject is not None and op[0] == "inject":
-                    for fn in on_inject:
-                        fn(a)
-            elif kind == 5:  # _EV_FIFO_FREE
-                fifo_free[a] += 1
-                if not cpu_active[b]:
-                    cpu_start_next(b)
-            elif kind == 4:  # _EV_CPU_WAKE
-                if not cpu_active[a]:
-                    cpu_start_next(a)
-            elif kind == 6:  # _EV_RETX (fault runs only)
-                retx(b, c)
-            else:  # _EV_OUTAGE: hold the link busy until the window ends
-                if b > link_busy[a]:
-                    link_busy[a] = b
+                    elif P_dst[c] != a:
+                        # Virtual cut-through: a header reaching an empty
+                        # buffer goes straight on if a link takes it, and
+                        # its VC slot frees at once; only a blocked one
+                        # queues.
+                        if try_send_head(a, c, port_axis[b]):
+                            imm_append(tok_evs[a * nvp + b])
+                        else:
+                            q_buf[(qi << qsh) | q_hd[qi]] = c
+                            q_n[qi] = 1
+                            queued[a] += 1
+                            pmask[a] |= pbit[b]
+                    elif recv_free[a] > 0:
+                        # Straight into the reception FIFO; the VC slot
+                        # frees immediately.
+                        recv_free[a] -= 1
+                        rn = rp_n[a]
+                        rp_buf[(a << rsh) | ((rp_hd[a] + rn) & rmask)] = c
+                        rp_n[a] = rn + 1
+                        imm_append(tok_evs[a * nvp + b])
+                        if not cpu_active[a]:
+                            cpu_start_next(a)
+                    else:
+                        # Arrived, but the reception FIFO is full.
+                        q_buf[(qi << qsh) | q_hd[qi]] = c
+                        q_n[qi] = 1
+                        queued[a] += 1
+                        pmask[a] |= pbit[b]
+                    if on_arrive is not None:
+                        for fn in on_arrive:
+                            fn(a, b, c, n)
+                elif kind == 2:  # _EV_TOKEN: credit a; c = upstream link
+                    tokens[a] += 1
+                    # Busy-link gate inlined: ~40 % of token returns poke a
+                    # still-transmitting upstream link, which the
+                    # arbitration scan would reject anyway.
+                    if c >= 0 and pmask[b] and link_busy[c] <= now:
+                        arbitrate(b, c)
+                elif kind == 0:  # _EV_LINK_FREE: node a's link b
+                    if pmask[a] and link_busy[b] <= now:
+                        arbitrate(a, b)
+                elif kind == 3:  # _EV_CPU_DONE
+                    spec = cpu_pending[a]
+                    if spec is None:  # a reception of handle cpu_slot[a]
+                        recv_free[a] += 1
+                        finish_delivery(a, cpu_slot[a])
+                        # Inlined _deliver_local_heads.
+                        m = pmask[a] & pm_vc
+                        while m:
+                            if recv_free[a] <= 0:
+                                break
+                            low = m & -m
+                            m -= low
+                            advance_queue_head(a, low.bit_length() - 1)
+                        cpu_start_next(a)
+                    else:  # an injection into FIFO cpu_slot[a]
+                        fifo = cpu_slot[a]
+                        h = alloc(pid_next(), a, spec, now)
+                        st.injected_packets += 1
+                        st.injected_wire_bytes += spec.wire_bytes
+                        if spec.dst == a:
+                            # Local (self) message: bypasses the network.
+                            fifo_free[a * nfifos + fifo] += 1
+                            finish_delivery(a, h)
+                        else:
+                            if fault_inject is not None:
+                                fault_inject(a, h, spec)
+                            else:
+                                # The route state: the displacement to go,
+                                # each axis' tie bit taken from the
+                                # packet's halfbits.
+                                dst = spec.dst
+                                hb = P_half[h]
+                                r = r_home
+                                for ax in range(ndim):
+                                    r += r_off[ax][(hb >> ax) & 1][
+                                        colm[ax][a] + coord[ax][dst]
+                                    ]
+                                P_route[h] = r
+                            port = nvp + fifo
+                            qi = a * nports + port
+                            n = q_n[qi]
+                            if not n and try_send_head(a, h, -1):
+                                # Launched from an empty FIFO without
+                                # queueing; its slot frees at once.
+                                imm_append(fifo_evs[a * nfifos + fifo])
+                            else:
+                                slot = (q_hd[qi] + n) & qmask
+                                q_buf[(qi << qsh) | slot] = h
+                                q_n[qi] = n + 1
+                                queued[a] += 1
+                                if not n:
+                                    pmask[a] |= pbit[port]
+                        cpu_start_next(a)
+                        if on_inject is not None:
+                            for fn in on_inject:
+                                fn(a)
+                elif kind == 5:  # _EV_FIFO_FREE
+                    fifo_free[a] += 1
+                    if not cpu_active[b]:
+                        cpu_start_next(b)
+                elif kind == 4:  # _EV_CPU_WAKE
+                    if not cpu_active[a]:
+                        cpu_start_next(a)
+                elif kind == 6:  # _EV_RETX (fault runs only)
+                    retx(b, c)
+                else:  # _EV_OUTAGE: hold the link busy until the window ends
+                    if b > link_busy[a]:
+                        link_busy[a] = b
+            n_events += len(tick)
+            if n_events > max_events:
+                raise self._limit_error(
+                    f"simulation exceeded {max_events} events", n_events
+                )
+            if not theap:
+                return n_events
+            self._now = now = tick_pop(theap)
             if now > max_cycles_t:
                 raise self._limit_error(
                     f"simulation exceeded {max_cycles:.3g} cycles",
                     n_events,
                 )
-            if n_events > max_events:
-                raise self._limit_error(
-                    f"simulation exceeded {max_events} events", n_events
-                )
-        return n_events
+            tick = bucket_pop(now)
+            imm_append = tick.append
 
     # ------------------------------------------------------------------ #
     # completion
@@ -1571,7 +1683,7 @@ class TorusNetwork:
             final_deliveries=st.final_deliveries,
             forwarded_packets=st.forwarded_packets,
             injected_wire_bytes=st.injected_wire_bytes,
-            total_hops=st.total_hops,
+            total_hops=int(pkts.sum()),
             events_processed=st.events_processed,
             mean_final_latency=mean_lat,
             max_final_latency=st.final_latency_max,

@@ -25,7 +25,6 @@ class SimStats:
     final_deliveries: int = 0
     forwarded_packets: int = 0
     injected_wire_bytes: int = 0
-    total_hops: int = 0
     events_processed: int = 0
     last_final_delivery: float = 0.0
     last_delivery: float = 0.0

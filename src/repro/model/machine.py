@@ -86,6 +86,11 @@ class MachineParams:
         check_nonneg(self.alpha_message_cycles, "alpha_message_cycles")
         require(self.beta_ns_per_byte > 0, "beta must be positive")
         check_nonneg(self.gamma_ns_per_byte, "gamma_ns_per_byte")
+        # A negative router latency would deliver headers before they
+        # leave, a negative CPU cost would refund cycles; zero is legal
+        # (ideal machines in tests set both to 0).
+        check_nonneg(self.hop_latency_cycles, "hop_latency_cycles")
+        check_nonneg(self.packet_cpu_cycles, "packet_cpu_cycles")
         check_positive_int(self.packet_max_bytes, "packet_max_bytes")
         check_positive_int(self.packet_granularity, "packet_granularity")
         check_positive_int(self.packet_min_bytes, "packet_min_bytes")

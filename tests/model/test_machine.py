@@ -1,5 +1,7 @@
 """Unit tests for machine parameters and packetization."""
 
+import dataclasses
+
 import pytest
 
 from repro.model.machine import MachineParams
@@ -98,6 +100,24 @@ class TestValidation:
     def test_rejects_payload_over_packet(self):
         with pytest.raises(ValueError):
             MachineParams(packet_payload_max=512)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "field", ["hop_latency_cycles", "packet_cpu_cycles"]
+    )
+    def test_rejects_negative_or_nan_latency_and_cpu_cost(
+        self, bgl, field, value
+    ):
+        # Before this check a negative router latency ran "ok" with
+        # headers arriving before they left.
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(bgl, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["hop_latency_cycles", "packet_cpu_cycles"]
+    )
+    def test_zero_latency_and_cpu_cost_stay_legal(self, bgl, field):
+        assert getattr(dataclasses.replace(bgl, **{field: 0.0}), field) == 0.0
 
     def test_with_updates(self, bgl):
         p2 = bgl.with_updates(alpha_packet_cycles=0.0)

@@ -584,7 +584,15 @@ class TorusNetwork:
     # ------------------------------------------------------------------ #
 
     def run(self, program: NodeProgram) -> SimulationResult:
-        """Execute *program* to quiescence and return the results."""
+        """Execute *program* to quiescence and return the results.
+
+        A network runs once: its queues, credits, clock and statistics
+        carry the first run's end state."""
+        if self._program is not None:
+            raise SimulationError(
+                "this network has already run a program; build a new "
+                "network for each run"
+            )
         self._program = program
         # Decided once per run: whether the delivery hook is
         # BaseProgram's own (duck-typed programs keep the general path).

@@ -21,6 +21,7 @@ from repro.net import (
     SimulationLimitError,
     TorusNetwork,
 )
+from repro.net.faultsim import FaultyTorusNetwork
 from repro.net.program import BaseProgram
 from repro.runner.supervise import watchdog
 
@@ -328,6 +329,29 @@ class TestLimits:
             with pytest.raises(SimulationLimitError) as ei:
                 net.run(Endless())
         assert ei.value.events_processed > 10_000
+
+
+class TestSingleRun:
+    @pytest.mark.parametrize(
+        "network", [TorusNetwork, FaultyTorusNetwork], ids=lambda c: c.__name__
+    )
+    def test_second_run_is_rejected_before_any_event(self, network):
+        # A network's queues, credits, clock and statistics carry its
+        # first run's end state; a second run used to double-count into
+        # them and end in a spurious DeadlockError.
+        from repro.strategies import ARDirect
+
+        shape = TorusShape.parse("4x4")
+        net = network(shape)
+        net.run(ARDirect().build_program(shape, 64, seed=0))
+        before = (net.stats.events_processed, net.stats.injected_packets)
+        now = net._now
+        with pytest.raises(SimulationError, match="build a new network"):
+            net.run(ARDirect().build_program(shape, 64, seed=0))
+        assert (net.stats.events_processed, net.stats.injected_packets) == (
+            before
+        )
+        assert net._now == now
 
 
 class TestDeterminism:

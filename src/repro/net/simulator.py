@@ -734,7 +734,7 @@ class TorusNetwork:
         # link).  aport[d] is the first input port of an arrival over d.
         lnbr = [v for row in nbr for v in row]
         tdown = [
-            (v * ndirs + (li % ndirs ^ 1)) * nvcs if v >= 0 else -1
+            (v * ndirs + ((li % ndirs) ^ 1)) * nvcs if v >= 0 else -1
             for li, v in enumerate(lnbr)
         ]
         aport = [(d ^ 1) * nvcs for d in range(ndirs)]
@@ -1094,19 +1094,7 @@ class TorusNetwork:
                         cpu_slot[u] = h
                         cpu_active[u] = True
                         cpu_rr[u] = 1
-                        t = now + cpu_tt[P_wire[h]]
-                        ev = cpu_evs[u]
-                        if t <= now:
-                            if n_events + len(tick) >= max_events:
-                                raise events_exceeded()
-                            imm_append(ev)
-                        else:
-                            b = bucket_get(t)
-                            if b is None:
-                                buckets[t] = [ev]
-                                tick_push(theap, t)
-                            else:
-                                b.append(ev)
+                        post_ev(now + cpu_tt[P_wire[h]], cpu_evs[u])
                         return
                 elif src == 1:  # _SRC_FORWARD
                     fp = fwd_pending[u]
@@ -1469,19 +1457,12 @@ class TorusNetwork:
                         q_buf[(qi << qsh) | ((q_hd[qi] + n) & qmask)] = c
                         q_n[qi] = n + 1
                         queued[a] += 1
-                    elif P_dst[c] != a:
+                    elif P_dst[c] != a and try_send_head(a, c, port_axis[b]):
                         # Virtual cut-through: a header reaching an empty
-                        # buffer goes straight on if a link takes it, and
-                        # its VC slot frees at once; only a blocked one
-                        # queues.
-                        if try_send_head(a, c, port_axis[b]):
-                            imm_append(tok_evs[a * nvp + b])
-                        else:
-                            q_buf[(qi << qsh) | q_hd[qi]] = c
-                            q_n[qi] = 1
-                            queued[a] += 1
-                            pmask[a] |= pbit[b]
-                    elif recv_free[a] > 0:
+                        # buffer goes straight on when a link takes it,
+                        # and its VC slot frees at once.
+                        imm_append(tok_evs[a * nvp + b])
+                    elif P_dst[c] == a and recv_free[a] > 0:
                         # Straight into the reception FIFO; the VC slot
                         # frees immediately.
                         recv_free[a] -= 1
@@ -1492,7 +1473,8 @@ class TorusNetwork:
                         if not cpu_active[a]:
                             cpu_start_next(a)
                     else:
-                        # Arrived, but the reception FIFO is full.
+                        # First in an empty buffer, but blocked: no link
+                        # takes it, or the reception FIFO is full.
                         q_buf[(qi << qsh) | q_hd[qi]] = c
                         q_n[qi] = 1
                         queued[a] += 1

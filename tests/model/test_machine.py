@@ -108,8 +108,8 @@ class TestValidation:
     def test_rejects_negative_or_nan_latency_and_cpu_cost(
         self, bgl, field, value
     ):
-        # Before this check a negative router latency ran "ok" with
-        # headers arriving before they left.
+        # A negative router latency would run with headers arriving
+        # before they leave, a negative CPU cost with refunded cycles.
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(bgl, **{field: value})
 

@@ -337,7 +337,7 @@ class TestSingleRun:
     )
     def test_second_run_is_rejected_before_any_event(self, network):
         # A network's queues, credits, clock and statistics carry its
-        # first run's end state; a second run used to double-count into
+        # first run's end state; a second run would double-count into
         # them and end in a spurious DeadlockError.
         from repro.strategies import ARDirect
 

@@ -1399,9 +1399,9 @@ class TorusNetwork:
             routed_arbitrate = arbitrate
 
             def arbitrate(u: int, li: int) -> None:
-                # A launch on link li counts in its own link_packets entry
-                # (and the link then stays busy for the rest of the tick),
-                # so an unchanged entry means the scan launched nothing.
+                # The scan launches on link li only, and only that launch
+                # leads to further ones, so an unchanged link_packets
+                # entry means the scan launched nothing.
                 launched0 = link_packets[li]
                 routed_arbitrate(u, li)
                 if link_packets[li] == launched0:

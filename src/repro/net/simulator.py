@@ -793,20 +793,17 @@ class TorusNetwork:
         now = self._now
         n_events = 0
 
-        def events_exceeded() -> SimulationLimitError:
-            # A CPU op that costs nothing completes within its own tick,
-            # so a zero-delay post is the one way a tick can grow without
-            # bound; the posting site counts the events the run has taken
-            # on (the tick's list included) against the budget.
-            return self._limit_error(
-                f"simulation exceeded {max_events} events",
-                n_events + len(tick) + 1,
-            )
-
         def post_ev(t: float, ev: tuple) -> None:
             if t <= now:
+                # A CPU op that costs nothing completes within its own
+                # tick, so a zero-delay post is the one way a tick can
+                # grow without bound: count the events the run has taken
+                # on (this tick's list included) against the budget here.
                 if n_events + len(tick) >= max_events:
-                    raise events_exceeded()
+                    raise self._limit_error(
+                        f"simulation exceeded {max_events} events",
+                        n_events + len(tick) + 1,
+                    )
                 imm_append(ev)
             else:
                 b = bucket_get(t)
@@ -1066,19 +1063,7 @@ class TorusNetwork:
             cpu_slot[u] = fifo
             cpu_active[u] = True
             cpu_rr[u] = src + 1
-            t = now + cost * TICK_SCALE
-            ev = cpu_evs[u]
-            if t <= now:
-                if n_events + len(tick) >= max_events:
-                    raise events_exceeded()
-                imm_append(ev)
-            else:
-                b = bucket_get(t)
-                if b is None:
-                    buckets[t] = [ev]
-                    tick_push(theap, t)
-                else:
-                    b.append(ev)
+            post_ev(now + cost * TICK_SCALE, cpu_evs[u])
 
         def cpu_start_next(u: int) -> None:
             wake_at = -1.0
@@ -1446,7 +1431,7 @@ class TorusNetwork:
         # list or in strictly later buckets, so this replays the global
         # (time, posting order) of a plain heap.  The event budget is
         # checked as each tick ends (and on the zero-delay posting path,
-        # see events_exceeded), the cycle budget as time advances.
+        # see post_ev), the cycle budget as time advances.
         while True:
             for kind, a, b, c in tick:
                 if kind == 1:  # _EV_ARRIVE: handle c reaches a's port b

@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from repro.experiments import (
     ablations,
-    resilience,
     scaling,
     fig1_ar_midplane,
     fig2_ar_4096,
@@ -47,10 +46,9 @@ EXPERIMENTS: dict[str, Driver] = {
     "fig7_compare_4096": fig7_compare_4096.run,
 }
 
-#: Design-choice ablations and extensions (not paper artifacts).
+#: Design-choice ablations and the scaling study (not paper artifacts).
 ABLATIONS: dict[str, Driver] = {
     "scaling_study": scaling.run,
-    "resilience_sweep": resilience.run,
     "ablate_tps_axis": ablations.tps_linear_axis,
     "ablate_tps_pipelining": ablations.tps_pipelining,
     "ablate_dr_axis": ablations.dr_longest_axis,

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.validation import check_positive_int
+
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -57,8 +59,11 @@ class ObsConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.trace_sample < 1:
-            raise ValueError("trace_sample must be >= 1")
+        object.__setattr__(
+            self,
+            "trace_sample",
+            check_positive_int(self.trace_sample, "trace_sample"),
+        )
 
     @property
     def enabled(self) -> bool:

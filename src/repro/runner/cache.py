@@ -123,8 +123,10 @@ def cache_put(key: str, payload: dict) -> bool:
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
         try:
+            # One-shot dumps runs the C encoder and makes one write;
+            # json.dump would encode in Python, one write per token.
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
+                fh.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

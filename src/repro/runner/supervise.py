@@ -67,6 +67,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+from repro.util.validation import check_positive_int
+
 _log = logging.getLogger("repro.runner.supervise")
 
 
@@ -275,6 +277,22 @@ def backoff_for(attempt: int) -> float:
     return BACKOFF_S * BACKOFF_FACTOR ** max(attempt - 2, 0)
 
 
+#: Longest per-point limit, s (~32 years).  ``setitimer`` cannot arm a
+#: timer past ~9.2e9 s, so a longer (or infinite) limit is refused up
+#: front rather than failing every point inside :func:`watchdog`.
+MAX_POINT_TIMEOUT_S = 1e9
+
+
+def _check_timeout(seconds: float, name: str) -> float:
+    """Return *seconds* if the watchdog can arm it, else raise."""
+    if not 0.0 < seconds <= MAX_POINT_TIMEOUT_S:  # NaN fails here too
+        raise ValueError(
+            f"{name} must be seconds in (0, {MAX_POINT_TIMEOUT_S:g}], "
+            f"got {seconds!r}"
+        )
+    return seconds
+
+
 @dataclass
 class SuperviseConfig:
     """Knobs of the supervision layer (see the module docstring).
@@ -291,10 +309,11 @@ class SuperviseConfig:
     chaos: Optional[ChaosPlan] = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.point_timeout_s is not None and self.point_timeout_s <= 0:
-            raise ValueError("point_timeout_s must be positive")
+        self.max_attempts = check_positive_int(
+            self.max_attempts, "max_attempts"
+        )
+        if self.point_timeout_s is not None:
+            _check_timeout(self.point_timeout_s, "point_timeout_s")
 
     @property
     def is_active(self) -> bool:
@@ -320,11 +339,14 @@ class SuperviseConfig:
         env_t = os.environ.get("REPRO_POINT_TIMEOUT", "").strip()
         if env_t:
             try:
-                kw["point_timeout_s"] = float(env_t)
+                timeout = float(env_t)
             except ValueError:
                 raise ValueError(
                     f"REPRO_POINT_TIMEOUT must be seconds, got {env_t!r}"
                 ) from None
+            kw["point_timeout_s"] = _check_timeout(
+                timeout, "REPRO_POINT_TIMEOUT"
+            )
         env_c = os.environ.get("REPRO_CHAOS", "").strip()
         if env_c:
             kw["chaos"] = ChaosPlan.parse(env_c)

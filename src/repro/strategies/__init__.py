@@ -23,12 +23,6 @@ from repro.strategies.direct import (
     ThrottledAR,
 )
 from repro.strategies.flowcontrol import CreditedTPS, CreditedTPSProgram
-from repro.strategies.manytomany import (
-    ManyToManyDirect,
-    ManyToManyPattern,
-    ManyToManyTPS,
-    random_access_pattern,
-)
 from repro.strategies.tps import TPSProgram, TwoPhaseSchedule, choose_linear_axis
 from repro.strategies.vmesh import VirtualMesh2D, VMeshMapping, VMeshProgram
 from repro.strategies.selector import select_strategy
@@ -48,10 +42,6 @@ __all__ = [
     "ThrottledAR",
     "CreditedTPS",
     "CreditedTPSProgram",
-    "ManyToManyDirect",
-    "ManyToManyPattern",
-    "ManyToManyTPS",
-    "random_access_pattern",
     "TPSProgram",
     "TwoPhaseSchedule",
     "choose_linear_axis",

@@ -10,18 +10,16 @@ reusable across shapes.
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.faults import FaultPlan
-from repro.net.packet import PacketSpec
 from repro.net.program import BaseProgram
-from repro.strategies.data import ChunkTag, DataChunk
 from repro.util.rng import derive_rng
-from repro.util.validation import require
+from repro.util.validation import check_positive_int
 
 
 class AllToAllStrategy(abc.ABC):
@@ -89,14 +87,15 @@ class DirectProgramBase(BaseProgram):
         packets_per_round: int = 2,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        require(msg_bytes >= 1, "msg_bytes must be >= 1")
-        require(packets_per_round >= 1, "packets_per_round must be >= 1")
+        msg_bytes = check_positive_int(msg_bytes, "msg_bytes")
         self.shape = shape
         self.msg_bytes = msg_bytes
         self.params = params
         self.seed = seed
         self.carry_data = carry_data
-        self.packets_per_round = packets_per_round
+        self.packets_per_round = check_positive_int(
+            packets_per_round, "packets_per_round"
+        )
         self.faults = faults
         #: Dead ranks the plan must avoid (empty on pristine runs).
         self.dead_nodes: frozenset[int] = (
@@ -149,57 +148,3 @@ class DirectProgramBase(BaseProgram):
     def alive_count(self) -> int:
         """Number of surviving (participating) ranks."""
         return self.shape.nnodes - len(self.dead_nodes)
-
-    def message_packets(
-        self, src: int, dst: int, kind: str, spec_dst: int,
-        fifo_group: int = 0,
-    ) -> list[PacketSpec]:
-        """Packet specs of one (src -> dst) message, network-addressed to
-        *spec_dst* (== dst for direct sends, an intermediate for TPS)."""
-        specs: list[PacketSpec] = []
-        offset = 0
-        for i, wire in enumerate(self.packet_sizes):
-            payload = self.payload_split[i]
-            if self.carry_data and payload > 0:
-                tag: object = ChunkTag(
-                    kind, (DataChunk(src, dst, offset, payload),)
-                )
-            else:
-                tag = kind
-            specs.append(
-                PacketSpec(
-                    dst=spec_dst,
-                    wire_bytes=wire,
-                    fifo_group=fifo_group,
-                    new_message=(i == 0),
-                    tag=tag,
-                    final_dst=dst,
-                    payload_bytes=payload,
-                )
-            )
-            offset += payload
-        return specs
-
-    def round_robin_specs(
-        self, node: int, per_dest_specs: dict[int, list[PacketSpec]]
-    ) -> Iterator[PacketSpec]:
-        """Interleave the per-destination packet lists: *packets_per_round*
-        packets to each destination (in this node's random order) per
-        sweep, repeating until all packets are gone."""
-        order = [d for d in self.destination_order(node) if d in per_dest_specs]
-        cursors = {d: 0 for d in order}
-        remaining = sum(len(v) for v in per_dest_specs.values())
-        k = self.packets_per_round
-        while remaining > 0:
-            progressed = False
-            for d in order:
-                c = cursors[d]
-                specs = per_dest_specs[d]
-                take = min(k, len(specs) - c)
-                for i in range(take):
-                    yield specs[c + i]
-                if take:
-                    cursors[d] = c + take
-                    remaining -= take
-                    progressed = True
-            assert progressed, "round-robin failed to progress"

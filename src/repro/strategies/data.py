@@ -93,7 +93,6 @@ PHASE_TPS2 = "tps2"
 PHASE_VMESH1 = "vmesh1"
 PHASE_VMESH2 = "vmesh2"
 PHASE_CREDIT = "credit"
-PHASE_M2M = "m2m"
 
 #: Marker -> human-readable phase description (trace/metrics legends).
 PHASE_NAMES = {
@@ -103,7 +102,6 @@ PHASE_NAMES = {
     PHASE_VMESH1: "virtual mesh phase 1: combine along rows",
     PHASE_VMESH2: "virtual mesh phase 2: distribute along columns",
     PHASE_CREDIT: "memory-credit control traffic",
-    PHASE_M2M: "many-to-many subcommunicator traffic",
 }
 
 

@@ -13,7 +13,6 @@ from typing import Optional
 from repro.model.alltoall import ar_vmesh_crossover_bytes
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan
 from repro.strategies.base import AllToAllStrategy
 from repro.strategies.direct import ARDirect
 from repro.strategies.tps import TwoPhaseSchedule
@@ -24,7 +23,6 @@ def select_strategy(
     shape: TorusShape,
     msg_bytes: int,
     params: Optional[MachineParams] = None,
-    faults: Optional[FaultPlan] = None,
 ) -> AllToAllStrategy:
     """Pick the paper's best algorithm for (shape, message size).
 
@@ -33,15 +31,8 @@ def select_strategy(
     * symmetric torus: the :class:`ARDirect` direct scheme;
     * asymmetric torus (or any mesh dimension): :class:`TwoPhaseSchedule`,
       provided the partition has >= 2 dimensions.
-
-    With a non-empty fault plan the choice falls back to :class:`ARDirect`,
-    the most fault-tolerant scheme: no forwarding dependencies (VMesh needs
-    every rank as a combiner; TPS concentrates rerouted load on surviving
-    intermediates) and fully adaptive routing around dead links.
     """
     params = params or MachineParams.bluegene_l()
-    if faults is not None and not faults.is_empty:
-        return ARDirect()
     crossover = ar_vmesh_crossover_bytes(params)
     # The measured change-over lands between 32 and 64 B (Section 4.2)
     # because large packets use the network more efficiently; use the

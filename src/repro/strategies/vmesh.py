@@ -41,7 +41,7 @@ from repro.strategies.data import (
     chunks_of,
 )
 from repro.util.rng import derive_rng
-from repro.util.validation import require
+from repro.util.validation import check_positive_int, require
 
 
 class VMeshMapping:
@@ -102,7 +102,7 @@ class VMeshProgram(BaseProgram):
         carry_data: bool,
         mapping: VMeshMapping,
     ) -> None:
-        require(msg_bytes >= 1, "msg_bytes must be >= 1")
+        msg_bytes = check_positive_int(msg_bytes, "msg_bytes")
         self.shape = shape
         self.msg_bytes = msg_bytes
         self.params = params

@@ -75,8 +75,8 @@ class TestRegistry:
         assert len(EXPERIMENTS) == 11
 
     def test_ablations_and_extensions(self):
-        # five ablations + scaling study + resilience sweep
-        assert len(ABLATIONS) == 7
+        # five ablations + scaling study
+        assert len(ABLATIONS) == 6
 
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="unknown experiment"):
@@ -125,16 +125,3 @@ class TestDriversTiny:
     def test_fig2_has_model_column(self):
         result = run_experiment("fig2_ar_4096", scale="tiny")
         assert all(v > 0 for v in result.column("Eq.3 % of peak"))
-
-    def test_resilience_sweep(self):
-        result = run_experiment("resilience_sweep", scale="tiny")
-        # Baseline row first, then increasingly faulty rows that still
-        # complete; faults must actually cost bandwidth.
-        pct = result.column("% of baseline")
-        assert pct[0] == 100.0
-        assert all(0.0 < v < 100.0 for v in pct[1:])
-        baseline, faulty = result.rows[0], result.rows[-1]
-        assert baseline["lost"] == 0 and baseline["rerouted hops"] == 0
-        assert faulty["lost"] > 0
-        assert faulty["retx"] >= faulty["lost"]
-        assert faulty["links alive"] < baseline["links alive"]

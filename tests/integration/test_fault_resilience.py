@@ -20,12 +20,10 @@ from repro.strategies import (
     ARDirect,
     CreditedTPS,
     DRDirect,
-    ManyToManyDirect,
     MPIDirect,
     ThrottledAR,
     TwoPhaseSchedule,
     VirtualMesh2D,
-    select_strategy,
 )
 
 SHAPE = TorusShape.parse("4x4x4")
@@ -113,23 +111,8 @@ def test_dead_nodes_degrade_gracefully(strategy):
 
 
 def test_bijective_strategies_refuse_dead_nodes():
-    from repro.strategies import random_access_pattern
-
     with pytest.raises(ValueError, match="dead nodes"):
         VirtualMesh2D().build_program(SHAPE, 64, faults=DEAD_NODE_PLAN)
-    pattern = random_access_pattern(SHAPE, 4)
-    with pytest.raises(ValueError, match="dead nodes"):
-        ManyToManyDirect(pattern).build_program(
-            SHAPE, faults=DEAD_NODE_PLAN
-        )
-
-
-def test_selector_falls_back_to_adaptive_direct():
-    # Under faults the selector must pick the most fault-tolerant strategy
-    # regardless of the message-size crossover.
-    assert select_strategy(SHAPE, 64, faults=PLAN).name == ARDirect().name
-    assert select_strategy(SHAPE, 1_000_000, faults=PLAN).name == ARDirect().name
-    assert select_strategy(SHAPE, 64, faults=None).name != ""
 
 
 def test_deterministic_under_faults():

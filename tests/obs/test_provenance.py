@@ -31,6 +31,11 @@ class TestObsConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ObsConfig(trace_sample=0)
+        for bad in (1.5, float("nan")):
+            with pytest.raises(TypeError, match="trace_sample"):
+                ObsConfig(trace_sample=bad)
+        cfg = ObsConfig(trace_sample=4.0)
+        assert cfg.trace_sample == 4 and type(cfg.trace_sample) is int
 
 
 class TestContext:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -214,6 +215,36 @@ class TestPool:
         assert counters.cache_hits == 1
         assert counters.cache_corrupt == 0
         assert counters.simulated == 0
+
+    def test_entry_is_written_as_one_compact_json_text(self, monkeypatch):
+        from repro.runner import cache_root
+        from repro.runner.cache import cache_put
+
+        p = _point()
+        payload = encode_run(
+            simulate_alltoall(p.strategy, p.shape, p.msg_bytes, seed=p.seed)
+        )
+        writes = []
+        real_fdopen = os.fdopen
+
+        def counting_fdopen(*args, **kwargs):
+            fh = real_fdopen(*args, **kwargs)
+            real_write = fh.write
+
+            def write(text):
+                writes.append(text)
+                return real_write(text)
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", counting_fdopen)
+        assert cache_put(point_key(p), payload)
+        entry = next(cache_root().rglob("*.json"))
+        assert entry.read_text(encoding="utf-8") == json.dumps(
+            payload, separators=(",", ":")
+        )
+        assert len(writes) == 1
 
     def test_cache_stats_counters(self):
         pts = [_point(msg_bytes=m) for m in (32, 64)]

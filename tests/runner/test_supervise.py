@@ -18,6 +18,7 @@ from repro.runner import (
     run_sweep,
 )
 from repro.runner.supervise import (
+    MAX_POINT_TIMEOUT_S,
     ChaosPlan,
     PointTimeoutError,
     SuperviseConfig,
@@ -165,6 +166,19 @@ class TestConfig:
             SuperviseConfig(max_attempts=0)
         with pytest.raises(ValueError):
             SuperviseConfig(point_timeout_s=0.0)
+        # Limits the watchdog's setitimer cannot arm fail at construction,
+        # not inside every point.
+        for bad in (float("nan"), float("inf"), 1e10):
+            with pytest.raises(ValueError, match="point_timeout_s"):
+                SuperviseConfig(point_timeout_s=bad)
+        # The cap itself is accepted, and the timer can arm it.
+        cap = SuperviseConfig(point_timeout_s=MAX_POINT_TIMEOUT_S)
+        with watchdog(cap.point_timeout_s, "cap"):
+            pass
+        with pytest.raises(TypeError, match="max_attempts"):
+            SuperviseConfig(max_attempts=1.5)
+        cfg = SuperviseConfig(max_attempts=3.0)
+        assert cfg.max_attempts == 3 and type(cfg.max_attempts) is int
 
     def test_backoff_schedule_is_exponential_and_deterministic(self):
         assert backoff_for(2) == 0.25
@@ -199,9 +213,10 @@ class TestConfig:
         assert cfg2.point_timeout_s == 1.0
 
     def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POINT_TIMEOUT", "soon")
-        with pytest.raises(ValueError, match="REPRO_POINT_TIMEOUT"):
-            SuperviseConfig.from_env()
+        for garbage in ("soon", "nan"):
+            monkeypatch.setenv("REPRO_POINT_TIMEOUT", garbage)
+            with pytest.raises(ValueError, match="REPRO_POINT_TIMEOUT"):
+                SuperviseConfig.from_env()
 
     def test_supervising_context(self):
         assert active_supervision() is None

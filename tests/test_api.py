@@ -10,7 +10,12 @@ from repro import (
     simulate_alltoall,
 )
 from repro.model.alltoall import peak_time_cycles
-from repro.strategies import ARDirect, TwoPhaseSchedule
+from repro.strategies import (
+    ARDirect,
+    DRDirect,
+    TwoPhaseSchedule,
+    VirtualMesh2D,
+)
 
 
 class TestSimulateAlltoall:
@@ -45,6 +50,34 @@ class TestSimulateAlltoall:
         fast = simulate_alltoall(ARDirect(), TorusShape.parse("4x4"), 16, prm)
         slow = simulate_alltoall(ARDirect(), TorusShape.parse("4x4"), 16)
         assert fast.time_cycles < slow.time_cycles
+
+
+class TestIntegerInputs:
+    STRATEGIES = [ARDirect(), DRDirect(), TwoPhaseSchedule(), VirtualMesh2D()]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
+    def test_fractional_size_names_the_field(self, strategy):
+        with pytest.raises(TypeError, match="msg_bytes"):
+            simulate_alltoall(strategy, TorusShape.parse("4x4"), 1.5)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
+    def test_integral_float_runs_as_its_int(self, strategy):
+        shape = TorusShape.parse("4x4")
+        as_float = simulate_alltoall(strategy, shape, 64.0)
+        as_int = simulate_alltoall(strategy, shape, 64)
+        assert as_float.time_cycles == as_int.time_cycles
+        assert (
+            as_float.result.events_processed
+            == as_int.result.events_processed
+        )
+
+    def test_fractional_packets_per_round_names_the_field(self):
+        with pytest.raises(TypeError, match="packets_per_round"):
+            simulate_alltoall(
+                TwoPhaseSchedule(packets_per_round=1.5),
+                TorusShape.parse("4x4"),
+                64,
+            )
 
 
 class TestPredict:

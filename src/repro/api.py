@@ -17,6 +17,7 @@ from repro.net.faults import FaultPlan
 from repro.net.faultsim import build_network
 from repro.net.trace import SimulationResult
 from repro.util.units import cycles_to_ms, cycles_to_us
+from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.check.config import CheckConfig
@@ -104,6 +105,7 @@ def simulate_alltoall(
     network, which makes identical decisions but raises
     :class:`~repro.check.oracle.InvariantError` the moment an invariant
     (conservation, exactly-once, credits, progress, phases) breaks."""
+    msg_bytes = check_positive_int(msg_bytes, "msg_bytes")
     params = params or MachineParams.bluegene_l()
     program = strategy.build_program(
         shape, msg_bytes, params, seed, faults=faults

@@ -45,18 +45,17 @@ N`` bounds reschedules of timed-out/crashed points.
 ``REPRO_CHAOS=kill:0.1,hang:0.05,seed=0`` injects deterministic worker
 deaths and stalls to exercise the supervision layer.
 
-Telemetry & history (DESIGN.md section 15): a live sweep status line
-(TTY) or periodic progress log lines (elsewhere) render by default,
-built from the supervisor's own events — ``--no-progress`` or
-``REPRO_PROGRESS=0`` disables, ``--quiet`` implies off.  ``--profile
-PATH`` runs the phase-level time profiler and writes per-point +
-aggregate phase attributions as JSON (with ``--trace *.json``
-the phase spans also land in the Chrome trace).  ``--history DIR``
-appends every finished experiment to a cross-run history store
-(``DIR/history.jsonl``); ``--compare REF`` then diffs the newest record
-against REF (an index, id prefix, ``prev`` or ``last``) and prints a
-regression/improvement/neutral verdict.  ``python -m repro.obs.history``
-inspects and diffs the store standalone.
+Telemetry (DESIGN.md section 15): a live sweep status line (TTY) or
+periodic progress log lines (elsewhere) render by default, built from
+the supervisor's own events — ``--no-progress`` or ``REPRO_PROGRESS=0``
+disables, ``--quiet`` implies off.  ``--profile PATH`` runs the
+phase-level time profiler and writes per-point + aggregate phase
+attributions as JSON (with ``--trace *.json`` the phase spans also land
+in the Chrome trace).
+
+A bad run setting — a flag value, or ``REPRO_SCALE``, ``REPRO_JOBS``,
+``REPRO_POINT_TIMEOUT`` or ``REPRO_CHAOS`` — exits 2 with a usage error
+before any point runs.
 """
 
 from __future__ import annotations
@@ -284,22 +283,6 @@ def main(argv: list[str] | None = None) -> int:
         "phase spans also land in the Chrome trace",
     )
     runp.add_argument(
-        "--history",
-        metavar="DIR",
-        default=None,
-        help="append each finished experiment to the cross-run history "
-        "store at DIR/history.jsonl (inspect/diff with "
-        "python -m repro.obs.history)",
-    )
-    runp.add_argument(
-        "--compare",
-        metavar="REF",
-        default=None,
-        help="after the run, diff the newest history record against REF "
-        "(index, id prefix, 'prev' or 'last') and print the "
-        "regression/improvement/neutral verdict; requires --history",
-    )
-    runp.add_argument(
         "--progress",
         dest="progress",
         action="store_true",
@@ -335,10 +318,36 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{eid:24s} [{kind}]")
         return 0
 
+    from repro.experiments.common import resolve_scale
+    from repro.obs.config import ObsConfig
+    from repro.runner.pool import counters, resolve_jobs
+    from repro.runner.supervise import SuperviseConfig, supervising
+
+    sup_overrides: dict = {}
+    if args.point_timeout is not None:
+        sup_overrides["point_timeout_s"] = args.point_timeout
+    if args.retries is not None:
+        sup_overrides["max_attempts"] = args.retries + 1
+    # Every run setting is checked here, before any point runs: a bad
+    # flag value or env knob gets the same usage error as an unparsable
+    # flag.
+    try:
+        scale = resolve_scale(args.scale)
+        jobs = resolve_jobs(args.jobs)
+        obs_cfg = ObsConfig(
+            trace=bool(args.trace),
+            trace_sample=args.trace_sample,
+            # The report needs the utilization timeseries + link stats.
+            metrics=bool(args.metrics or args.report),
+            link_stats=bool(args.report),
+            profile=bool(args.profile),
+        )
+        sup_cfg = SuperviseConfig.from_env(**sup_overrides)
+    except (TypeError, ValueError) as exc:
+        runp.error(str(exc))
+
     if args.no_cache:
         os.environ["REPRO_CACHE"] = "0"
-    if args.compare is not None and args.history is None:
-        parser.error("--compare requires --history")
     if args.progress is not None:
         os.environ["REPRO_PROGRESS"] = "1" if args.progress else "0"
 
@@ -347,24 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     # Counters are process-global; reset so --cache-stats reflects this
     # invocation only (matters when main() is called in-process, as the
     # tests do — a shell invocation is always a fresh process anyway).
-    from repro.runner.pool import counters
-
     counters.reset()
 
-    obs_on = bool(args.trace or args.metrics or args.report or args.profile)
-    if obs_on:
-        from repro.obs.config import ObsConfig
+    if obs_cfg.enabled:
         from repro.obs.context import observe
 
-        cfg = ObsConfig(
-            trace=bool(args.trace),
-            trace_sample=args.trace_sample,
-            # The report needs the utilization timeseries + link stats.
-            metrics=bool(args.metrics or args.report),
-            link_stats=bool(args.report),
-            profile=bool(args.profile),
-        )
-        ctx = observe(cfg)
+        ctx = observe(obs_cfg)
     else:
         ctx = contextlib.nullcontext([])
 
@@ -376,14 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         chk_ctx = contextlib.nullcontext()
 
-    from repro.runner.supervise import SuperviseConfig, supervising
-
-    sup_overrides: dict = {}
-    if args.point_timeout is not None:
-        sup_overrides["point_timeout_s"] = args.point_timeout
-    if args.retries is not None:
-        sup_overrides["max_attempts"] = args.retries + 1
-    sup_ctx = supervising(SuperviseConfig.from_env(**sup_overrides))
+    sup_ctx = supervising(sup_cfg)
 
     try:
         with _sigterm_interrupts(), ctx as collected, chk_ctx, sup_ctx:
@@ -391,11 +381,7 @@ def main(argv: list[str] | None = None) -> int:
             for eid in ids:
                 t0 = time.time()
                 result = run_experiment(
-                    eid,
-                    scale=args.scale,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                    history=args.history,
+                    eid, scale=scale, seed=args.seed, jobs=jobs
                 )
                 results.append(result)
                 print(result.render())
@@ -405,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
                         json.dumps(result.provenance, indent=2, sort_keys=True)
                     )
                     print()
-            if obs_on:
+            if obs_cfg.enabled:
                 _write_obs_outputs(
                     collected, args.trace, args.metrics, args.profile
                 )
@@ -414,32 +400,12 @@ def main(argv: list[str] | None = None) -> int:
 
                 title = (
                     f"Run report: {', '.join(ids)} "
-                    f"(scale={args.scale or 'default'}, seed={args.seed})"
+                    f"(scale={scale}, seed={args.seed})"
                 )
                 html_path, json_path = write_report(
-                    args.report,
-                    collected,
-                    results,
-                    title=title,
-                    history=args.history,
+                    args.report, collected, results, title=title
                 )
                 print(f"report: {html_path} + {json_path}")
-            if args.compare is not None:
-                from repro.obs.history import (
-                    RunHistory,
-                    diff_records,
-                    format_diff,
-                )
-
-                store = RunHistory(args.history)
-                recs = store.records()
-                try:
-                    old = store.resolve(args.compare, recs)
-                    new = store.resolve("last", recs)
-                except LookupError as exc:
-                    print(f"compare: {exc}", file=sys.stderr)
-                else:
-                    print(format_diff(diff_records(old, new)))
     except KeyboardInterrupt:
         from repro.runner.cache import cache_enabled, cache_root
 

@@ -73,8 +73,6 @@ def run_experiment(
     scale: Optional[str] = None,
     seed: int = 0,
     jobs: Optional[int] = None,
-    report_dir: Optional[str] = None,
-    history: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one experiment by id, attaching a provenance record.
 
@@ -88,22 +86,12 @@ def run_experiment(
     an ``INCOMPLETE`` note on the rendered table), so a gracefully
     degraded sweep can never masquerade as a complete reproduction.
 
-    With *report_dir*, the experiment runs with link-stats collection
-    active and an HTML report + JSON sidecar covering its points lands
-    in that directory (see :mod:`repro.obs.report`; the CLI's
-    ``--report`` instead builds one comparative report across every
-    experiment of the invocation).
-
-    With *history* (a directory or ``.jsonl`` path), the finished
-    result is appended to the cross-run history store
-    (:mod:`repro.obs.history`): the deterministic payload — columns,
-    a digest of the rows, per-column metric means — is digested for
-    regression diffing, and non-deterministic context (wall time, git,
-    cache split) rides alongside as metadata.  Identical results from
-    any job count append identical payload digests.
+    A run report is built around the call, not inside it: wrap it in
+    :func:`repro.obs.context.observe` with
+    ``ObsConfig(metrics=True, link_stats=True)`` and pass the collected
+    entries and the result to :func:`repro.obs.report.write_report`, as
+    the CLI's ``--report`` does.
     """
-    import contextlib
-
     from repro.experiments.common import resolve_scale
     from repro.obs.provenance import provenance_record
     from repro.runner.codec import SCHEMA_VERSION
@@ -111,18 +99,10 @@ def run_experiment(
 
     log = logging.getLogger("repro.experiments")
     driver = get_driver(exp_id)
-    if report_dir is not None:
-        from repro.obs.config import ObsConfig
-        from repro.obs.context import observe
-
-        obs_ctx = observe(ObsConfig(metrics=True, link_stats=True))
-    else:
-        obs_ctx = contextlib.nullcontext([])
     before = counters.snapshot()
     log.info("running %s (scale=%s, seed=%d)", exp_id, scale, seed)
     t0 = time.perf_counter()
-    with obs_ctx as report_entries:
-        result = driver(scale=scale, seed=seed, jobs=jobs)
+    result = driver(scale=scale, seed=seed, jobs=jobs)
     wall = time.perf_counter() - t0
     after = counters.snapshot()
     new_keys = after["point_keys"][len(before["point_keys"]):]
@@ -167,26 +147,4 @@ def run_experiment(
         simulated,
         len(new_keys) - simulated,
     )
-    if history is not None:
-        from repro.obs.history import RunHistory
-
-        store = RunHistory(history)
-        record = store.append_experiment(result)
-        log.info(
-            "history: %s appended run %s (payload digest %s)",
-            store.path,
-            record["id"],
-            record["payload_digest"][:12],
-        )
-    if report_dir is not None:
-        from repro.obs.report import write_report
-
-        html_path, json_path = write_report(
-            report_dir,
-            report_entries,
-            [result],
-            title=f"[{exp_id}] {result.title}",
-            history=history,
-        )
-        log.info("report: %s + %s", html_path, json_path)
     return result

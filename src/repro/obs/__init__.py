@@ -1,6 +1,6 @@
 """End-to-end observability: tracing, metrics and run provenance.
 
-Three layers, all opt-in and all zero-cost when off (the plain simulator
+The layers below are opt-in and zero-cost when off (the plain simulator
 classes carry no instrumentation and no branches):
 
 * **Event tracer** (:mod:`repro.obs.tracer`) — packet lifecycle events
@@ -25,12 +25,6 @@ classes carry no instrumentation and no branches):
 * **Phase profiler** (:mod:`repro.obs.profile`) — per-(phase, axis)
   busy-cycle attribution with wall/CPU estimates and a Chrome-trace
   span track (``ObsConfig(profile=True)`` / the CLI's ``--profile``).
-* **Run history** (:mod:`repro.obs.history`) — append-only JSONL store
-  of experiment results with deterministic payload digests and
-  regression/improvement/neutral diff verdicts (``--history DIR`` /
-  ``python -m repro.obs.history``).  Import it as
-  ``repro.obs.history``: importing it here would make runpy warn on
-  every ``python -m repro.obs.history``.
 
 Activation: pass an :class:`ObsConfig` to
 :func:`repro.api.simulate_alltoall` / :func:`repro.runner.run_points`,

@@ -29,7 +29,7 @@ import html
 import json
 import os
 import time
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from repro.obs.linkstats import (
     AXIS_NAMES,
@@ -38,8 +38,8 @@ from repro.obs.linkstats import (
 )
 from repro.obs.provenance import git_describe
 
-#: Version of the JSON sidecar layout.
-REPORT_SCHEMA = 1
+#: Version of the JSON sidecar layout; bump it on any layout change.
+REPORT_SCHEMA = 2
 
 REPORT_HTML = "report.html"
 REPORT_JSON = "report.json"
@@ -94,54 +94,13 @@ def _experiment_record(res: Any) -> dict:
     }
 
 
-def _trend_entry(rec: dict) -> dict:
-    """One compact trend sample from a history run record."""
-    meta = rec.get("meta") or {}
-    return {
-        "id": rec.get("id"),
-        "payload_digest": rec.get("payload_digest"),
-        "timestamp_unix": meta.get("timestamp_unix"),
-        "wall_s": meta.get("wall_s"),
-        "metrics": dict(rec.get("payload", {}).get("metrics") or {}),
-    }
-
-
-def _collect_trends(
-    history: Optional[str], experiments: Iterable[Any]
-) -> dict[str, list[dict]]:
-    """Per-experiment trend series from the run-history store.
-
-    Tolerates a missing/empty/unreadable store — the report must render
-    even when history tracking only just started.
-    """
-    if history is None:
-        return {}
-    try:
-        from repro.obs.history import RunHistory
-
-        store = RunHistory(history)
-        out: dict[str, list[dict]] = {}
-        for res in experiments:
-            exp_id = getattr(res, "exp_id", None)
-            if exp_id is None:
-                continue
-            recs = store.trend(exp_id)
-            if recs:
-                out[exp_id] = [_trend_entry(r) for r in recs]
-        return out
-    except Exception:  # noqa: BLE001 - trends are strictly best-effort
-        return {}
-
-
 def build_sidecar(
     entries: Iterable[dict],
     experiments: Iterable[Any] = (),
     title: str = "Run report",
     params: Any = None,
-    history: Optional[str] = None,
 ) -> dict:
     """The machine-readable report: everything the HTML renders."""
-    experiments = list(experiments)
     return {
         "schema": REPORT_SCHEMA,
         "title": title,
@@ -149,7 +108,6 @@ def build_sidecar(
         "git": git_describe(),
         "points": [_point_record(e, params=params) for e in entries],
         "experiments": [_experiment_record(r) for r in experiments],
-        "trends": _collect_trends(history, experiments),
     }
 
 
@@ -346,70 +304,6 @@ def _point_section(rec: dict) -> str:
     return "".join(out)
 
 
-def _sparkline_svg(values: list[float], w: int = 180, h: int = 36) -> str:
-    """Inline sparkline: a polyline over *values*, latest point marked."""
-    pts = [float(v) for v in values]
-    if not pts:
-        return ""
-    pad = 3
-    lo, hi = min(pts), max(pts)
-    span = (hi - lo) or 1.0
-    n = len(pts)
-    step = (w - 2 * pad) / max(n - 1, 1)
-    coords = [
-        (
-            pad + i * step,
-            h - pad - (v - lo) / span * (h - 2 * pad),
-        )
-        for i, v in enumerate(pts)
-    ]
-    poly = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
-    lx, ly = coords[-1]
-    return (
-        f'<svg width="{w}" height="{h}" '
-        f'xmlns="http://www.w3.org/2000/svg">'
-        f'<polyline points="{poly}" fill="none" stroke="#2563eb" '
-        f'stroke-width="1.5"/>'
-        f'<circle cx="{lx:.1f}" cy="{ly:.1f}" r="2.5" fill="#dc2626">'
-        f"<title>latest: {pts[-1]:g} (min {lo:g}, max {hi:g}, "
-        f"{n} runs)</title></circle></svg>"
-    )
-
-
-def _trend_section(exp_id: str, samples: list[dict]) -> str:
-    """Sparkline table: one row per tracked metric across recorded runs."""
-    if len(samples) < 2:
-        return ""
-    names: list[str] = []
-    for s in samples:
-        for name in s.get("metrics") or {}:
-            if name not in names:
-                names.append(name)
-    rows = []
-    wall = [s.get("wall_s") for s in samples]
-    if all(isinstance(v, (int, float)) for v in wall):
-        rows.append(("wall_s", [float(v) for v in wall]))
-    for name in names:
-        series = [(s.get("metrics") or {}).get(name) for s in samples]
-        if all(isinstance(v, (int, float)) for v in series):
-            rows.append((name, [float(v) for v in series]))
-    if not rows:
-        return ""
-    out = [
-        f"<h3>Trend: {len(samples)} recorded runs</h3>",
-        "<table><tr><th class='l'>metric</th><th>latest</th>"
-        "<th class='l'>history</th></tr>",
-    ]
-    for name, series in rows:
-        out.append(
-            f"<tr><td class='l'>{_esc(name)}</td>"
-            f"<td>{series[-1]:,.4g}</td>"
-            f"<td class='l'>{_sparkline_svg(series)}</td></tr>"
-        )
-    out.append("</table>")
-    return "".join(out)
-
-
 def _experiment_section(rec: dict) -> str:
     out = [f"<h2>[{_esc(rec['exp_id'])}] {_esc(rec['title'])}</h2>"]
     cols = rec["columns"]
@@ -489,12 +383,8 @@ def render_html(sidecar: dict) -> str:
         )
     for p in sidecar["points"]:
         parts.append(_point_section(p))
-    trends = sidecar.get("trends") or {}
     for e in sidecar["experiments"]:
         parts.append(_experiment_section(e))
-        samples = trends.get(e["exp_id"])
-        if samples:
-            parts.append(_trend_section(e["exp_id"], samples))
     parts.append("</body></html>")
     return "".join(parts)
 
@@ -510,7 +400,6 @@ def write_report(
     experiments: Iterable[Any] = (),
     title: str = "Run report",
     params: Any = None,
-    history: Optional[str] = None,
 ) -> tuple[str, str]:
     """Write ``report.html`` + ``report.json`` under *out_dir*.
 
@@ -518,14 +407,9 @@ def write_report(
     ``point`` label and optional ``link_stats``/``metrics`` keys — what
     :func:`repro.obs.context.observe` yields); *experiments* are
     finished :class:`ExperimentResult` objects rendered as comparative
-    tables.  With *history* (a run-history store path,
-    :mod:`repro.obs.history`), each experiment section gains a trend
-    table with sparklines over the recorded runs of that experiment.
-    Returns ``(html_path, json_path)``.
+    tables.  Returns ``(html_path, json_path)``.
     """
-    sidecar = build_sidecar(
-        entries, experiments, title=title, params=params, history=history
-    )
+    sidecar = build_sidecar(entries, experiments, title=title, params=params)
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, REPORT_JSON)
     html_path = os.path.join(out_dir, REPORT_HTML)

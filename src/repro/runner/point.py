@@ -15,6 +15,7 @@ from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.config import NetworkConfig
 from repro.net.faults import FaultPlan
+from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.strategies.base import AllToAllStrategy
@@ -37,6 +38,13 @@ class SimPoint:
     seed: int = 0
     faults: Optional[FaultPlan] = None
 
+    def __post_init__(self) -> None:
+        # 64.0 and 64 must share one cache key, and 1.5 must fail here,
+        # not when the point runs.
+        object.__setattr__(
+            self, "msg_bytes", check_positive_int(self.msg_bytes, "msg_bytes")
+        )
+
     @property
     def cost_hint(self) -> float:
         """Relative wall-clock cost estimate: total bytes exchanged.
@@ -48,4 +56,4 @@ class SimPoint:
         affects results or cache keys.
         """
         n = self.shape.nnodes
-        return float(n * n * max(self.msg_bytes, 1))
+        return float(n * n * self.msg_bytes)

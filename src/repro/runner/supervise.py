@@ -349,7 +349,10 @@ class SuperviseConfig:
             )
         env_c = os.environ.get("REPRO_CHAOS", "").strip()
         if env_c:
-            kw["chaos"] = ChaosPlan.parse(env_c)
+            try:
+                kw["chaos"] = ChaosPlan.parse(env_c)
+            except ValueError as exc:
+                raise ValueError(f"REPRO_CHAOS: {exc}") from None
         kw.update(overrides)
         return cls(**kw)
 

@@ -170,3 +170,38 @@ def test_check_flag_bypasses_cache(capsys):
 def test_quiet_and_verbose_flags():
     assert main(["-q", "run", "fig5_vmesh_pred", "--scale", "tiny"]) == 0
     assert main(["-v", "run", "fig5_vmesh_pred", "--scale", "tiny"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, env, named",
+    [
+        (["--point-timeout", "nan"], {}, "point_timeout_s"),
+        (["--retries", "-1"], {}, "max_attempts"),
+        (["--trace-sample", "0", "--trace", "t.json"], {}, "trace_sample"),
+        ([], {"REPRO_CHAOS": "bogus"}, "REPRO_CHAOS"),
+        ([], {"REPRO_POINT_TIMEOUT": "abc"}, "REPRO_POINT_TIMEOUT"),
+        ([], {"REPRO_JOBS": "abc"}, "REPRO_JOBS"),
+        ([], {"REPRO_SCALE": "huge"}, "'huge'"),
+    ],
+    ids=[
+        "point-timeout",
+        "retries",
+        "trace-sample",
+        "chaos",
+        "env-timeout",
+        "env-jobs",
+        "env-scale",
+    ],
+)
+def test_bad_run_setting_is_a_usage_error(
+    flags, env, named, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig5_vmesh_pred", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and named in err
+    assert not (tmp_path / "t.json").exists()

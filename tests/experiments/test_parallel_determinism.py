@@ -44,6 +44,12 @@ def test_driver_rows_identical_across_job_counts(
     assert par.columns == seq.columns
     assert par.rows == seq.rows
     assert par.render() == seq.render()
+    # The fingerprint hashes the ordered point keys: the pool must
+    # request the same points in the same order.
+    assert (
+        par.provenance["config_fingerprint"]
+        == seq.provenance["config_fingerprint"]
+    )
 
     warm = _run(exp_id, 4, tmp_path / "a", monkeypatch)
     assert counters.simulated == 0, (

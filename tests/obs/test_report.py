@@ -22,6 +22,7 @@ from repro.obs.context import observe
 from repro.obs.report import (
     REPORT_HTML,
     REPORT_JSON,
+    REPORT_SCHEMA,
     build_sidecar,
     render_html,
     write_report,
@@ -91,6 +92,14 @@ class TestSidecar:
         assert exp["exp_id"] == "fig1_ar_midplane"
         assert exp["rows"] == _experiment().rows
         assert exp["provenance"]["points_simulated"] == 2
+
+    def test_sidecar_layout_matches_its_schema(self, entries):
+        # A change to these keys must bump REPORT_SCHEMA.
+        side = build_sidecar(entries, [_experiment()], title="t")
+        assert side["schema"] == REPORT_SCHEMA == 2
+        assert sorted(side) == [
+            "experiments", "generated_unix", "git", "points", "schema", "title"
+        ]
 
     def test_sidecar_is_json_clean(self, entries):
         side = build_sidecar(entries, [_experiment()], title="t")
@@ -196,51 +205,6 @@ class TestDegenerateInputs:
         assert "summary" not in side["points"][0]
 
 
-class TestTrends:
-    def _history(self, tmp_path, n=3) -> str:
-        from repro.obs.history import RunHistory
-
-        store = RunHistory(tmp_path / "hist")
-        for i in range(n):
-            res = _experiment()
-            res.provenance = dict(
-                res.provenance, scale="test", wall_s=0.5 + i
-            )
-            store.append_experiment(res)
-        return str(store.path)
-
-    def test_history_feeds_sparkline_trend_section(self, tmp_path):
-        hist = self._history(tmp_path)
-        side = build_sidecar(
-            [], [_experiment()], title="t", history=hist
-        )
-        samples = side["trends"]["fig1_ar_midplane"]
-        assert len(samples) == 3
-        assert [s["wall_s"] for s in samples] == [0.5, 1.5, 2.5]
-        html = render_html(side)
-        assert "Trend: 3 recorded runs" in html
-        assert "<polyline" in html  # the sparkline itself
-
-    def test_single_record_has_no_trend_section(self, tmp_path):
-        hist = self._history(tmp_path, n=1)
-        side = build_sidecar([], [_experiment()], title="t", history=hist)
-        assert "Trend:" not in render_html(side)
-
-    def test_missing_store_is_tolerated(self, tmp_path):
-        side = build_sidecar(
-            [],
-            [_experiment()],
-            title="t",
-            history=str(tmp_path / "nowhere"),
-        )
-        assert side["trends"] == {}
-        render_html(side)
-
-    def test_no_history_means_no_trends(self):
-        side = build_sidecar([], [_experiment()], title="t")
-        assert side["trends"] == {}
-
-
 class TestCliIntegration:
     def test_cli_report_flag_writes_report(self, tmp_path, capsys):
         from repro.experiments.cli import main
@@ -264,15 +228,3 @@ class TestCliIntegration:
             assert math.isfinite(pt["summary"]["percent_of_peak"])
         assert len(side["experiments"]) == 1
         assert "report:" in capsys.readouterr().out
-
-    def test_run_experiment_report_dir(self, tmp_path):
-        from repro.experiments.registry import run_experiment
-
-        out = tmp_path / "exp"
-        result = run_experiment(
-            "fig1_ar_midplane", scale="tiny", report_dir=str(out)
-        )
-        assert result.rows
-        side = json.loads((out / REPORT_JSON).read_text())
-        assert side["points"]
-        assert side["experiments"][0]["exp_id"] == "fig1_ar_midplane"

@@ -72,6 +72,19 @@ class TestKeys:
         assert base not in keys
         assert len(keys) == len(variants)
 
+    def test_integral_float_size_shares_the_int_key(self):
+        as_float = _point(msg_bytes=64.0)
+        assert type(as_float.msg_bytes) is int
+        assert point_key(as_float) == point_key(_point(msg_bytes=64))
+
+    def test_fractional_size_is_refused(self):
+        with pytest.raises(TypeError, match="msg_bytes"):
+            _point(msg_bytes=1.5)
+
+    def test_zero_size_is_refused(self):
+        with pytest.raises(ValueError, match="msg_bytes"):
+            _point(msg_bytes=0)
+
     def test_strategy_options_are_part_of_the_key(self):
         a = point_key(_point(strategy=TwoPhaseSchedule(pipelined=True)))
         b = point_key(_point(strategy=TwoPhaseSchedule(pipelined=False)))

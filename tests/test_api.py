@@ -71,6 +71,10 @@ class TestIntegerInputs:
             == as_int.result.events_processed
         )
 
+    def test_integral_float_size_is_returned_as_int(self):
+        run = simulate_alltoall(ARDirect(), TorusShape.parse("4x4"), 64.0)
+        assert type(run.msg_bytes) is int and run.msg_bytes == 64
+
     def test_fractional_packets_per_round_names_the_field(self):
         with pytest.raises(TypeError, match="packets_per_round"):
             simulate_alltoall(

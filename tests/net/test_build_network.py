@@ -19,7 +19,7 @@ import pytest
 from repro.check.config import CheckConfig
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan, LinkOutage
+from repro.net.faults import FaultPlan
 from repro.net.faultsim import FaultyTorusNetwork, build_network
 from repro.net.simulator import TorusNetwork
 from repro.obs.config import ObsConfig
@@ -28,15 +28,14 @@ from repro.strategies import ARDirect
 SHAPE = TorusShape.parse("4x4x2")
 PARAMS = MachineParams.bluegene_l()
 MSG = 128
-# Dead links, loss (retransmission events) and an outage window: every
-# event kind the fault network adds to the run kernel.
+# Dead links and loss (retransmission events): every event kind the
+# fault network adds to the run kernel.
 PLAN = FaultPlan.random(
     SHAPE,
     seed=3,
     dead_link_fraction=0.05,
     loss_prob=0.02,
     retx_timeout_cycles=2000.0,
-    outages=(LinkOutage(node=0, direction=0, start=100.0, end=600.0),),
 )
 
 
@@ -70,7 +69,6 @@ class TestLayerLattice:
         assert ("obs" in res.extras) == observed
         if faulty:
             assert res.retransmitted_packets > 0
-            assert res.outage_cycles > 0
 
 
 class TestObserverSurface:

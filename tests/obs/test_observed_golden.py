@@ -5,7 +5,7 @@ launch, arbitration stall, arrival, injection and delivery — so its
 payloads pin what the kernel's hook sites see, not only what a run
 returns.  AR, DR, TPS and VMesh run on an even and an odd 3-D torus with
 one-packet and three-packet messages, plus AR under a fault plan with
-dead links, loss and an outage window, all with
+dead links and loss, all with
 ``ObsConfig(metrics=True, link_stats=True)``.  Each run is pinned by two
 digests in ``data/observed_golden.json``: one of the link-stats counters
 (:data:`LINK_STATS_FIELDS`) and one of the metrics payload.  The profile
@@ -28,7 +28,7 @@ import pytest
 
 from repro.api import simulate_alltoall
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan, LinkOutage
+from repro.net.faults import FaultPlan
 from repro.obs.config import ObsConfig
 from repro.strategies import (
     ARDirect,
@@ -50,8 +50,8 @@ SHAPES = ("4x4x2", "3x5x2")
 SIZES = (8, 700)
 SEED = 1
 
-#: The fault case: dead links, loss (retransmissions) and an outage
-#: window on 4x4x2 — every event kind a fault plan adds to the kernel.
+#: The fault case: dead links and loss (retransmissions) on 4x4x2 —
+#: every event kind a fault plan adds to the kernel.
 FAULT_SHAPE = TorusShape.parse("4x4x2")
 FAULT_MSG = 128
 FAULT_PLAN = FaultPlan.random(
@@ -60,7 +60,6 @@ FAULT_PLAN = FaultPlan.random(
     dead_link_fraction=0.05,
     loss_prob=0.02,
     retx_timeout_cycles=2000.0,
-    outages=(LinkOutage(node=0, direction=0, start=100.0, end=600.0),),
 )
 FAULT_CASE = f"AR@4x4x2/{FAULT_MSG}/faulty"
 

@@ -90,10 +90,9 @@ def simulate_alltoall(
     """Simulate one all-to-all of *msg_bytes* per rank pair under
     *strategy* on *shape* and return the measured run.
 
-    ``faults`` injects hardware faults: the strategy plans around dead
-    nodes and the network routes around dead links, retransmits over lossy
-    wires, and honors degraded links and outages.  ``None`` (or an empty
-    plan) takes the pristine fast path.
+    ``faults`` injects hardware faults: the network routes around dead
+    links and retransmits over lossy wires; the strategy never sees the
+    plan.  ``None`` (or an empty plan) takes the pristine fast path.
 
     ``obs`` opts into observability: an enabled
     :class:`~repro.obs.config.ObsConfig` runs the instrumented network
@@ -107,9 +106,7 @@ def simulate_alltoall(
     (conservation, exactly-once, credits, progress, phases) breaks."""
     msg_bytes = check_positive_int(msg_bytes, "msg_bytes")
     params = params or MachineParams.bluegene_l()
-    program = strategy.build_program(
-        shape, msg_bytes, params, seed, faults=faults
-    )
+    program = strategy.build_program(shape, msg_bytes, params, seed)
     net = build_network(shape, params, config, faults, obs, check)
     if strategy.fifo_groups > 1:
         net.set_fifo_groups(strategy.fifo_groups)

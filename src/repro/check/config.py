@@ -39,10 +39,10 @@ class CheckConfig:
         every credit/slot count must stay within its capacity.
     phases:
         Per-strategy phase invariants at delivery: TPS phase-1 packets
-        land on the destination's linear line (and, fault-free, travel
-        only along the linear axis); TPS phase-2 packets stay inside the
-        hyperplane; VMesh phase-1 stays in the sender's row and phase-2
-        in the sender's column; direct packets are never forwarded.
+        land on the destination's linear line, in the source's plane;
+        TPS phase-2 packets stay inside the hyperplane; VMesh phase-1
+        stays in the sender's row and phase-2 in the sender's column;
+        direct packets are never forwarded.
     audit_interval:
         Deliveries between two progress audits (the audit is O(state), so
         running it on every event would change the run's complexity).

@@ -16,9 +16,9 @@ Run it time-boxed (CI runs a fixed seed for 60 s)::
 Every case is a short spec string — ``STRAT@SHAPE/mBYTES/sSEED[/fFAULTS]``
 with strategy codes AR, DR, THR, MPI, TPS[.axN], CTPS[.axN], VM; shapes in
 :meth:`~repro.model.torus.TorusShape.parse` grammar; and fault fields
-``n`` (dead-node fraction), ``l`` (dead-link fraction), ``p`` (loss
-probability), ``d`` (degraded fraction), ``s`` (fault seed), ``t``
-(retransmission timeout, cycles).  ``--case`` replays one spec exactly;
+``l`` (dead-link fraction), ``p`` (loss probability), ``s`` (fault seed)
+and ``t`` (retransmission timeout, cycles).  ``--case`` replays one spec
+exactly; a malformed spec, budget or job count is a usage error (exit 2);
 ``--self-test`` sabotages the receiver-side dedup in-process and proves
 the exactly-once oracle catches it and the shrinker still produces a
 one-liner (CI runs this before the clean sweep).
@@ -41,6 +41,7 @@ from repro.check.differential import (
     differential_points,
 )
 from repro.model.torus import TorusShape
+from repro.runner.pool import resolve_jobs
 from repro.runner.supervise import PointTimeoutError, watchdog
 from repro.net.errors import PartitionedNetworkError
 from repro.net.faults import FaultPlan
@@ -55,8 +56,8 @@ from repro.strategies import (
 )
 
 #: Fault-spec fields, in canonical spec order.
-_FAULT_KEYS = ("n", "l", "p", "d", "s", "t")
-_FAULT_DEFAULTS = {"n": 0.0, "l": 0.0, "p": 0.0, "d": 0.0, "s": 0, "t": 50000.0}
+_FAULT_KEYS = ("l", "p", "s", "t")
+_FAULT_DEFAULTS = {"l": 0.0, "p": 0.0, "s": 0, "t": 50000.0}
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,7 @@ class FuzzCase:
             for k, v in self.faults.items()
             if v != _FAULT_DEFAULTS[k] or k in ("s", "t")
         }
-        if not any(
-            clean.get(k, 0) for k in ("n", "l", "p", "d")
-        ):
+        if not any(clean.get(k, 0) for k in ("l", "p")):
             clean = {}
         object.__setattr__(self, "faults", clean)
         object.__setattr__(
@@ -144,7 +143,7 @@ class FuzzCase:
                 seed = int(body)
             elif tag == "f":
                 for item in body.split(","):
-                    key, value = item[0], item[1:]
+                    key, value = item[:1], item[1:]
                     if key not in _FAULT_KEYS:
                         raise ValueError(
                             f"bad fault field {item!r} in {spec!r}"
@@ -191,10 +190,8 @@ class FuzzCase:
         return FaultPlan.random(
             self.torus_shape(),
             seed=int(f["s"]),
-            dead_node_fraction=f["n"],
             dead_link_fraction=f["l"],
             loss_prob=f["p"],
-            degraded_fraction=f["d"],
             retx_timeout_cycles=f["t"],
         )
 
@@ -297,14 +294,10 @@ def sample_case(rng: random.Random) -> FuzzCase:
                 "s": rng.randrange(100),
                 "t": rng.choice((2000.0, 50000.0)),
             }
-            if rng.random() < 0.4 and strat != "VM" and nnodes >= 8:
-                faults["n"] = 0.1
             if rng.random() < 0.5:
                 faults["l"] = rng.choice((0.05, 0.1))
             if rng.random() < 0.5:
                 faults["p"] = rng.choice((0.02, 0.05))
-            if rng.random() < 0.3:
-                faults["d"] = 0.25
 
         case = FuzzCase(strat, shape_s, msg, seed, faults)
         try:
@@ -325,7 +318,7 @@ def _shrink_candidates(case: FuzzCase) -> Iterator[FuzzCase]:
     """Strictly-simpler variants of *case*, most aggressive first."""
     if case.faults:
         yield replace(case, faults={})
-        for key in ("n", "l", "p", "d"):
+        for key in ("l", "p"):
             if case.faults.get(key):
                 f = dict(case.faults)
                 f.pop(key)
@@ -557,12 +550,11 @@ def fuzz(
     return 0
 
 
-def replay(spec: str, verbose: bool = False) -> int:
-    """Re-run one case spec exactly; returns a process exit code."""
-    case = FuzzCase.parse(spec)
+def replay(case: FuzzCase, verbose: bool = False) -> int:
+    """Re-run one case exactly; returns a process exit code."""
     report = _run_one(case)
     if report is None:
-        print(f"invalid case (cannot materialize): {spec}")
+        print(f"invalid case (cannot materialize): {case.spec()}")
         return 2
     print(report.summary())
     return 0 if report.ok else 1
@@ -608,12 +600,18 @@ def main(argv: Optional[list] = None) -> int:
         help="print every case verdict",
     )
     args = parser.parse_args(argv)
+    try:
+        budget_s = parse_budget(args.budget)
+        resolve_jobs(args.jobs)
+        case = None if args.case is None else FuzzCase.parse(args.case)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.self_test:
         return self_test(verbose=args.verbose)
-    if args.case is not None:
-        return replay(args.case, verbose=args.verbose)
+    if case is not None:
+        return replay(case, verbose=args.verbose)
     return fuzz(
-        parse_budget(args.budget),
+        budget_s,
         args.seed,
         max_cases=args.max_cases,
         jobs=args.jobs,

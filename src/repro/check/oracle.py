@@ -28,12 +28,12 @@ switches):
   consumed a second time, the oracle raises at that delivery.
 * **phases** — per-strategy geometry at delivery, sniffed from the node
   program (``linear_axis`` for TPS-family programs, ``map`` for VMesh):
-  TPS phase-1 packets must land on the final destination's linear line
-  (fault-free: having moved *only* along the linear axis), TPS phase-2
-  packets must be final and must never have crossed linear lines, VMesh
-  phase-1/phase-2 packets must stay inside the sender's virtual-mesh row/
-  column, and direct packets must never be consumed away from their final
-  destination.
+  TPS phase-1 packets must land on the final destination's linear line,
+  at the node that shares every other coordinate with the source, TPS
+  phase-2 packets must be final and must never have crossed linear
+  lines, VMesh phase-1/phase-2 packets must stay inside the sender's
+  virtual-mesh row/column, and direct packets must never be consumed
+  away from their final destination.
 * **progress** — every ``audit_interval`` deliveries (and at the end), the
   per-node queued-packet counters must match the actual queue contents
   (a non-empty queue behind a zero counter is never arbitrated again — a
@@ -123,18 +123,12 @@ class InvariantOracles(SimObserver):
         # program: ``linear_axis`` for TPS-family programs, ``map`` for
         # VMesh.
         axis: Optional[int] = None
-        strict_tps = False
         vmap = None
         if phases:
             prog = net._program
             prog_axis = getattr(prog, "linear_axis", None)
             if isinstance(prog_axis, int) and 0 <= prog_axis < ndim:
                 axis = prog_axis
-                # Fault-free TPS picks the intermediate on the source's
-                # own line; with dead nodes the re-pick may sit anywhere
-                # on the destination's line, so only the line-membership
-                # half of the invariant survives.
-                strict_tps = not getattr(prog, "dead_nodes", frozenset())
             prog_map = getattr(prog, "map", None)
             if prog_map is not None and hasattr(prog_map, "row_col"):
                 vmap = prog_map
@@ -242,18 +236,16 @@ class InvariantOracles(SimObserver):
                         cycle=now_f, node=u, src=src,
                         final_dst=final_dst, axis=axis, pid=pid,
                     )
-                if strict_tps:
-                    for a in range(ndim):
-                        if a == axis:
-                            continue
-                        if coord[a][u] != coord[a][src]:
-                            raise InvariantError(
-                                "phases",
-                                "TPS phase-1 packet left its source's "
-                                "plane before the linear phase completed",
-                                cycle=now_f, node=u, src=src,
-                                axis=a, pid=pid,
-                            )
+                for a in range(ndim):
+                    if a == axis:
+                        continue
+                    if coord[a][u] != coord[a][src]:
+                        raise InvariantError(
+                            "phases",
+                            "TPS phase-1 packet left its source's plane "
+                            "before the linear phase completed",
+                            cycle=now_f, node=u, src=src, axis=a, pid=pid,
+                        )
             elif kind == PHASE_TPS2 and axis is not None:
                 if u != final_dst:
                     raise InvariantError(

@@ -15,9 +15,8 @@ layer — each packet is delivered only after a geometric number of
 (re)transmissions, with a deterministic chance that a slow original *and*
 its retransmission both arrive, exercising receiver-side dedup.  The data
 postcondition must hold regardless, which is exactly what end-to-end
-reliability promises.  Dead nodes must already be excluded by the program
-(fault-aware strategies guarantee this); the engine raises if a packet
-originates at or targets a dead rank.
+reliability promises.  Dead links only reroute packets, so the engine,
+which delivers instantly, ignores them.
 
 Programs must be built with ``carry_data=True``.
 """
@@ -33,7 +32,6 @@ from repro.net.faults import FaultPlan
 from repro.net.packet import Packet, PacketSpec
 from repro.strategies.data import DataChunk, chunks_of
 from repro.util.rng import derive_rng
-from repro.util.validation import require
 
 
 @dataclass
@@ -79,22 +77,16 @@ class FunctionalEngine:
 
         faults = self.faults
         lossy = faults is not None and faults.has_loss
-        dead = faults.dead_nodes if faults is not None else frozenset()
         rng = derive_rng(faults.seed, "functional-loss") if lossy else None
-        loss_p = faults.loss_prob if faults is not None else 0.0
+        loss_p = faults.loss_prob if lossy else 0.0
         delivered_pids: set[int] = set()
 
         def materialize(src: int, spec: PacketSpec, depth: int) -> None:
             nonlocal pid
-            require(
-                src not in dead and spec.dst not in dead,
-                f"packet {src} -> {spec.dst} touches a dead node; the "
-                f"program was not built with the fault plan",
-            )
             pkt = Packet.from_spec(pid, src, spec, 0.0)
             pid += 1
             pending.append((spec.dst, pkt, depth))
-            if lossy and loss_p > 0.0:
+            if lossy:
                 # Emulate the lossy wire + sender retransmission: each
                 # transmission is lost with probability loss_p and simply
                 # re-sent (geometric), and occasionally a retransmission

@@ -41,13 +41,8 @@ def verify_exchange(
     result: FunctionalResult,
     nnodes: int,
     msg_bytes: int,
-    dead_nodes: frozenset[int] | set[int] = frozenset(),
 ) -> VerificationReport:
-    """Verify the all-to-all postcondition on *result*.
-
-    ``dead_nodes`` restricts the exchange to the surviving ranks: pairs
-    touching a dead rank are not required, and any data delivered for such
-    a pair is flagged as unexpected."""
+    """Verify the all-to-all postcondition on *result*."""
     report = VerificationReport(ok=True)
     seen = set(result.received.keys())
     for (src, dst), chunks in result.received.items():
@@ -55,8 +50,6 @@ def verify_exchange(
             src == dst
             or not (0 <= src < nnodes)
             or not (0 <= dst < nnodes)
-            or src in dead_nodes
-            or dst in dead_nodes
         ):
             report.unexpected_pairs.append((src, dst))
             continue
@@ -76,11 +69,7 @@ def verify_exchange(
         if problem is not None:
             report.bad_coverage.append((src, dst, problem))
     for src in range(nnodes):
-        if src in dead_nodes:
-            continue
         for dst in range(nnodes):
-            if dst in dead_nodes:
-                continue
             if src != dst and (src, dst) not in seen:
                 report.missing_pairs.append((src, dst))
     report.ok = not (
@@ -101,14 +90,11 @@ def run_and_verify(
     and verify the exchange.  The one-call correctness check used by tests
     and examples.
 
-    With ``faults``, the program is built fault-aware, the engine emulates
-    packet loss + retransmission + dedup, and the postcondition is checked
-    over the surviving ranks only."""
+    With ``faults``, the engine emulates packet loss + retransmission +
+    dedup; the postcondition is the same."""
     params = params or MachineParams.bluegene_l()
     program = strategy.build_program(
-        shape, msg_bytes, params, seed, carry_data=True, faults=faults
+        shape, msg_bytes, params, seed, carry_data=True
     )
     result = FunctionalEngine(shape, faults=faults).execute(program)
-    dead = faults.dead_nodes if faults is not None else frozenset()
-    report = verify_exchange(result, shape.nnodes, msg_bytes, dead_nodes=dead)
-    return result, report
+    return result, verify_exchange(result, shape.nnodes, msg_bytes)

@@ -24,6 +24,7 @@ Time is carried in 700 MHz processor cycles everywhere (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -84,7 +85,11 @@ class MachineParams:
     def __post_init__(self) -> None:
         check_nonneg(self.alpha_packet_cycles, "alpha_packet_cycles")
         check_nonneg(self.alpha_message_cycles, "alpha_message_cycles")
-        require(self.beta_ns_per_byte > 0, "beta must be positive")
+        require(
+            0.0 < self.beta_ns_per_byte < math.inf,
+            f"beta_ns_per_byte must be a finite number > 0, got "
+            f"{self.beta_ns_per_byte}",
+        )
         check_nonneg(self.gamma_ns_per_byte, "gamma_ns_per_byte")
         # A negative router latency would deliver headers before they
         # leave, a negative CPU cost would refund cycles; zero is legal

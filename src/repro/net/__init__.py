@@ -15,7 +15,7 @@ from repro.net.errors import (
     SimulationError,
     SimulationLimitError,
 )
-from repro.net.faults import FaultPlan, FaultRoutingTable, LinkOutage
+from repro.net.faults import FaultPlan, FaultRoutingTable
 from repro.net.faultsim import FaultyTorusNetwork, build_network
 from repro.net.packet import NO_VC, Packet, PacketSpec, RoutingMode
 from repro.net.program import BaseProgram, ListProgram, NodeProgram
@@ -36,7 +36,6 @@ __all__ = [
     "SimulationLimitError",
     "FaultPlan",
     "FaultRoutingTable",
-    "LinkOutage",
     "FaultyTorusNetwork",
     "build_network",
     "NO_VC",

@@ -74,11 +74,11 @@ class SimulationLimitError(SimulationError):
 
 
 class PartitionedNetworkError(SimulationError):
-    """A fault plan disconnects the surviving torus.
+    """A fault plan disconnects the torus.
 
     Raised by connectivity validation before any traffic is simulated: the
-    plan's dead links/nodes leave at least one surviving node unreachable
-    from the rest, so no routing table can keep the collective complete.
+    plan's dead links leave at least one node unreachable from the rest,
+    so no routing table can keep the collective complete.
     ``unreachable`` lists the stranded ranks.
     """
 

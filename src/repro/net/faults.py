@@ -1,16 +1,15 @@
 """Deterministic fault injection for the torus network.
 
-Real torus machines lose hardware: a wire goes dark, a node is pulled for
-service, a marginal link runs at reduced bandwidth or drops packets.  The
-paper's strategies all assume a pristine torus; this module defines the
-*fault model* under which the rest of the stack must keep the all-to-all
-complete and correct:
+Real torus machines lose hardware: a wire goes dark or a marginal link
+drops packets.  The paper's strategies all assume a pristine torus; this
+module defines the *fault model* under which the network must keep the
+all-to-all complete and correct.  Faults are the network's concern
+alone: strategies never see a plan, and every rank takes part.
 
 * :class:`FaultPlan` — a declarative, seedable description of the faults in
-  one run: permanently dead links, dead nodes, bandwidth-degraded links,
-  transient link outages (time windows) and per-link packet-loss
-  probabilities.  A plan is data, not behavior: the same plan can drive the
-  timed simulator, the functional engine and the strategy planners.
+  one run: permanently dead links and a uniform per-hop packet-loss
+  probability.  A plan is data, not behavior: the same plan drives the
+  timed simulator and the functional engine's loss emulation.
 * :class:`FaultRoutingTable` — the routing state derived from a plan and a
   :class:`~repro.net.topology.Topology`: masked neighbor tables (a faulty
   link looks exactly like a mesh edge, ``neighbor == -1``), BFS distance
@@ -38,8 +37,9 @@ and packet-loss draws hash the (packet id, hop, link) triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -53,22 +53,16 @@ from repro.util.validation import require
 #: :mod:`repro.net.topology` (2*axis + 0 positive, 2*axis + 1 negative).
 Link = tuple[int, int]
 
-
-@dataclass(frozen=True)
-class LinkOutage:
-    """A transient outage: the link at (*node*, *direction*) cannot start a
-    new transmission during ``[start, end)`` cycles.  A transmission already
-    on the wire at *start* completes (the model's outage is a lull, not a
-    mid-flight corruption; combine with ``loss`` for the latter)."""
-
-    node: int
-    direction: int
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        require(self.start >= 0.0, "outage start must be >= 0")
-        require(self.end > self.start, "outage end must follow start")
+#: Multiplier applied to the retransmission timeout after each attempt
+#: (exponential backoff).
+RETX_BACKOFF = 2.0
+#: Retransmission attempts after which the run aborts (an undeliverable
+#: packet indicates a plan/routing bug, not bad luck: with p=1% loss, 20
+#: consecutive losses has probability 1e-40).
+MAX_RETX = 20
+#: Samples :meth:`FaultPlan.random` draws before it gives up on finding a
+#: connected plan.
+PLAN_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -81,57 +75,29 @@ class FaultPlan:
         Directed links that are permanently dead.  A dead wire kills both
         directions: masking treats ``(u, d)`` dead as also killing the
         reverse entry ``(v, d^1)``, so listing one direction suffices.
-    dead_nodes:
-        Ranks that are down: all their links are dead, they inject nothing
-        and cannot be destinations or intermediates.
-    degraded_links:
-        Map of directed link -> service-time multiplier (> 1 stretches the
-        link's beta; a value of 2.0 halves its bandwidth).  Applied to both
-        directions of the wire.
-    outages:
-        Transient link outages (see :class:`LinkOutage`).
     loss_prob:
-        Baseline per-hop packet-loss probability on every surviving link.
-    link_loss:
-        Per-link overrides of ``loss_prob`` (both directions of the wire).
+        Per-hop packet-loss probability on every surviving link.
     seed:
         Seed for every stochastic draw the plan induces (loss hashes).
     retx_timeout_cycles:
-        Sender-side retransmission timeout for the first attempt.
-    retx_backoff:
-        Multiplier applied to the timeout after each retransmission
-        (exponential backoff).
-    max_retx:
-        Retransmission attempts after which the run aborts (an undeliverable
-        packet indicates a plan/routing bug, not bad luck: with p=1% loss,
-        20 consecutive losses has probability 1e-40).
+        Sender-side retransmission timeout for the first attempt; each
+        later attempt waits :data:`RETX_BACKOFF` times longer, and the run
+        aborts after :data:`MAX_RETX` attempts.
     """
 
     dead_links: frozenset[Link] = frozenset()
-    dead_nodes: frozenset[int] = frozenset()
-    degraded_links: Mapping[Link, float] = field(default_factory=dict)
-    outages: tuple[LinkOutage, ...] = ()
     loss_prob: float = 0.0
-    link_loss: Mapping[Link, float] = field(default_factory=dict)
     seed: int = 0
     retx_timeout_cycles: float = 50_000.0
-    retx_backoff: float = 2.0
-    max_retx: int = 20
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dead_links", frozenset(self.dead_links))
-        object.__setattr__(self, "dead_nodes", frozenset(self.dead_nodes))
-        object.__setattr__(self, "degraded_links", dict(self.degraded_links))
-        object.__setattr__(self, "outages", tuple(self.outages))
-        object.__setattr__(self, "link_loss", dict(self.link_loss))
         require(0.0 <= self.loss_prob < 1.0, "loss_prob must be in [0, 1)")
-        for lk, p in self.link_loss.items():
-            require(0.0 <= p < 1.0, f"link_loss[{lk}] must be in [0, 1)")
-        for lk, f in self.degraded_links.items():
-            require(f >= 1.0, f"degraded_links[{lk}] must be >= 1.0")
-        require(self.retx_timeout_cycles > 0, "retx timeout must be positive")
-        require(self.retx_backoff >= 1.0, "retx backoff must be >= 1.0")
-        require(self.max_retx >= 1, "max_retx must be >= 1")
+        require(
+            0.0 < self.retx_timeout_cycles < math.inf,
+            f"retx_timeout_cycles must be a finite number > 0, got "
+            f"{self.retx_timeout_cycles}",
+        )
 
     # ------------------------------------------------------------------ #
     # predicates
@@ -142,40 +108,12 @@ class FaultPlan:
         """True when the plan configures no fault at all — the zero-fault
         fast path (plain :class:`~repro.net.simulator.TorusNetwork`, no
         per-packet fault checks)."""
-        return (
-            not self.dead_links
-            and not self.dead_nodes
-            and not self.degraded_links
-            and not self.outages
-            and self.loss_prob == 0.0
-            and not self.link_loss
-        )
+        return not self.dead_links and self.loss_prob == 0.0
 
     @property
     def has_loss(self) -> bool:
-        """True when any link can drop packets."""
-        return self.loss_prob > 0.0 or any(
-            p > 0.0 for p in self.link_loss.values()
-        )
-
-    def node_dead(self, u: int) -> bool:
-        """Whether rank *u* is down."""
-        return u in self.dead_nodes
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        parts = []
-        if self.dead_nodes:
-            parts.append(f"{len(self.dead_nodes)} dead nodes")
-        if self.dead_links:
-            parts.append(f"{len(self.dead_links)} dead directed links")
-        if self.degraded_links:
-            parts.append(f"{len(self.degraded_links)} degraded links")
-        if self.outages:
-            parts.append(f"{len(self.outages)} outage windows")
-        if self.has_loss:
-            parts.append(f"loss p={self.loss_prob:g}")
-        return "; ".join(parts) if parts else "no faults"
+        """True when links can drop packets."""
+        return self.loss_prob > 0.0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -188,52 +126,27 @@ class FaultPlan:
         *,
         seed: int = 0,
         dead_link_fraction: float = 0.0,
-        dead_node_fraction: float = 0.0,
         loss_prob: float = 0.0,
-        degraded_fraction: float = 0.0,
-        degrade_factor: float = 2.0,
-        max_attempts: int = 64,
         **overrides: object,
     ) -> "FaultPlan":
         """Sample a connected fault plan for *shape*.
 
-        Dead wires and dead nodes are drawn uniformly; the sample is
-        rejected and redrawn (up to *max_attempts* times) until the
-        surviving nodes remain connected, so a returned plan is always
-        routable.  Raises :class:`PartitionedNetworkError` if no connected
-        sample is found (fractions too aggressive for the shape).
+        Dead wires are drawn uniformly; the sample is rejected and redrawn
+        (up to :data:`PLAN_ATTEMPTS` times) until the nodes remain
+        connected, so a returned plan is always routable.  Raises
+        :class:`PartitionedNetworkError` if no connected sample is found
+        (fraction too aggressive for the shape).  *overrides* set the
+        plan's other fields.
         """
         require(0.0 <= dead_link_fraction < 1.0, "dead_link_fraction range")
-        require(0.0 <= dead_node_fraction < 1.0, "dead_node_fraction range")
-        require(0.0 <= degraded_fraction <= 1.0, "degraded_fraction range")
         topo = Topology(shape)
         wires = _physical_wires(topo)
-        p = shape.nnodes
         n_dead_links = round(dead_link_fraction * len(wires))
-        n_dead_nodes = round(dead_node_fraction * p)
-        require(n_dead_nodes < p, "cannot kill every node")
-        n_degraded = round(degraded_fraction * len(wires))
-        for attempt in range(max_attempts):
+        for attempt in range(PLAN_ATTEMPTS):
             rng = derive_rng(seed, "faultplan", attempt)
-            dead_nodes = frozenset(
-                int(u)
-                for u in rng.choice(p, size=n_dead_nodes, replace=False)
-            )
-            picks = rng.choice(
-                len(wires),
-                size=min(len(wires), n_dead_links + n_degraded),
-                replace=False,
-            )
-            dead_wires = [wires[int(i)] for i in picks[:n_dead_links]]
-            degraded = {
-                wires[int(i)]: float(degrade_factor)
-                for i in picks[n_dead_links:]
-            }
-            dead_links = frozenset(dead_wires)
+            picks = rng.choice(len(wires), size=n_dead_links, replace=False)
             plan = cls(
-                dead_links=dead_links,
-                dead_nodes=dead_nodes,
-                degraded_links=degraded,
+                dead_links=frozenset(wires[int(i)] for i in picks),
                 loss_prob=loss_prob,
                 seed=seed,
                 **overrides,  # type: ignore[arg-type]
@@ -242,8 +155,8 @@ class FaultPlan:
                 return plan
         raise PartitionedNetworkError(
             f"no connected fault plan found for {shape.label} after "
-            f"{max_attempts} attempts (dead_link_fraction="
-            f"{dead_link_fraction}, dead_node_fraction={dead_node_fraction})"
+            f"{PLAN_ATTEMPTS} attempts (dead_link_fraction="
+            f"{dead_link_fraction})"
         )
 
 
@@ -261,71 +174,44 @@ def _physical_wires(topo: Topology) -> list[Link]:
 
 
 def masked_neighbors(topo: Topology, plan: FaultPlan) -> list[list[int]]:
-    """Neighbor table of *topo* with the plan's faults masked out.
+    """Neighbor table of *topo* with the plan's dead wires masked out.
 
-    A dead link (either direction listed) or a link touching a dead node
-    becomes ``-1`` — indistinguishable from a mesh edge, which is exactly
-    the invariant the simulator's hot path already enforces (``neighbor ==
+    A dead link (either direction listed) becomes ``-1`` in both
+    directions — indistinguishable from a mesh edge, which is exactly the
+    invariant the simulator's hot path already enforces (``neighbor ==
     -1`` links never win arbitration).
     """
     base = topo.neighbor.tolist()
-    dead = plan.dead_links
-    dead_nodes = plan.dead_nodes
-    if not dead and not dead_nodes:
-        return base
-    for u in range(topo.nnodes):
-        row = base[u]
-        u_dead = u in dead_nodes
-        for d in range(topo.ndirs):
-            v = row[d]
-            if v < 0:
-                continue
-            if (
-                u_dead
-                or v in dead_nodes
-                or (u, d) in dead
-                or (v, d ^ 1) in dead
-            ):
-                row[d] = -1
+    for u, d in plan.dead_links:
+        v = base[u][d]
+        if v >= 0:
+            base[u][d] = -1
+            base[v][d ^ 1] = -1
     return base
 
 
 def _check_names(topo: Topology, plan: FaultPlan) -> None:
-    """Reject a plan entry that names no node or link of *topo*.
+    """Reject a dead link that names no link of *topo*.
 
     A plan is data, checked where it first meets a topology: unchecked,
     a negative index would wrap into another node's slot of the flat
     tables and an out-of-range one would fail deep inside a run."""
     p, ndirs = topo.nnodes, topo.ndirs
-    where = (
-        f"{topo.shape.label} (nodes 0..{p - 1}, directions 0..{ndirs - 1})"
-    )
-    for u in plan.dead_nodes:
-        if not 0 <= u < p:
-            raise ValueError(
-                f"fault plan dead_nodes entry {u!r} is not a node of {where}"
-            )
-    entries = [("dead_links", lk, lk) for lk in plan.dead_links]
-    entries += [("degraded_links", lk, lk) for lk in plan.degraded_links]
-    entries += [("link_loss", lk, lk) for lk in plan.link_loss]
-    entries += [("outages", o, (o.node, o.direction)) for o in plan.outages]
-    for field_name, entry, (u, d) in entries:
+    for u, d in plan.dead_links:
         if not (0 <= u < p and 0 <= d < ndirs):
             raise ValueError(
-                f"fault plan {field_name} entry {entry!r} is not a link of "
-                f"{where}"
+                f"fault plan dead_links entry {(u, d)!r} is not a link of "
+                f"{topo.shape.label} (nodes 0..{p - 1}, directions "
+                f"0..{ndirs - 1})"
             )
 
 
 def _connected(topo: Topology, plan: FaultPlan) -> bool:
-    """Whether the surviving nodes form one connected component."""
-    alive = [u for u in range(topo.nnodes) if u not in plan.dead_nodes]
-    if not alive:
-        return False
+    """Whether the nodes still form one connected component."""
     nbr = masked_neighbors(topo, plan)
     seen = bytearray(topo.nnodes)
-    seen[alive[0]] = 1
-    frontier = [alive[0]]
+    seen[0] = 1
+    frontier = [0]
     count = 1
     while frontier:
         nxt = []
@@ -336,7 +222,7 @@ def _connected(topo: Topology, plan: FaultPlan) -> bool:
                     count += 1
                     nxt.append(v)
         frontier = nxt
-    return count == len(alive)
+    return count == topo.nnodes
 
 
 class FaultRoutingTable:
@@ -345,10 +231,9 @@ class FaultRoutingTable:
     Built once per simulation (guarded setup — the zero-fault path never
     constructs one).  Exposes:
 
-    * ``nbr`` — masked neighbor table (dead links/nodes are ``-1``);
-    * ``alive`` — surviving ranks in ascending order;
+    * ``nbr`` — masked neighbor table (dead links are ``-1``);
     * ``order`` — BFS discovery index per node (up*/down* node ordering);
-    * ``dist`` — flat ``[dst * P + u]`` BFS hop distance over survivors;
+    * ``dist`` — flat ``[dst * P + u]`` BFS hop distance over live links;
     * ``productive`` — flat ``[dst * P + u]`` tuple of the directions whose
       surviving link shrinks that distance, in direction order (adaptive
       routing's candidates; interned, so at most ``2**ndirs`` tuples);
@@ -357,29 +242,24 @@ class FaultRoutingTable:
       descended (down phase);
     * ``num_links`` — surviving directed link count.
 
-    Raises :class:`ValueError` when the plan names a node or link the
-    topology does not have, and :class:`PartitionedNetworkError` when it
-    disconnects the surviving nodes.
+    Raises :class:`ValueError` when the plan names a link the topology
+    does not have, and :class:`PartitionedNetworkError` when it
+    disconnects the nodes.
     """
 
     def __init__(self, topo: Topology, plan: FaultPlan) -> None:
-        self.topo = topo
-        self.plan = plan
         p = topo.nnodes
         ndirs = topo.ndirs
         _check_names(topo, plan)
         self.nbr = masked_neighbors(topo, plan)
-        self.alive = [u for u in range(p) if u not in plan.dead_nodes]
-        require(self.alive, "fault plan kills every node")
         self.num_links = sum(
             1 for row in self.nbr for v in row if v >= 0
         )
 
-        # --- connectivity + up*/down* node order (one BFS) ----------------
+        # --- connectivity + up*/down* node order (one BFS from rank 0) ----
         order = [-1] * p
-        root = self.alive[0]
-        order[root] = 0
-        frontier = [root]
+        order[0] = 0
+        frontier = [0]
         idx = 1
         while frontier:
             nxt = []
@@ -390,12 +270,11 @@ class FaultRoutingTable:
                         idx += 1
                         nxt.append(v)
             frontier = nxt
-        unreachable = [u for u in self.alive if order[u] < 0]
+        unreachable = [u for u in range(p) if order[u] < 0]
         if unreachable:
             raise PartitionedNetworkError(
                 f"fault plan disconnects {topo.shape.label}: "
-                f"{len(unreachable)} of {len(self.alive)} surviving nodes "
-                f"cannot reach rank {root}",
+                f"{len(unreachable)} of {p} nodes cannot reach rank 0",
                 unreachable,
             )
         self.order = order
@@ -404,8 +283,8 @@ class FaultRoutingTable:
         self.dist = [-1] * (p * p)
         self.nh_up = [-1] * (p * p)
         self.nh_down = [-1] * (p * p)
-        by_order = sorted(self.alive, key=lambda u: order[u])
-        for dst in self.alive:
+        by_order = sorted(range(p), key=lambda u: order[u])
+        for dst in range(p):
             self._build_for_dst(dst, p, ndirs, by_order)
         self.productive = self._productive(p, ndirs)
 
@@ -495,41 +374,12 @@ class FaultRoutingTable:
                         best_d, best_key = d, key
             # The BFS spanning tree guarantees an up path to the root and
             # a down path from the root to every destination, so every
-            # surviving node has an escape hop.
+            # node has an escape hop.
             assert best_d >= 0, (
                 f"up*/down* table incomplete for node {u} -> {dst}"
             )
             up_ok[u] = 1
             nh_up[base + u] = best_d
-
-    # ------------------------------------------------------------------ #
-    # per-link attribute tables for the simulator
-    # ------------------------------------------------------------------ #
-
-    def degrade_table(self) -> list[float]:
-        """Flat ``[u * ndirs + d]`` service-time multiplier per link (both
-        directions of a degraded wire are stretched)."""
-        p, ndirs = self.topo.nnodes, self.topo.ndirs
-        table = [1.0] * (p * ndirs)
-        for (u, d), factor in self.plan.degraded_links.items():
-            v = int(self.topo.neighbor[u, d])
-            table[u * ndirs + d] = max(table[u * ndirs + d], factor)
-            if v >= 0:
-                table[v * ndirs + (d ^ 1)] = max(
-                    table[v * ndirs + (d ^ 1)], factor
-                )
-        return table
-
-    def loss_table(self) -> list[float]:
-        """Flat ``[u * ndirs + d]`` packet-loss probability per link."""
-        p, ndirs = self.topo.nnodes, self.topo.ndirs
-        table = [self.plan.loss_prob] * (p * ndirs)
-        for (u, d), prob in self.plan.link_loss.items():
-            v = int(self.topo.neighbor[u, d])
-            table[u * ndirs + d] = prob
-            if v >= 0:
-                table[v * ndirs + (d ^ 1)] = prob
-        return table
 
 
 def loss_salt(plan: FaultPlan) -> int:

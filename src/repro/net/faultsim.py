@@ -3,27 +3,24 @@
 :class:`FaultyTorusNetwork` extends :class:`~repro.net.simulator.TorusNetwork`
 with everything a :class:`~repro.net.faults.FaultPlan` demands:
 
-* dead links and dead nodes are masked out of the neighbor table, so the
-  arbitration machinery can never pick them (they look exactly like mesh
-  edges);
+* dead links are masked out of the neighbor table, so the arbitration
+  machinery can never pick them (they look exactly like mesh edges);
 * routing switches to the plan's :class:`~repro.net.faults.FaultRoutingTable`
   — adaptive packets take any surviving link that strictly decreases BFS
   distance to the destination (JSQ among the dynamic VCs), and the escape
   virtual channel follows deadlock-free up*/down* next hops instead of
   dimension order (the bubble rule's rings no longer exist);
-* degraded links stretch their service time, transient outages hold links
-  busy for their window, and lossy links drop packets deterministically
-  (the drop still occupies the wire for the full service time and returns
-  the downstream credit when the tail would have passed);
-* when any link is lossy, an end-to-end reliability layer activates:
+* lossy links drop packets deterministically (the drop still occupies
+  the wire for the full service time and returns the downstream credit
+  when the tail would have passed);
+* when links are lossy, an end-to-end reliability layer activates:
   every network-bound packet gets a sequence number, the sender keeps the
   spec outstanding and retransmits on a timeout with exponential backoff,
   and receivers discard duplicate sequence numbers — so the collective
   completes with exactly-once delivery semantics.
 
-This class holds the fault *state*: the routing tables, the per-link
-degrade/loss tables, the retransmission ledger and the pre-posted outage
-events.  The fault *behavior* runs inside the one run kernel,
+This class holds the fault *state*: the routing tables and the
+retransmission ledger.  The fault *behavior* runs inside the one run kernel,
 :meth:`TorusNetwork._run_fused`, as a second set of routing closures
 picked once per run from :attr:`_FAULTY`; the pristine closures carry no
 fault branches.  Only receiver-side dedup stays a method
@@ -48,32 +45,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.config import NetworkConfig
-from repro.net.errors import SimulationError
 from repro.net.faults import FaultPlan, FaultRoutingTable, loss_salt
 from repro.net.packet import PacketSpec
-from repro.net.program import NodeProgram
-from repro.net.simulator import (
-    _ADAPTIVE,
-    _EV_OUTAGE,
-    TICK_SCALE,
-    TorusNetwork,
-)
-from repro.net.trace import SimulationResult
+from repro.net.simulator import _ADAPTIVE, TorusNetwork
 
 
 class FaultyTorusNetwork(TorusNetwork):
     """A torus partition degraded by a :class:`FaultPlan`.
 
-    Construction validates connectivity of the surviving nodes (raising
+    Construction validates connectivity of the nodes (raising
     :class:`~repro.net.errors.PartitionedNetworkError` otherwise) and
     precomputes all routing tables; the per-event cost of fault awareness
     is then a handful of list lookups.
     """
 
     __slots__ = (
-        "faults", "routing", "_dist", "_prod", "_nh_up", "_nh_down",
-        "_order", "_dead_set", "_degrade", "_loss", "_has_loss",
-        "_loss_salt", "_seqno", "_outstanding", "_delivered_seqs",
+        "faults", "_dist", "_prod", "_nh_up", "_nh_down",
+        "_order", "_loss_salt", "_seqno", "_outstanding", "_delivered_seqs",
     )
 
     _FAULTY = True
@@ -89,7 +77,6 @@ class FaultyTorusNetwork(TorusNetwork):
         plan = faults if faults is not None else FaultPlan()
         self.faults = plan
         rt = FaultRoutingTable(self.topo, plan)
-        self.routing = rt
         # Masked neighbors: the arbitration/token machinery sees dead
         # links as absent (== mesh edges) and can never route over them.
         # The interned TOKEN events bake the upstream neighbor in, so they
@@ -102,28 +89,12 @@ class FaultyTorusNetwork(TorusNetwork):
         self._nh_up = rt.nh_up
         self._nh_down = rt.nh_down
         self._order = rt.order
-        self._dead_set = plan.dead_nodes
-        self._degrade = rt.degrade_table()
-        self._loss = rt.loss_table()
-        self._has_loss = plan.has_loss
         self._loss_salt = loss_salt(plan)
         # Reliability layer state (active only when links can drop): the
         # ledger maps a sequence number to its sender and first spec.
         self._seqno = itertools.count()
         self._outstanding: dict[int, tuple[int, PacketSpec]] = {}
         self._delivered_seqs: set[int] = set()
-        # Transient outages become pre-posted events: the start event
-        # extends the link's busy horizon to the window end, the end event
-        # re-arbitrates waiters.  No routing logic needed.
-        for o in plan.outages:
-            if self._nbr[o.node][o.direction] < 0:
-                continue  # outage on a dead/absent link changes nothing
-            li = o.node * self._ndirs + o.direction
-            self._post_ev(
-                o.start * TICK_SCALE, (_EV_OUTAGE, li, o.end * TICK_SCALE, 0)
-            )
-            self._post_ev(o.end * TICK_SCALE, self._link_evs[li])
-            self.stats.outage_cycles += o.end - o.start
 
     def _wants_link(self, u: int, d: int, h: int) -> bool:
         # Fault-aware routing truth for the link-stats stall accounting:
@@ -151,17 +122,6 @@ class FaultyTorusNetwork(TorusNetwork):
             self._delivered_seqs.add(seq)
             self._outstanding.pop(seq, None)
         super()._finish_delivery(u, h)
-
-    def run(self, program: NodeProgram) -> SimulationResult:
-        # A dead node's CPU never runs.  A plan that asks it to inject is
-        # a strategy bug — surface it before the first event.
-        for u in sorted(self._dead_set):
-            if next(iter(program.injection_plan(u)), None) is not None:
-                raise SimulationError(
-                    f"program injects from dead node {u}; strategies "
-                    f"must be built with the fault plan"
-                )
-        return super().run(program)
 
 
 def build_network(

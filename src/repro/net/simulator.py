@@ -121,7 +121,7 @@ from repro.net.errors import (
     SimulationError,
     SimulationLimitError,
 )
-from repro.net.faults import loss_draw
+from repro.net.faults import MAX_RETX, RETX_BACKOFF, loss_draw
 from repro.net.packet import PacketPool, PacketSpec, RoutingMode
 from repro.net.program import BaseProgram, NodeProgram
 from repro.net.topology import Topology
@@ -151,10 +151,9 @@ _EV_TOKEN = 2
 _EV_CPU_DONE = 3
 _EV_CPU_WAKE = 4
 _EV_FIFO_FREE = 5
-# Extra kinds only fault runs post (kept here so every event kind has
-# one home).
+# The extra kind only lossy fault runs post (kept here so every event
+# kind has one home).
 _EV_RETX = 6
-_EV_OUTAGE = 7
 
 # CPU work sources, round-robined.
 _SRC_RECV = 0
@@ -643,8 +642,8 @@ class TorusNetwork:
         method-per-handler loop's profile).  The routing closures come in
         two sets, picked once per run from the network's type: the
         pristine torus's dimension-order/bubble rules, and a fault
-        plan's BFS-distance/up*-down* rules with degraded service, loss
-        and the RETX/OUTAGE event kinds.
+        plan's BFS-distance/up*-down* rules with loss and the RETX event
+        kind.
 
         *hooks* maps a :class:`SimObserver` hook name to the observers'
         closures for it.  A hook fires after the base step it names, so
@@ -1129,12 +1128,8 @@ class TorusNetwork:
             nh_up = self._nh_up
             nh_down = self._nh_down
             order = self._order
-            degrade = self._degrade
-            loss = self._loss
-            has_loss = self._has_loss
             salt = self._loss_salt
             dtab = self._dtab
-            dead_set = self._dead_set
             outstanding = self._outstanding
             seq_next = self._seqno.__next__
             P_pid = self._P_pid
@@ -1142,9 +1137,9 @@ class TorusNetwork:
             P_down = self._P_down
             free_append = self._pool.free.append
             faults = self.faults
-            max_retx = faults.max_retx
+            has_loss = faults.has_loss
+            loss_prob = faults.loss_prob
             retx_timeout = faults.retx_timeout_cycles
-            retx_backoff = faults.retx_backoff
             retx_t = retx_timeout * TICK_SCALE
 
             def launch(d: int, li: int, h: int, vc: int) -> int:
@@ -1155,7 +1150,7 @@ class TorusNetwork:
                 P_vc[h] = vc
                 hops = P_hops[h] + 1
                 P_hops[h] = hops
-                service = svc_f[P_wire[h]] * degrade[li]
+                service = svc_f[P_wire[h]]
                 done = now + service * TICK_SCALE
                 link_busy[li] = done
                 busy_cycles[li] += service
@@ -1190,20 +1185,18 @@ class TorusNetwork:
                 if disp == 0 or (disp > 0) != ((d & 1) == 0):
                     st.rerouted_hops += 1
                     flags = LAUNCH_REROUTED
-                if has_loss:
-                    p_loss = loss[li]
-                    if p_loss > 0.0 and (
-                        loss_draw(salt, P_pid[h], hops, li) < p_loss
-                    ):
-                        # Dropped on the wire: the transmission still
-                        # occupies the link, and the reserved downstream
-                        # slot frees when the tail would have passed.  No
-                        # arrival is posted; the sender's retransmission
-                        # timer recovers the payload.
-                        st.lost_packets += 1
-                        post_ev(done, tok_evs[ti])
-                        free_append(h)
-                        return flags | LAUNCH_DROPPED
+                if has_loss and (
+                    loss_draw(salt, P_pid[h], hops, li) < loss_prob
+                ):
+                    # Dropped on the wire: the transmission still occupies
+                    # the link, and the reserved downstream slot frees
+                    # when the tail would have passed.  No arrival is
+                    # posted; the sender's retransmission timer recovers
+                    # the payload.
+                    st.lost_packets += 1
+                    post_ev(done, tok_evs[ti])
+                    free_append(h)
+                    return flags | LAUNCH_DROPPED
                 arrive = (done if dst == v else now) + hop_t
                 ev = (1, v, aport[d] + vc, h)
                 if arrive <= now:
@@ -1318,12 +1311,6 @@ class TorusNetwork:
                         advance_fifo_head(u, f)
 
             def fault_inject(u: int, h: int, spec) -> None:
-                if spec.dst in dead_set:
-                    raise SimulationError(
-                        f"node {u} injected a packet for dead node "
-                        f"{spec.dst}; strategies must be built with the "
-                        f"fault plan"
-                    )
                 if has_loss and spec.seq < 0:
                     # First transmission of a logical packet: assign its
                     # sequence number, remember the spec for retransmission
@@ -1339,9 +1326,9 @@ class TorusNetwork:
                 ent = outstanding.get(seq)
                 if ent is None:
                     return  # delivered in the meantime; the timer chain ends
-                if attempt > max_retx:
+                if attempt > MAX_RETX:
                     raise SimulationError(
-                        f"packet seq={seq} undelivered after {max_retx} "
+                        f"packet seq={seq} undelivered after {MAX_RETX} "
                         f"retransmissions — the fault plan or routing table "
                         f"is inconsistent"
                     )
@@ -1355,7 +1342,7 @@ class TorusNetwork:
                     st.peak_forward_backlog = len(fp)
                 if not cpu_active[src]:
                     cpu_start_next(src)
-                backoff = retx_backoff ** min(attempt, 10)
+                backoff = RETX_BACKOFF ** min(attempt, 10)
                 post_ev(
                     now + retx_timeout * backoff * TICK_SCALE,
                     (6, src, attempt + 1, seq),
@@ -1540,11 +1527,8 @@ class TorusNetwork:
                 elif kind == 4:  # _EV_CPU_WAKE
                     if not cpu_active[a]:
                         cpu_start_next(a)
-                elif kind == 6:  # _EV_RETX (fault runs only)
+                else:  # _EV_RETX (lossy fault runs only)
                     retx(b, c)
-                else:  # _EV_OUTAGE: hold the link busy until the window ends
-                    if b > link_busy[a]:
-                        link_busy[a] = b
             n_events += len(tick)
             if n_events > max_events:
                 raise self._limit_error(
@@ -1667,5 +1651,4 @@ class TorusNetwork:
             retransmitted_packets=st.retransmitted_packets,
             duplicate_packets=st.duplicate_packets,
             rerouted_hops=st.rerouted_hops,
-            outage_cycles=st.outage_cycles,
         )

@@ -44,8 +44,6 @@ class SimStats:
     duplicate_packets: int = 0
     #: Hops taken in a non-minimal direction to route around faults.
     rerouted_hops: int = 0
-    #: Sum over links of configured outage-window cycles.
-    outage_cycles: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,8 @@ class SimulationResult:
     retransmitted_packets: int = 0
     duplicate_packets: int = 0
     rerouted_hops: int = 0
+    #: Always 0.0: the fault model has no outage windows.  The field
+    #: stays so cached and golden payloads keep their layout.
     outage_cycles: float = 0.0
     #: Per-(node, direction) packets launched onto each directed link,
     #: same layout as :attr:`link_busy_cycles`.  Always collected (the

@@ -20,10 +20,7 @@ numbers the paper actually reports:
   :func:`repro.model.linkload.uniform_link_loads` prediction: the ratio
   of measured wire bytes to predicted payload bytes per link must be the
   same wire-overhead factor on every axis, so unequal ratios localize a
-  load imbalance to an axis;
-* **degraded-link detection** — the effective cycles-per-byte of every
-  link (busy / wire bytes) against the machine's ``beta``; a fault-plan
-  degraded link shows up as an outlier without any reference run.
+  load imbalance to an axis.
 
 Everything here is pure post-processing: no simulator state, plain
 dict/numpy in, plain dicts out (JSON-ready for the report sidecar).
@@ -231,7 +228,7 @@ class LinkAnalytics:
         return rows
 
     # -------------------------------------------------------------- #
-    # hot spots / degradation
+    # hot spots
     # -------------------------------------------------------------- #
 
     def _coords(self, node: int) -> tuple[int, ...]:
@@ -275,52 +272,6 @@ class LinkAnalytics:
             if self.drops is not None:
                 entry["drops"] = int(self.drops[u, d])
             out.append(entry)
-        return out
-
-    def effective_beta(self) -> Optional[np.ndarray]:
-        """Measured cycles-per-byte of every link (NaN where idle).
-
-        On a pristine run every entry equals the machine ``beta``; a
-        fault-plan ``degraded_links`` multiplier shows up directly as
-        ``multiplier * beta`` on the affected link."""
-        if self.wire_bytes is None:
-            return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                self.wire_bytes > 0,
-                self.busy_cycles / np.maximum(self.wire_bytes, 1),
-                np.nan,
-            )
-
-    def degraded_links(self, threshold: float = 1.25) -> list[dict]:
-        """Links whose effective cycles-per-byte exceeds ``threshold *
-        beta`` — fault-degraded (or pathologically slow) links, found
-        without any reference run.  Requires a ``link_stats`` run."""
-        eff = self.effective_beta()
-        if eff is None:
-            return []
-        out = []
-        p, ndirs = eff.shape
-        bad = np.argwhere(
-            np.nan_to_num(eff, nan=0.0) > threshold * self.beta
-        )
-        for u, d in bad:
-            u, d = int(u), int(d)
-            axis = d >> 1
-            out.append(
-                {
-                    "node": u,
-                    "coords": list(self._coords(u)),
-                    "direction": (
-                        f"{AXIS_NAMES[axis]}{'+' if d % 2 == 0 else '-'}"
-                    ),
-                    "effective_beta": float(eff[u, d]),
-                    "slowdown": float(eff[u, d] / self.beta),
-                    "busy_cycles": float(self.busy_cycles[u, d]),
-                    "wire_bytes": int(self.wire_bytes[u, d]),
-                }
-            )
-        out.sort(key=lambda e: e["slowdown"], reverse=True)
         return out
 
     # -------------------------------------------------------------- #
@@ -441,7 +392,6 @@ class LinkAnalytics:
             out["total_retx"] = int(self.retx_by_node.sum())
         if msg_bytes is not None and self.wire_bytes is not None:
             out["model"] = self.model_comparison(msg_bytes, params=params)
-        out["degraded_links"] = self.degraded_links()
         return out
 
     def axis_node_utilization(self, axis: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from repro.obs.linkstats import (
 from repro.obs.provenance import git_describe
 
 #: Version of the JSON sidecar layout; bump it on any layout change.
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 REPORT_HTML = "report.html"
 REPORT_JSON = "report.json"
@@ -282,22 +282,6 @@ def _point_section(rec: dict) -> str:
                         r["ratio"] if r["ratio"] is not None else "-",
                     ]
                     for r in model["per_axis"]
-                ],
-            )
-        )
-    deg = summary.get("degraded_links") or []
-    if deg:
-        out.append('<h3 class="warn">Degraded links detected</h3>')
-        out.append(
-            _table(
-                ["link", "effective beta", "slowdown"],
-                [
-                    [
-                        f"{tuple(e['coords'])} {e['direction']}",
-                        e["effective_beta"],
-                        f"{e['slowdown']:.2f}x",
-                    ]
-                    for e in deg
                 ],
             )
         )

@@ -60,21 +60,9 @@ def _faults_fingerprint(faults: FaultPlan | None) -> dict | None:
         return None
     return {
         "dead_links": sorted(list(link) for link in faults.dead_links),
-        "dead_nodes": sorted(faults.dead_nodes),
-        "degraded_links": sorted(
-            [list(link), mult] for link, mult in faults.degraded_links.items()
-        ),
-        "outages": [
-            [o.node, o.direction, o.start, o.end] for o in faults.outages
-        ],
         "loss_prob": faults.loss_prob,
-        "link_loss": sorted(
-            [list(link), p] for link, p in faults.link_loss.items()
-        ),
         "seed": faults.seed,
         "retx_timeout_cycles": faults.retx_timeout_cycles,
-        "retx_backoff": faults.retx_backoff,
-        "max_retx": faults.max_retx,
     }
 
 

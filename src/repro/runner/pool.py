@@ -113,10 +113,14 @@ counters = RunnerCounters()
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Final worker count: argument > ``REPRO_JOBS`` env > 1."""
+    """Final worker count: argument > ``REPRO_JOBS`` env > 1.
+
+    0 means one worker per core; a negative count is refused."""
+    name = "jobs"
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
         if env:
+            name = "REPRO_JOBS"
             try:
                 jobs = int(env)
             except ValueError:
@@ -125,7 +129,11 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
                 ) from None
         else:
             jobs = 1
-    if jobs <= 0:
+    if jobs < 0:
+        raise ValueError(
+            f"{name} must be >= 0 (0 = all cores), got {jobs}"
+        )
+    if jobs == 0:
         jobs = os.cpu_count() or 1
     return jobs
 

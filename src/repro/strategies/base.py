@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan
 from repro.net.program import BaseProgram
 from repro.util.rng import derive_rng
 from repro.util.validation import check_positive_int
@@ -38,18 +37,14 @@ class AllToAllStrategy(abc.ABC):
         params: Optional[MachineParams] = None,
         seed: int = 0,
         carry_data: bool = False,
-        faults: Optional[FaultPlan] = None,
     ) -> BaseProgram:
         """Build the node program for one all-to-all of *msg_bytes* per
         (ordered) rank pair on *shape*.
 
         ``carry_data=True`` attaches :class:`DataChunk` descriptors for the
-        functional engine (costs memory; timed runs leave it off).
-        ``faults`` lets the planner route around dead nodes: dead ranks
-        inject nothing, are dropped from every destination list and are
-        never chosen as intermediates.  Strategies that cannot degrade
-        (their traffic pattern needs every rank) raise ``ValueError`` when
-        the plan kills nodes.
+        functional engine (costs memory; timed runs leave it off).  A
+        program never sees a fault plan: dead links and packet loss are
+        the network's concern, and every rank takes part.
         """
 
     @abc.abstractmethod
@@ -85,7 +80,6 @@ class DirectProgramBase(BaseProgram):
         seed: int,
         carry_data: bool,
         packets_per_round: int = 2,
-        faults: Optional[FaultPlan] = None,
     ) -> None:
         msg_bytes = check_positive_int(msg_bytes, "msg_bytes")
         self.shape = shape
@@ -95,11 +89,6 @@ class DirectProgramBase(BaseProgram):
         self.carry_data = carry_data
         self.packets_per_round = check_positive_int(
             packets_per_round, "packets_per_round"
-        )
-        self.faults = faults
-        #: Dead ranks the plan must avoid (empty on pristine runs).
-        self.dead_nodes: frozenset[int] = (
-            faults.dead_nodes if faults is not None else frozenset()
         )
         #: Wire sizes of one message's packets (header in the first).
         self.packet_sizes = params.packetize_message(msg_bytes)
@@ -131,20 +120,10 @@ class DirectProgramBase(BaseProgram):
 
     def destination_order(self, node: int) -> np.ndarray:
         """Random permutation of the other P-1 ranks, derived from the
-        experiment seed and the node id (independent across nodes).  Dead
-        ranks are dropped before shuffling, so a faulty run re-randomizes
-        over the survivors (and a zero-fault run is bit-identical to the
-        pristine permutation)."""
+        experiment seed and the node id (independent across nodes)."""
         p = self.shape.nnodes
         rng = derive_rng(self.seed, "destorder", node)
         dests = np.arange(p, dtype=np.int64)
         dests = np.delete(dests, node)
-        if self.dead_nodes:
-            keep = [i for i, d in enumerate(dests) if d not in self.dead_nodes]
-            dests = dests[keep]
         rng.shuffle(dests)
         return dests
-
-    def alive_count(self) -> int:
-        """Number of surviving (participating) ranks."""
-        return self.shape.nnodes - len(self.dead_nodes)

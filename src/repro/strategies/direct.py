@@ -24,7 +24,6 @@ from typing import Iterator, Optional
 from repro.model.alltoall import peak_time_cycles, simple_direct_time_cycles
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan
 from repro.net.packet import PacketSpec, RoutingMode
 from repro.strategies.base import AllToAllStrategy, DirectProgramBase
 from repro.strategies.data import PHASE_DIRECT, ChunkTag, DataChunk
@@ -54,11 +53,9 @@ class DirectProgram(DirectProgramBase):
         packets_per_round: int = 2,
         pace: float = 0.0,
         alpha_override: float = -1.0,
-        faults: Optional[FaultPlan] = None,
     ) -> None:
         super().__init__(
-            shape, msg_bytes, params, seed, carry_data, packets_per_round,
-            faults=faults,
+            shape, msg_bytes, params, seed, carry_data, packets_per_round
         )
         self.mode = mode
         self._pace = pace
@@ -97,8 +94,6 @@ class DirectProgram(DirectProgramBase):
         # packets per destination per sweep.  Every message has the same
         # packet count, so all destinations advance in lockstep: the sweep
         # starting at packet lo sends packets [lo, lo + k) of each message.
-        if node in self.dead_nodes:
-            return
         order = self.destination_order(node).tolist()
         npk = len(self.packet_sizes)
         k = self.packets_per_round
@@ -121,8 +116,8 @@ class DirectProgram(DirectProgramBase):
                 yield from shared[dst][lo:hi]
 
     def expected_final_deliveries(self) -> int:
-        a = self.alive_count()
-        return a * (a - 1) * len(self.packet_sizes)
+        p = self.shape.nnodes
+        return p * (p - 1) * len(self.packet_sizes)
 
     def pace_cycles(self, node: int) -> float:
         return self._pace
@@ -141,7 +136,6 @@ class _DirectStrategy(AllToAllStrategy):
         params: Optional[MachineParams] = None,
         seed: int = 0,
         carry_data: bool = False,
-        faults: Optional[FaultPlan] = None,
     ) -> DirectProgram:
         params = params or MachineParams.bluegene_l()
         return DirectProgram(
@@ -153,7 +147,6 @@ class _DirectStrategy(AllToAllStrategy):
             self.mode,
             packets_per_round=self.packets_per_round,
             pace=self._pace(shape, msg_bytes, params),
-            faults=faults,
         )
 
     def _pace(
@@ -205,7 +198,6 @@ class MPIDirect(_DirectStrategy):
         params: Optional[MachineParams] = None,
         seed: int = 0,
         carry_data: bool = False,
-        faults: Optional[FaultPlan] = None,
     ) -> DirectProgram:
         params = params or MachineParams.bluegene_l()
         return DirectProgram(
@@ -217,7 +209,6 @@ class MPIDirect(_DirectStrategy):
             self.mode,
             packets_per_round=self.packets_per_round,
             alpha_override=params.alpha_message_cycles,
-            faults=faults,
         )
 
     def predict_cycles(

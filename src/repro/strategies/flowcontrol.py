@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Optional
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan
 from repro.net.packet import Packet, PacketSpec, RoutingMode
 from repro.strategies.data import PHASE_CREDIT, ChunkTag
 from repro.strategies.tps import PHASE1_GROUP, PHASE2_GROUP, TPSProgram, TwoPhaseSchedule
@@ -154,11 +153,9 @@ class CreditedTPSProgram(TPSProgram):
         total_credits = 0
         p = self.shape.nnodes
         for src in range(p):
-            if src in self.dead_nodes:
-                continue
             per_mid: dict[int, int] = defaultdict(int)
             for dst in range(p):
-                if dst == src or dst in self.dead_nodes:
+                if dst == src:
                     continue
                 mid = self.intermediate_for(src, dst)
                 if mid != src and mid != dst:
@@ -198,7 +195,6 @@ class CreditedTPS(TwoPhaseSchedule):
         params: Optional[MachineParams] = None,
         seed: int = 0,
         carry_data: bool = False,
-        faults: Optional[FaultPlan] = None,
     ) -> CreditedTPSProgram:
         params = params or MachineParams.bluegene_l()
         return CreditedTPSProgram(
@@ -212,7 +208,6 @@ class CreditedTPS(TwoPhaseSchedule):
             pipelined=self.pipelined,
             window=self.window,
             packets_per_credit=self.packets_per_credit,
-            faults=faults,
         )
 
     def credit_bandwidth_overhead(self, params: Optional[MachineParams] = None) -> float:

@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Optional
 from repro.model.alltoall import peak_time_cycles
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan
 from repro.net.packet import Packet, PacketSpec, RoutingMode
 from repro.strategies.base import AllToAllStrategy, DirectProgramBase
 from repro.strategies.data import (
@@ -34,7 +33,6 @@ from repro.strategies.data import (
     DataChunk,
     chunks_of,
 )
-from repro.util.rng import derive_seed
 from repro.util.validation import require
 
 #: Injection-FIFO group of phase-1 (linear) packets.
@@ -78,11 +76,9 @@ class TPSProgram(DirectProgramBase):
         linear_axis: Optional[int] = None,
         packets_per_round: int = 2,
         pipelined: bool = True,
-        faults: Optional[FaultPlan] = None,
     ) -> None:
         super().__init__(
-            shape, msg_bytes, params, seed, carry_data, packets_per_round,
-            faults=faults,
+            shape, msg_bytes, params, seed, carry_data, packets_per_round
         )
         self.linear_axis = (
             choose_linear_axis(shape) if linear_axis is None else linear_axis
@@ -102,45 +98,17 @@ class TPSProgram(DirectProgramBase):
         for pl in self.payload_split:
             self._payload_offsets.append(off)
             off += pl
-        # Surviving ranks grouped by linear coordinate, for intermediate
-        # re-picks around dead nodes (built only under a fault plan).
-        self._alive_on_line: Optional[dict[int, list[int]]] = None
-        if self.dead_nodes:
-            axis, stride = self.linear_axis, self._stride
-            n = shape.dims[axis]
-            lines: dict[int, list[int]] = {}
-            for u in range(shape.nnodes):
-                if u in self.dead_nodes:
-                    continue
-                lines.setdefault((u // stride) % n, []).append(u)
-            self._alive_on_line = lines
 
     # -------------------------------------------------------------- #
 
     def intermediate_for(self, src: int, dst: int) -> int:
         """Intermediate rank: source's coords with the linear coordinate
-        replaced by the destination's.  When that rank is dead, re-pick a
-        surviving intermediate on the destination's linear plane (phase 2
-        stays linear-free), deterministically per (src, dst)."""
+        replaced by the destination's."""
         axis, stride = self.linear_axis, self._stride
         n = self.shape.dims[axis]
         src_c = (src // stride) % n
         dst_c = (dst // stride) % n
-        mid = src + (dst_c - src_c) * stride
-        if self._alive_on_line is not None and mid in self.dead_nodes:
-            return self._alt_mid(src, dst, dst_c)
-        return mid
-
-    def _alt_mid(self, src: int, dst: int, dst_c: int) -> int:
-        """A surviving intermediate sharing the destination's linear
-        coordinate.  The destination itself is always a candidate (the
-        message then degenerates to a direct send), so the set is never
-        empty; the choice is a seeded hash so schedules stay deterministic
-        and the replacement load spreads over the plane."""
-        assert self._alive_on_line is not None
-        cands = self._alive_on_line[dst_c]
-        pick = cands[derive_seed(self.seed, "tpsmid", src, dst) % len(cands)]
-        return pick
+        return src + (dst_c - src_c) * stride
 
     def _specs_for_dst(self, src: int, dst: int) -> list[PacketSpec]:
         mid = self.intermediate_for(src, dst)
@@ -175,8 +143,6 @@ class TPSProgram(DirectProgramBase):
         return specs
 
     def injection_plan(self, node: int) -> Iterator[PacketSpec]:
-        if node in self.dead_nodes:
-            return
         order = self.destination_order(node)
         npk = len(self.packet_sizes)
         k = self.packets_per_round
@@ -225,8 +191,8 @@ class TPSProgram(DirectProgramBase):
         )
 
     def expected_final_deliveries(self) -> int:
-        a = self.alive_count()
-        return a * (a - 1) * len(self.packet_sizes)
+        p = self.shape.nnodes
+        return p * (p - 1) * len(self.packet_sizes)
 
 
 class TwoPhaseSchedule(AllToAllStrategy):
@@ -257,7 +223,6 @@ class TwoPhaseSchedule(AllToAllStrategy):
         params: Optional[MachineParams] = None,
         seed: int = 0,
         carry_data: bool = False,
-        faults: Optional[FaultPlan] = None,
     ) -> TPSProgram:
         params = params or MachineParams.bluegene_l()
         return TPSProgram(
@@ -269,7 +234,6 @@ class TwoPhaseSchedule(AllToAllStrategy):
             linear_axis=self.linear_axis,
             packets_per_round=self.packets_per_round,
             pipelined=self.pipelined,
-            faults=faults,
         )
 
     def predict_cycles(

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.model.alltoall import balanced_vmesh_factors, vmesh_time_cycles
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan
 from repro.net.packet import Packet, PacketSpec, RoutingMode
 from repro.net.program import BaseProgram
 from repro.strategies.base import AllToAllStrategy
@@ -309,18 +308,7 @@ class VirtualMesh2D(AllToAllStrategy):
         params: Optional[MachineParams] = None,
         seed: int = 0,
         carry_data: bool = False,
-        faults: Optional[FaultPlan] = None,
     ) -> VMeshProgram:
-        # Combining needs the full row/column bijection: every rank is an
-        # intermediate for its whole row, so a dead node cannot be routed
-        # around at the schedule level.  Dead links, loss, degradation and
-        # outages are fine — the network layer absorbs those.
-        if faults is not None and faults.dead_nodes:
-            raise ValueError(
-                "VirtualMesh2D cannot degrade around dead nodes (the "
-                "virtual-mesh bijection needs every rank); use a direct "
-                "strategy or TPS for plans with dead nodes"
-            )
         params = params or MachineParams.bluegene_l()
         return VMeshProgram(
             shape, msg_bytes, params, seed, carry_data, self.mapping(shape)

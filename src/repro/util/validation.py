@@ -7,6 +7,7 @@ failing deep inside the simulator.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 
@@ -37,6 +38,6 @@ def check_nonneg(value: float, name: str) -> float:
         fvalue = float(value)
     except (TypeError, ValueError):
         raise TypeError(f"{name} must be a number, got {value!r}") from None
-    if not (fvalue >= 0.0):  # catches NaN too
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not (0.0 <= fvalue < math.inf):  # catches NaN too
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
     return fvalue

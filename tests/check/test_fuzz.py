@@ -32,7 +32,7 @@ class TestSpecGrammar:
         "spec",
         [
             "AR@4x4x2/m256/s1/fp0.05,s3,t2000",
-            "TPS.ax1@2x4x4/m100/s3/fn0.1,l0.05,p0.02,d0.25,s7,t2000",
+            "TPS.ax1@2x4x4/m100/s3/fl0.05,p0.02,s7,t2000",
             "VM@8x8M/m8/s0",
             "CTPS@3x3/m1024/s999",
             "THR@1x4/m17/s5",
@@ -53,6 +53,8 @@ class TestSpecGrammar:
             "AR@4x4/m8",  # missing seed
             "AR@4x4/s0",  # missing msg
             "AR@4x4/m8/s0/fx1",  # unknown fault key
+            "AR@4x4/m8/s0/fn0.1",  # dead-node fraction: no longer modelled
+            "AR@4x4/m8/s0/fl0.1,",  # empty fault field
             "AR@4x4/m8/s0/q9",  # unknown segment
             "AR@4x4//s0",  # empty segment
         ],
@@ -80,6 +82,25 @@ class TestSpecGrammar:
         assert point.msg_bytes == 100
         assert point.shape.dims == (2, 4, 4)
         assert point.faults is None
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--case", "AR@4x4/m8/s0/fn0.1"], "n0.1"),
+            (["--case", "AR@4x4/m8"], "need /m and /s"),
+            (["--budget", "xyz"], "xyz"),
+            (["--jobs", "-2", "--max-cases", "1"], "jobs must be >= 0"),
+        ],
+        ids=["old-fault-field", "missing-seed", "budget", "jobs"],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, named, capsys):
+        # Exit 1 means "divergence reproduced"; a typo must not look
+        # like one.
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and named in err
 
     def test_budget_parsing(self):
         assert parse_budget("60s") == 60.0

@@ -182,6 +182,8 @@ def test_quiet_and_verbose_flags():
         ([], {"REPRO_POINT_TIMEOUT": "abc"}, "REPRO_POINT_TIMEOUT"),
         ([], {"REPRO_JOBS": "abc"}, "REPRO_JOBS"),
         ([], {"REPRO_SCALE": "huge"}, "'huge'"),
+        (["--jobs", "-2"], {}, "jobs must be >= 0"),
+        ([], {"REPRO_JOBS": "-2"}, "REPRO_JOBS must be >= 0"),
     ],
     ids=[
         "point-timeout",
@@ -191,6 +193,8 @@ def test_quiet_and_verbose_flags():
         "env-timeout",
         "env-jobs",
         "env-scale",
+        "jobs-negative",
+        "env-jobs-negative",
     ],
 )
 def test_bad_run_setting_is_a_usage_error(

@@ -68,7 +68,7 @@ class TestBitIdentity:
 
     def test_traced_faulty_run_matches_untraced(self):
         plan = FaultPlan(
-            loss_prob=0.05, dead_nodes=frozenset({3}), seed=7
+            loss_prob=0.05, dead_links=frozenset({(3, 0)}), seed=7
         )
         plain = simulate_alltoall(
             ARDirect(), SHAPE, 256, seed=1, faults=plan

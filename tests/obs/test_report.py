@@ -96,7 +96,7 @@ class TestSidecar:
     def test_sidecar_layout_matches_its_schema(self, entries):
         # A change to these keys must bump REPORT_SCHEMA.
         side = build_sidecar(entries, [_experiment()], title="t")
-        assert side["schema"] == REPORT_SCHEMA == 2
+        assert side["schema"] == REPORT_SCHEMA == 3
         assert sorted(side) == [
             "experiments", "generated_unix", "git", "points", "schema", "title"
         ]

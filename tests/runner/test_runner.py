@@ -67,10 +67,23 @@ class TestKeys:
             _point(params=MachineParams(hop_latency_cycles=80.0)),
             _point(config=NetworkConfig(vc_depth=8)),
             _point(faults=FaultPlan(loss_prob=0.01)),
+            _point(faults=FaultPlan(loss_prob=0.01, seed=1)),
+            _point(faults=FaultPlan(loss_prob=0.01, retx_timeout_cycles=9.0)),
+            _point(faults=FaultPlan(dead_links=frozenset({(0, 0)}))),
         ]
         keys = {point_key(p) for p in variants}
         assert base not in keys
         assert len(keys) == len(variants)
+
+    def test_pristine_key_is_pinned(self):
+        # Recorded before the fault fingerprint lost its dead-node,
+        # degraded-link, outage, per-link-loss and backoff keys: pristine
+        # points fingerprint their faults as null, so warm caches survive
+        # an edit of the fault fields.
+        point = SimPoint(ARDirect(), TorusShape.parse("8x4x4"), 64, seed=0)
+        assert point_key(point) == (
+            "0280cbc4b98599153480d35ccedd51f8c18aaf28985a9f7f595f81c0b6ada071"
+        )
 
     def test_integral_float_size_shares_the_int_key(self):
         as_float = _point(msg_bytes=64.0)
@@ -352,4 +365,11 @@ class TestResolveJobs:
     def test_bad_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "lots")
         with pytest.raises(ValueError):
+            resolve_jobs(None)
+
+    def test_negative_count_is_refused(self, monkeypatch):
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            resolve_jobs(-2)
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        with pytest.raises(ValueError, match="REPRO_JOBS must be >= 0"):
             resolve_jobs(None)

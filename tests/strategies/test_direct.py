@@ -5,7 +5,6 @@ import pytest
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.faults import FaultPlan
 from repro.net.packet import PacketSpec, RoutingMode
 from repro.strategies.data import PHASE_DIRECT, ChunkTag, DataChunk
 from repro.strategies.direct import ARDirect, DRDirect, MPIDirect, ThrottledAR
@@ -154,8 +153,6 @@ def reference_plan(prog, node):
     """The numpy-cursor plan the shared-spec plan replaced, verbatim in
     its order and values: a fresh spec per packet, cursors per
     destination advanced by up to ``packets_per_round`` per sweep."""
-    if node in prog.dead_nodes:
-        return
     offsets = np.concatenate(
         ([0], np.cumsum(prog.payload_split[:-1]))
     ).astype(np.int64)
@@ -206,12 +203,10 @@ DIRECT = {
 }
 
 
-def _program(name, shape, m, k, carry_data, faults=None):
+def _program(name, shape, m, k, carry_data):
     strategy = DIRECT[name]()
     strategy.packets_per_round = k
-    return strategy.build_program(
-        shape, m, seed=5, carry_data=carry_data, faults=faults
-    )
+    return strategy.build_program(shape, m, seed=5, carry_data=carry_data)
 
 
 CARRY, CARRY_IDS = [False, True], ["plain", "data"]
@@ -232,21 +227,6 @@ class TestSharedSpecPlan:
             got = list(prog.injection_plan(node))
             assert got == list(reference_plan(prog, node))
             assert len(got) == (shape.nnodes - 1) * npk
-
-    @pytest.mark.parametrize("carry_data", CARRY, ids=CARRY_IDS)
-    @pytest.mark.parametrize("name", sorted(DIRECT))
-    def test_matches_reference_plan_around_dead_nodes(self, name, carry_data):
-        shape = TorusShape.parse("4x2")
-        plan = FaultPlan(dead_nodes=frozenset({2, 5}))
-        prog = _program(name, shape, 500, 2, carry_data, faults=plan)
-        for node in range(shape.nnodes):
-            got = list(prog.injection_plan(node))
-            assert got == list(reference_plan(prog, node))
-            if node in plan.dead_nodes:
-                assert got == []
-            else:
-                assert not {s.dst for s in got} & plan.dead_nodes
-                assert len(got) == 5 * 3
 
     def test_plain_specs_are_shared_across_nodes(self, shape, bgl):
         prog = ARDirect().build_program(shape, 500, bgl)

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.model.machine import MachineParams
+from repro.net.faults import FaultPlan
 from repro.util.validation import check_nonneg, check_positive_int, require
 
 
@@ -58,3 +60,22 @@ class TestNonneg:
     def test_rejects_non_number(self):
         with pytest.raises(TypeError):
             check_nonneg(object(), "x")
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (MachineParams, "hop_latency_cycles"),
+        (MachineParams, "packet_cpu_cycles"),
+        (MachineParams, "beta_ns_per_byte"),
+        (MachineParams, "alpha_packet_cycles"),
+        (MachineParams, "gamma_ns_per_byte"),
+        (FaultPlan, "retx_timeout_cycles"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_infinite_cost_is_refused(make, field):
+    # Unchecked, an infinite cost is accepted here and the run then
+    # spins up to the simulator's cycle limit.
+    with pytest.raises(ValueError, match=field):
+        make(**{field: math.inf})

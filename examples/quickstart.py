@@ -1,12 +1,11 @@
-"""Quickstart: simulate one all-to-all and verify a real data exchange.
+"""Quickstart: simulate one all-to-all and verify that its schedule
+delivers every byte exactly once.
 
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import TorusShape, simulate_alltoall
-from repro.runtime import Communicator
+from repro.functional import run_and_verify
 from repro.strategies import ARDirect, TwoPhaseSchedule, select_strategy
 
 
@@ -30,15 +29,14 @@ def main() -> None:
         chosen = select_strategy(shape, m)
         print(f"  select_strategy({shape.label}, m={m}B) -> {chosen.name}")
 
-    # --- 3. Move real bytes through the schedule and verify ------------
-    comm = Communicator(TorusShape.parse("4x4"))
-    p, m = comm.size, 16
-    send = np.arange(p * p * m, dtype=np.uint8).reshape(p, p, m)
-    outcome = comm.alltoall(send, simulate_timing=True)
-    assert (outcome.recv[3, 5] == send[5, 3]).all()
-    assert outcome.run is not None
-    print(f"  verified {p}x{p} exchange of {m} B messages via "
-          f"{outcome.strategy}: {outcome.run.time_us:.1f} us simulated")
+    # --- 3. Run the chosen schedule over data and verify it ------------
+    small, m = TorusShape.parse("4x4"), 16
+    strategy = select_strategy(small, m)
+    _, report = run_and_verify(strategy, small, m)
+    assert report.ok, report.summary()
+    run = simulate_alltoall(strategy, small, m)
+    print(f"  {strategy.name} on {small.label}, {m} B messages: "
+          f"{report.summary()}; {run.time_us:.1f} us simulated")
 
 
 if __name__ == "__main__":

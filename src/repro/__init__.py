@@ -12,8 +12,8 @@ The package provides:
   (MPI-style, AR, DR, throttled AR) and indirect (Two-Phase Schedule,
   2-D Virtual Mesh), plus the auto-selector and credit flow control;
 * :mod:`repro.functional` — an untimed engine that runs the same schedules
-  over real NumPy buffers to verify data correctness;
-* :mod:`repro.runtime` — an mpi4py-flavoured ``Communicator`` facade;
+  and checks that every byte reaches its destination exactly once
+  (:func:`~repro.functional.run_and_verify`);
 * :mod:`repro.experiments` — drivers regenerating every table and figure
   of the paper's evaluation.
 

@@ -1,24 +1,10 @@
-"""Analysis helpers: efficiency metrics, sweeps and table rendering."""
+"""Analysis helpers: message-size sweeps and table rendering."""
 
-from repro.analysis.efficiency import (
-    normalized_efficiency,
-    percent_of_peak_run,
-    speedup,
-)
-from repro.analysis.export import export_all, to_csv_text, write_csv
-from repro.analysis.report import render_series, render_table
-from repro.analysis.sweep import SweepPoint, geometric_sizes, message_size_sweep
+from repro.analysis.report import render_table
+from repro.analysis.sweep import SweepPoint, message_size_sweep
 
 __all__ = [
-    "normalized_efficiency",
-    "percent_of_peak_run",
-    "speedup",
-    "export_all",
-    "to_csv_text",
-    "write_csv",
-    "render_series",
     "render_table",
     "SweepPoint",
-    "geometric_sizes",
     "message_size_sweep",
 ]

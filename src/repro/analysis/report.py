@@ -1,9 +1,8 @@
-"""Plain-text rendering of experiment tables and figure series.
+"""Plain-text rendering of experiment tables.
 
-The experiment drivers return structured rows; these helpers format them
-the way the benchmark harness and the CLI print them — fixed-width ASCII
-tables that mirror the paper's tables, plus simple aligned series for the
-figures.
+The experiment drivers return structured rows; :func:`render_table`
+formats them the way the benchmark harness and the CLI print them —
+fixed-width ASCII tables that mirror the paper's tables.
 """
 
 from __future__ import annotations
@@ -40,20 +39,3 @@ def render_table(
     for n in notes:
         out.append(f"  note: {n}")
     return "\n".join(out)
-
-
-def render_series(
-    title: str,
-    x_label: str,
-    xs: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-) -> str:
-    """Render one or more aligned y-series against a shared x axis."""
-    columns = [x_label] + list(series.keys())
-    rows = []
-    for i, x in enumerate(xs):
-        row: dict[str, object] = {x_label: x}
-        for name, ys in series.items():
-            row[name] = ys[i] if i < len(ys) else None
-        rows.append(row)
-    return render_table(title, columns, rows)

@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 from repro.api import AllToAllRun
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.runner import SimPoint, run_points
 from repro.strategies.base import AllToAllStrategy
 
@@ -38,32 +37,13 @@ def message_size_sweep(
     shape: TorusShape,
     sizes: Sequence[int],
     params: Optional[MachineParams] = None,
-    config: Optional[NetworkConfig] = None,
     seed: int = 0,
     jobs: Optional[int] = None,
 ) -> list[SweepPoint]:
     """Simulate the all-to-all at every message size in *sizes* (through
     the parallel runner and its result cache)."""
     runs = run_points(
-        [SimPoint(strategy, shape, m, params, config, seed) for m in sizes],
+        [SimPoint(strategy, shape, m, params, seed) for m in sizes],
         jobs=jobs,
     )
     return [SweepPoint(m, run) for m, run in zip(sizes, runs)]
-
-
-def geometric_sizes(lo: int, hi: int, per_decade: int = 4) -> list[int]:
-    """Roughly geometric message sizes from *lo* to *hi* inclusive."""
-    sizes = []
-    m = float(lo)
-    ratio = 10 ** (1.0 / per_decade)
-    while m < hi:
-        sizes.append(int(round(m)))
-        m *= ratio
-    sizes.append(hi)
-    # Deduplicate while preserving order.
-    out, seen = [], set()
-    for s in sizes:
-        if s not in seen:
-            out.append(s)
-            seen.add(s)
-    return out

@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.model.alltoall import peak_time_cycles, percent_of_peak
+from repro.model.alltoall import percent_of_peak
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.net.faults import FaultPlan
 from repro.net.faultsim import build_network
 from repro.net.trace import SimulationResult
@@ -52,11 +51,6 @@ class AllToAllRun:
         return cycles_to_ms(self.time_cycles)
 
     @property
-    def peak_cycles(self) -> float:
-        """Eq. 2 peak time for this shape and message size."""
-        return peak_time_cycles(self.shape, self.msg_bytes, self.params)
-
-    @property
     def percent_of_peak(self) -> float:
         """Percent of the Eq. 2 peak achieved (the tables' metric)."""
         return percent_of_peak(
@@ -81,7 +75,6 @@ def simulate_alltoall(
     shape: TorusShape,
     msg_bytes: int,
     params: Optional[MachineParams] = None,
-    config: Optional[NetworkConfig] = None,
     seed: int = 0,
     faults: Optional[FaultPlan] = None,
     obs: Optional["ObsConfig"] = None,
@@ -107,7 +100,7 @@ def simulate_alltoall(
     msg_bytes = check_positive_int(msg_bytes, "msg_bytes")
     params = params or MachineParams.bluegene_l()
     program = strategy.build_program(shape, msg_bytes, params, seed)
-    net = build_network(shape, params, config, faults, obs, check)
+    net = build_network(shape, params, faults, obs, check)
     if strategy.fifo_groups > 1:
         net.set_fifo_groups(strategy.fifo_groups)
     result = net.run(program)

@@ -73,6 +73,12 @@ class FuzzCase:
     _fault_items: tuple = field(default=(), init=False)
 
     def __post_init__(self) -> None:
+        for k in self.faults:
+            if k not in _FAULT_KEYS:
+                raise ValueError(
+                    f"unknown fault field {k!r}; fault fields are "
+                    f"{', '.join(_FAULT_KEYS)}"
+                )
         # Frozen-dataclass hashability: mirror the dict as a sorted tuple.
         clean = {
             k: v
@@ -202,10 +208,8 @@ class FuzzCase:
             self.strategy(),
             self.torus_shape(),
             self.msg_bytes,
-            None,
-            None,
-            self.seed,
-            self.fault_plan(),
+            seed=self.seed,
+            faults=self.fault_plan(),
         )
 
 

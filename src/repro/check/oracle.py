@@ -103,7 +103,8 @@ class InvariantOracles(SimObserver):
         )
         coord = net._coord
         vc_depth = net._vc_depth
-        cfg = net.config
+        fifo_cap = net.params.injection_fifo_depth
+        recv_cap = net._recv_depth
         # Routability bound: a minimal path never exceeds the diameter
         # (sum of per-axis half-extents); up*/down* escape detours and
         # fault reroutes are bounded by the surviving graph's size, so
@@ -299,20 +300,18 @@ class InvariantOracles(SimObserver):
                         f"credit count out of [0, {vc_depth}]",
                         cycle=now_f, index=i, tokens=t,
                     )
-            cap = cfg.injection_fifo_depth
             for i, f in enumerate(fifo_free):
-                if f < 0 or f > cap:
+                if f < 0 or f > fifo_cap:
                     raise InvariantError(
                         "progress",
-                        f"injection FIFO free count out of [0, {cap}]",
+                        f"injection FIFO free count out of [0, {fifo_cap}]",
                         cycle=now_f, index=i, free=f,
                     )
-            rcap = cfg.reception_fifo_depth
             for u, r in enumerate(recv_free):
-                if r < 0 or r > rcap:
+                if r < 0 or r > recv_cap:
                     raise InvariantError(
                         "progress",
-                        f"reception free count out of [0, {rcap}]",
+                        f"reception free count out of [0, {recv_cap}]",
                         cycle=now_f, node=u, free=r,
                     )
             for u in range(p):
@@ -340,15 +339,13 @@ class InvariantOracles(SimObserver):
                     f"{vc_depth}",
                     cycle=now_f,
                 )
-            cap = cfg.injection_fifo_depth
-            if any(f != cap for f in fifo_free):
+            if any(f != fifo_cap for f in fifo_free):
                 raise InvariantError(
                     "conservation",
                     "injection FIFO slots not all returned",
                     cycle=now_f,
                 )
-            rcap = cfg.reception_fifo_depth
-            if any(r != rcap for r in recv_free):
+            if any(r != recv_cap for r in recv_free):
                 raise InvariantError(
                     "conservation",
                     "reception slots not all returned",

@@ -24,7 +24,7 @@ Programs must be built with ``carry_data=True``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.model.torus import TorusShape

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from repro.util.units import per_byte_ns_to_cycles, us_to_cycles
+from repro.util.units import per_byte_ns_to_cycles
 from repro.util.validation import check_nonneg, check_positive_int, require
 
 
@@ -114,7 +114,11 @@ class MachineParams:
         )
         require(self.cpu_links > 0, "cpu_links must be positive")
         check_positive_int(self.num_dynamic_vcs, "num_dynamic_vcs")
-        check_positive_int(self.num_bubble_vcs, "num_bubble_vcs")
+        require(
+            self.num_bubble_vcs == 1,
+            f"num_bubble_vcs must be 1 (the simulator models one bubble "
+            f"VC per link), got {self.num_bubble_vcs}",
+        )
         check_positive_int(self.vc_depth_packets, "vc_depth_packets")
         check_positive_int(self.num_injection_fifos, "num_injection_fifos")
         check_positive_int(self.injection_fifo_depth, "injection_fifo_depth")

@@ -1,14 +1,12 @@
 """Packet-level discrete-event simulator of the BG/L torus network.
 
-Public surface: :class:`TorusNetwork` (the engine),
-:class:`NetworkConfig` (router sizing), :class:`PacketSpec` /
+Public surface: :class:`TorusNetwork` (the engine), :class:`PacketSpec` /
 :class:`Packet` / :class:`RoutingMode` (traffic), the
 :class:`NodeProgram` protocol with :class:`ListProgram` helper, the
 :class:`SimulationResult` summary, and the fault-injection layer
 (:class:`FaultPlan`, :class:`FaultyTorusNetwork`, :func:`build_network`).
 """
 
-from repro.net.config import NetworkConfig
 from repro.net.errors import (
     DeadlockError,
     PartitionedNetworkError,
@@ -29,7 +27,6 @@ from repro.net.topology import (
 from repro.net.trace import SimStats, SimulationResult
 
 __all__ = [
-    "NetworkConfig",
     "DeadlockError",
     "PartitionedNetworkError",
     "SimulationError",

@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.net.faults import FaultPlan, FaultRoutingTable, loss_salt
 from repro.net.packet import PacketSpec
 from repro.net.simulator import _ADAPTIVE, TorusNetwork
@@ -70,10 +69,9 @@ class FaultyTorusNetwork(TorusNetwork):
         self,
         shape: TorusShape,
         params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__(shape, params, config)
+        super().__init__(shape, params)
         plan = faults if faults is not None else FaultPlan()
         self.faults = plan
         rt = FaultRoutingTable(self.topo, plan)
@@ -127,7 +125,6 @@ class FaultyTorusNetwork(TorusNetwork):
 def build_network(
     shape: TorusShape,
     params: Optional[MachineParams] = None,
-    config: Optional[NetworkConfig] = None,
     faults: Optional[FaultPlan] = None,
     obs: Optional["ObsConfig"] = None,
     check: Optional["CheckConfig"] = None,
@@ -144,9 +141,9 @@ def build_network(
     always exactly :class:`TorusNetwork` or :class:`FaultyTorusNetwork`.
     """
     if faults is None or faults.is_empty:
-        net = TorusNetwork(shape, params, config)
+        net = TorusNetwork(shape, params)
     else:
-        net = FaultyTorusNetwork(shape, params, config, faults)
+        net = FaultyTorusNetwork(shape, params, faults)
     if obs is not None and obs.enabled:
         # Imported here, not at module top: both modules import this one.
         from repro.net.instrumented import Instrumentation

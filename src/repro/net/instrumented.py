@@ -241,7 +241,7 @@ class Instrumentation(SimObserver):
         trace_inject = "inject" in kinds
         if metrics is not None or trace_inject:
             fifo_free = net._fifo_free
-            slots = nfifos * net.config.injection_fifo_depth
+            slots = nfifos * net.params.injection_fifo_depth
 
             def inject(u):
                 if metrics is not None:

@@ -24,7 +24,7 @@ borrowed by the simulator stay valid across regrowth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 

@@ -114,7 +114,6 @@ import numpy as np
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.net.displacement import displacement_tables, route_tables
 from repro.net.errors import (
     DeadlockError,
@@ -161,6 +160,21 @@ _SRC_FORWARD = 1
 _SRC_PLAN = 2
 
 _ADAPTIVE = int(RoutingMode.ADAPTIVE)
+
+# Router sizes that MachineParams does not carry: one value each, BG/L's
+# or a safety cap.  Tests that need another value monkeypatch them before
+# they build the network.
+
+#: Reception FIFO depth, in packets.  A full FIFO backpressures the
+#: network, modelling the slow-CPU effect of Section 2.
+RECEPTION_FIFO_DEPTH = 16
+#: Free downstream slots a packet needs to *enter* a bubble ring
+#: (continuing packets need 1): the canonical bubble rule.
+BUBBLE_ENTRY_TOKENS = 2
+#: Hard cap on simulated cycles (safety).
+MAX_CYCLES = 5.0e9
+#: Hard cap on processed events (safety).
+MAX_EVENTS = 500_000_000
 
 #: ``flags`` bits of the ``launch`` hook: the hop left the pristine
 #: torus's minimal paths (a fault reroute) / the packet died on the wire.
@@ -215,9 +229,9 @@ class TorusNetwork:
     """
 
     __slots__ = (
-        "shape", "params", "config", "topo", "stats",
+        "shape", "params", "topo", "stats",
         "_p", "_ndim", "_ndirs", "_nvcs", "_ndyn", "_bubble", "_nfifos",
-        "_vc_depth", "_bubble_entry",
+        "_vc_depth", "_recv_depth",
         "_nbr", "_coord", "_colm", "_dtab", "_route",
         "_link_busy", "_tokens", "_fifo_free", "_recv_free",
         "_q_buf", "_q_hd", "_q_n", "_q_shift", "_q_mask",
@@ -228,7 +242,7 @@ class TorusNetwork:
         "_arb", "_nports", "_nvp", "_queued", "_pmask",
         "_port_dir", "_port_vc", "_port_axis", "_pbit", "_nbit", "_pm_vc",
         "_tok_evs", "_fifo_evs", "_link_evs", "_cpu_evs", "_wake_evs",
-        "_buckets", "_theap", "_immediate", "_now", "_pid", "_busy_cycles",
+        "_buckets", "_theap", "_now", "_pid", "_busy_cycles",
         "_link_packets", "_program", "_num_links",
         "_pool", "_P_pid", "_P_src", "_P_dst", "_P_wire", "_P_mode",
         "_P_tag", "_P_final", "_P_inject", "_P_hops", "_P_vc", "_P_half",
@@ -247,24 +261,23 @@ class TorusNetwork:
         self,
         shape: TorusShape,
         params: Optional[MachineParams] = None,
-        config: Optional[NetworkConfig] = None,
     ) -> None:
         self.shape = shape
-        self.params = params or MachineParams.bluegene_l()
-        self.config = config or NetworkConfig.from_machine(self.params)
+        self.params = prm = params or MachineParams.bluegene_l()
         self.topo = Topology(shape)
 
         p = shape.nnodes
-        cfg = self.config
         self._p = p
         self._ndim = shape.ndim
         self._ndirs = self.topo.ndirs
-        self._nvcs = cfg.num_vcs
-        self._ndyn = cfg.num_dynamic_vcs
-        self._bubble = cfg.bubble_vc
-        self._nfifos = cfg.num_injection_fifos
-        self._vc_depth = cfg.vc_depth
-        self._bubble_entry = cfg.bubble_entry_tokens
+        # The dynamic VCs, then the one bubble VC.  The BG/L high-priority
+        # VC is not simulated: application all-to-all never uses it.
+        self._nvcs = prm.num_dynamic_vcs + prm.num_bubble_vcs
+        self._ndyn = prm.num_dynamic_vcs
+        self._bubble = prm.num_dynamic_vcs
+        self._nfifos = prm.num_injection_fifos
+        self._vc_depth = prm.vc_depth_packets
+        self._recv_depth = RECEPTION_FIFO_DEPTH
 
         # --- topology tables as plain Python lists (hot path) ------------
         self._nbr: list[list[int]] = self.topo.neighbor.tolist()
@@ -285,11 +298,11 @@ class TorusNetwork:
         # --- network state ------------------------------------------------
         ndirs, nvcs = self._ndirs, self._nvcs
         self._link_busy: list[float] = [0.0] * (p * ndirs)
-        self._tokens: list[int] = [cfg.vc_depth] * (p * ndirs * nvcs)
-        self._fifo_free: list[int] = [cfg.injection_fifo_depth] * (
+        self._tokens: list[int] = [self._vc_depth] * (p * ndirs * nvcs)
+        self._fifo_free: list[int] = [prm.injection_fifo_depth] * (
             p * self._nfifos
         )
-        self._recv_free: list[int] = [cfg.reception_fifo_depth] * p
+        self._recv_free: list[int] = [self._recv_depth] * p
 
         # --- ports and ring buffers ---------------------------------------
         # Port order per node: (in_dir, vc) pairs first, then injection
@@ -314,14 +327,14 @@ class TorusNetwork:
         self._pbit: list[int] = [1 << pt for pt in range(nports)]
         self._nbit: list[int] = [~(1 << pt) for pt in range(nports)]
         self._pm_vc = (1 << nvp) - 1
-        depth = max(cfg.vc_depth, cfg.injection_fifo_depth)
+        depth = max(self._vc_depth, prm.injection_fifo_depth)
         self._q_shift = qsh = (depth - 1).bit_length()
         self._q_mask = (1 << qsh) - 1
         self._q_buf: list[int] = [0] * ((p * nports) << qsh)
         self._q_hd: list[int] = [0] * (p * nports)
         self._q_n: list[int] = [0] * (p * nports)
         # Reception FIFO ring (packets accepted, waiting for CPU drain).
-        self._rp_shift = rsh = (cfg.reception_fifo_depth - 1).bit_length()
+        self._rp_shift = rsh = (self._recv_depth - 1).bit_length()
         self._rp_mask = (1 << rsh) - 1
         self._rp_buf: list[int] = [0] * (p << rsh)
         self._rp_hd: list[int] = [0] * p
@@ -372,11 +385,9 @@ class TorusNetwork:
 
         # --- scheduler ------------------------------------------------------
         # Future events keyed by tick -> bucket list; a heap orders the
-        # distinct pending ticks.  Events posted at (or before) the start
-        # tick wait in _immediate, the run kernel's first tick list.
+        # distinct pending ticks.
         self._buckets: dict[float, list[tuple]] = {}
         self._theap: list[float] = []
-        self._immediate: list[tuple] = []
         self._now = 0.0
         self._pid = itertools.count()
         self._busy_cycles: list[float] = [0.0] * (p * ndirs)
@@ -389,7 +400,6 @@ class TorusNetwork:
 
         # Derived costs.  Per-size service/CPU costs are precomputed in
         # both unscaled cycles (statistics) and ticks (scheduling).
-        prm = self.params
         self._beta = prm.beta_cycles_per_byte
         self._hop_latency = prm.hop_latency_cycles
         self._hop_t = prm.hop_latency_cycles * TICK_SCALE
@@ -501,19 +511,6 @@ class TorusNetwork:
     # ------------------------------------------------------------------ #
     # small helpers
     # ------------------------------------------------------------------ #
-
-    def _post_ev(self, t: float, ev: tuple) -> None:
-        """Schedule *ev* at tick *t* before the run (the start tick's
-        list if not in the future, else the calendar bucket for *t*)."""
-        if t <= self._now:
-            self._immediate.append(ev)
-        else:
-            b = self._buckets.get(t)
-            if b is None:
-                self._buckets[t] = [ev]
-                heappush(self._theap, t)
-            else:
-                b.append(ev)
 
     def _wants_link(self, u: int, d: int, h: int) -> bool:
         """Whether handle *h* queued at *u* could productively use
@@ -663,8 +660,8 @@ class TorusNetwork:
         # The event list of the current tick, in posting order.  The loop
         # below iterates it while handlers append same-tick events to it
         # through ``imm_append``, which is rebound as each tick starts.
-        # The first list holds what was posted before the run.
-        tick = self._immediate
+        # The first list holds what the setup below posts at the start.
+        tick: list[tuple] = []
         imm_append = tick.append
 
         nports = self._nports
@@ -677,7 +674,7 @@ class TorusNetwork:
         ndim = self._ndim
         nfifos = self._nfifos
         bubble = self._bubble
-        bubble_entry = self._bubble_entry
+        bubble_entry = BUBBLE_ENTRY_TOKENS
         hop_t = self._hop_t
         qsh = self._q_shift
         qmask = self._q_mask
@@ -786,8 +783,8 @@ class TorusNetwork:
 
         p = self._p
         admit = self._admit
-        max_cycles = self.config.max_cycles
-        max_events = self.config.max_events
+        max_cycles = MAX_CYCLES
+        max_events = MAX_EVENTS
         max_cycles_t = max_cycles * TICK_SCALE
         now = self._now
         n_events = 0

@@ -5,8 +5,8 @@ Two jobs live here:
 * **Key material** — :func:`point_fingerprint` turns a :class:`SimPoint`
   into a canonical, sorted, JSON-safe structure covering *everything* that
   can change a simulation's outcome (shape, strategy class + options,
-  message size, seed, machine parameters, network config, fault plan, and
-  a schema version).  Its SHA-256 is the cache key.
+  message size, seed, machine parameters, fault plan, and a schema
+  version).  Its SHA-256 is the cache key.
 * **Result transport** — :func:`encode_run` / :func:`decode_run` round-trip
   an :class:`~repro.api.AllToAllRun` through plain JSON types.  The same
   payload serves worker → parent IPC and the on-disk cache, and *every*
@@ -30,7 +30,6 @@ import numpy as np
 from repro.api import AllToAllRun
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.net.faults import FaultPlan
 from repro.net.trace import SimulationResult
 
@@ -69,7 +68,6 @@ def _faults_fingerprint(faults: FaultPlan | None) -> dict | None:
 def point_fingerprint(point: SimPoint) -> dict:
     """Canonical JSON-safe structure identifying *point*'s outcome."""
     params = point.params or MachineParams.bluegene_l()
-    config = point.config
     return {
         "schema": SCHEMA_VERSION,
         "shape": {
@@ -80,7 +78,9 @@ def point_fingerprint(point: SimPoint) -> dict:
         "msg_bytes": point.msg_bytes,
         "seed": point.seed,
         "params": asdict(params),
-        "config": None if config is None else asdict(config),
+        # Points once carried a router config apart from the params; a
+        # fixed null keeps every key, cached result and golden byte-stable.
+        "config": None,
         "faults": _faults_fingerprint(point.faults),
     }
 

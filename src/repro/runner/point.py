@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.net.faults import FaultPlan
 from repro.util.validation import check_positive_int
 
@@ -34,7 +33,6 @@ class SimPoint:
     shape: TorusShape
     msg_bytes: int
     params: Optional[MachineParams] = None
-    config: Optional[NetworkConfig] = None
     seed: int = 0
     faults: Optional[FaultPlan] = None
 

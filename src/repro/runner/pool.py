@@ -168,7 +168,6 @@ def _simulate_encoded(
         point.shape,
         point.msg_bytes,
         params=point.params,
-        config=point.config,
         seed=point.seed,
         faults=point.faults,
         obs=obs,

@@ -8,11 +8,9 @@ Plus the auto-selector (:func:`select_strategy`).
 
 from repro.strategies.base import AllToAllStrategy
 from repro.strategies.data import (
-    PHASE_NAMES,
     ChunkTag,
     DataChunk,
     chunks_of,
-    phase_name,
     tag_kind,
 )
 from repro.strategies.direct import (
@@ -31,9 +29,7 @@ __all__ = [
     "AllToAllStrategy",
     "ChunkTag",
     "DataChunk",
-    "PHASE_NAMES",
     "chunks_of",
-    "phase_name",
     "tag_kind",
     "ARDirect",
     "DirectProgram",

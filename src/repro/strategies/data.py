@@ -13,7 +13,7 @@ several chunks per packet; direct and TPS packets carry one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.net.packet import Packet
 
@@ -93,25 +93,3 @@ PHASE_TPS2 = "tps2"
 PHASE_VMESH1 = "vmesh1"
 PHASE_VMESH2 = "vmesh2"
 PHASE_CREDIT = "credit"
-
-#: Marker -> human-readable phase description (trace/metrics legends).
-PHASE_NAMES = {
-    PHASE_DIRECT: "direct single-phase send",
-    PHASE_TPS1: "TPS phase 1: spread along the linear dimension",
-    PHASE_TPS2: "TPS phase 2: deliver within the hyperplane",
-    PHASE_VMESH1: "virtual mesh phase 1: combine along rows",
-    PHASE_VMESH2: "virtual mesh phase 2: distribute along columns",
-    PHASE_CREDIT: "memory-credit control traffic",
-}
-
-
-def phase_name(kind: Optional[str]) -> str:
-    """Human-readable description of a traffic-class marker."""
-    if kind is None:
-        return "untagged"
-    return PHASE_NAMES.get(kind, kind)
-
-
-def total_chunk_bytes(chunks: Iterable[DataChunk]) -> int:
-    """Sum of chunk sizes."""
-    return sum(c.nbytes for c in chunks)

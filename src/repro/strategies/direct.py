@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from repro.model.alltoall import peak_time_cycles, simple_direct_time_cycles
+from repro.model.alltoall import simple_direct_time_cycles
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.packet import PacketSpec, RoutingMode

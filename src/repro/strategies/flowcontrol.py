@@ -28,7 +28,7 @@ from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.packet import Packet, PacketSpec, RoutingMode
 from repro.strategies.data import PHASE_CREDIT, ChunkTag
-from repro.strategies.tps import PHASE1_GROUP, PHASE2_GROUP, TPSProgram, TwoPhaseSchedule
+from repro.strategies.tps import PHASE2_GROUP, TPSProgram, TwoPhaseSchedule
 from repro.util.validation import check_positive_int, require
 
 #: Wire size of a credit packet (paper: one 32 B packet; the runtime's

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from repro.model.alltoall import peak_time_cycles
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.packet import Packet, PacketSpec, RoutingMode

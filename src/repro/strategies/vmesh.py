@@ -264,11 +264,6 @@ class VMeshProgram(BaseProgram):
             + (self.map.pvy - 1) * len(self.col_packets)
         )
 
-    #: Chunks each node consumes locally from phase-1 row messages
-    #: (used by the functional engine's coverage verification).
-    def consumed_locally(self, node: int) -> list[DataChunk]:
-        return [c for c in self._p1_chunks[node] if c.dst == node]
-
 
 class VirtualMesh2D(AllToAllStrategy):
     """The paper's short-message virtual-mesh combining strategy."""

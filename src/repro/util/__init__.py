@@ -2,7 +2,7 @@
 
 This package holds the pieces that are deliberately free of any policy:
 coordinate algebra on mesh/torus dimensions (:mod:`repro.util.coords`),
-unit conversions between processor cycles, seconds and bandwidths
+unit conversions between processor cycles and wall-clock time
 (:mod:`repro.util.units`), deterministic seeded random-stream derivation
 (:mod:`repro.util.rng`) and argument validation helpers
 (:mod:`repro.util.validation`).
@@ -21,13 +21,9 @@ from repro.util.rng import derive_rng, derive_seed
 from repro.util.units import (
     CLOCK_HZ,
     NS_PER_CYCLE,
-    cycles_to_ns,
     cycles_to_us,
     cycles_to_ms,
-    cycles_to_s,
-    ns_to_cycles,
     us_to_cycles,
-    bytes_per_cycle_to_gb_per_s,
     per_byte_ns_to_cycles,
 )
 from repro.util.validation import require, check_positive_int, check_nonneg
@@ -44,13 +40,9 @@ __all__ = [
     "derive_seed",
     "CLOCK_HZ",
     "NS_PER_CYCLE",
-    "cycles_to_ns",
     "cycles_to_us",
     "cycles_to_ms",
-    "cycles_to_s",
-    "ns_to_cycles",
     "us_to_cycles",
-    "bytes_per_cycle_to_gb_per_s",
     "per_byte_ns_to_cycles",
     "require",
     "check_positive_int",

@@ -1,9 +1,9 @@
-"""Unit conversions between processor cycles, wall-clock time and bandwidth.
+"""Unit conversions between processor cycles and wall-clock time.
 
 The whole simulator keeps time in integer *processor cycles* of the 700 MHz
 BG/L PPC440 core (the clock the paper quotes its alpha/beta numbers in:
 450 cycles ~= 0.64 us startup, 6.48 ns/byte ~= 4.536 cycles/byte).
-Conversions to ns/us/ms happen only at reporting boundaries.
+Conversions to us/ms happen only at reporting boundaries.
 """
 
 from __future__ import annotations
@@ -13,11 +13,6 @@ CLOCK_HZ: float = 700.0e6
 
 #: Nanoseconds per processor cycle (~1.42857 ns).
 NS_PER_CYCLE: float = 1.0e9 / CLOCK_HZ
-
-
-def cycles_to_ns(cycles: float) -> float:
-    """Convert cycles to nanoseconds."""
-    return cycles * NS_PER_CYCLE
 
 
 def cycles_to_us(cycles: float) -> float:
@@ -30,16 +25,6 @@ def cycles_to_ms(cycles: float) -> float:
     return cycles * NS_PER_CYCLE * 1e-6
 
 
-def cycles_to_s(cycles: float) -> float:
-    """Convert cycles to seconds."""
-    return cycles * NS_PER_CYCLE * 1e-9
-
-
-def ns_to_cycles(ns: float) -> float:
-    """Convert nanoseconds to (fractional) cycles."""
-    return ns / NS_PER_CYCLE
-
-
 def us_to_cycles(us: float) -> float:
     """Convert microseconds to (fractional) cycles."""
     return us * 1e3 / NS_PER_CYCLE
@@ -48,8 +33,3 @@ def us_to_cycles(us: float) -> float:
 def per_byte_ns_to_cycles(ns_per_byte: float) -> float:
     """Convert a per-byte cost in ns/B to cycles/B."""
     return ns_per_byte / NS_PER_CYCLE
-
-
-def bytes_per_cycle_to_gb_per_s(bytes_per_cycle: float) -> float:
-    """Convert a rate in bytes/cycle to GB/s (10^9 bytes per second)."""
-    return bytes_per_cycle * CLOCK_HZ / 1e9

@@ -1,15 +1,6 @@
-"""Unit tests for analysis helpers (report rendering, sweeps, metrics)."""
+"""Unit tests for analysis helpers (report rendering, sweeps)."""
 
-import pytest
-
-from repro.analysis import (
-    geometric_sizes,
-    message_size_sweep,
-    normalized_efficiency,
-    render_series,
-    render_table,
-    speedup,
-)
+from repro.analysis import message_size_sweep, render_table
 from repro.model.torus import TorusShape
 from repro.strategies import ARDirect
 
@@ -34,24 +25,6 @@ class TestRenderTable:
         assert "note: hello" in out
 
 
-class TestRenderSeries:
-    def test_aligned(self):
-        out = render_series("S", "m", [1, 2], {"y1": [1.0, 2.0], "y2": [3.0, 4.0]})
-        assert "y1" in out and "y2" in out
-        assert "4.0" in out
-
-
-class TestGeometricSizes:
-    def test_includes_endpoints(self):
-        sizes = geometric_sizes(8, 4096)
-        assert sizes[0] == 8
-        assert sizes[-1] == 4096
-
-    def test_monotone_unique(self):
-        sizes = geometric_sizes(1, 1000, per_decade=5)
-        assert sizes == sorted(set(sizes))
-
-
 class TestSweep:
     def test_message_size_sweep(self):
         pts = message_size_sweep(
@@ -60,12 +33,3 @@ class TestSweep:
         assert [p.m_bytes for p in pts] == [16, 64]
         assert all(p.time_us > 0 for p in pts)
         assert pts[1].run.time_cycles >= pts[0].run.time_cycles
-
-
-class TestMetrics:
-    def test_normalized_and_speedup(self):
-        shape = TorusShape.parse("4x4")
-        pts = message_size_sweep(ARDirect(), shape, [64, 64])
-        a, b = pts[0].run, pts[1].run
-        assert normalized_efficiency(a, b) == pytest.approx(100.0)
-        assert speedup(a, b) == pytest.approx(1.0)

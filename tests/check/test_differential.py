@@ -35,10 +35,8 @@ def _point(strategy=None, shape="4x4", msg=128, seed=0, faults=None):
         strategy or ARDirect(),
         TorusShape.parse(shape),
         msg,
-        None,
-        None,
-        seed,
-        faults,
+        seed=seed,
+        faults=faults,
     )
 
 

@@ -63,6 +63,10 @@ class TestSpecGrammar:
         with pytest.raises(ValueError):
             FuzzCase.parse(bad)
 
+    def test_unknown_fault_field_is_named(self):
+        with pytest.raises(ValueError, match="'n'.* l, p, s, t"):
+            FuzzCase("AR", "4x4", 8, 0, {"n": 0.1})
+
     def test_unknown_strategy_code_is_invalid_case(self):
         with pytest.raises(InvalidCase):
             run_cases([FuzzCase.parse("XX@4x4/m8/s0")])

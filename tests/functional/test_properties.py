@@ -42,7 +42,7 @@ COMMON = dict(
 
 def assert_exchange_ok(strategy, lbl, m, seed, **ctx):
     """The repro.check functional leg, as a test assertion."""
-    point = SimPoint(strategy, TorusShape.parse(lbl), m, BGL, None, seed, None)
+    point = SimPoint(strategy, TorusShape.parse(lbl), m, BGL, seed)
     failures = functional_leg(point)
     assert not failures, (lbl, m, seed, ctx, failures)
 
@@ -108,7 +108,7 @@ def test_three_engines_agree(lbl, m, seed):
     # sim-vs-functional delivered-count agreement — one call.
     shape = TorusShape.parse(lbl)
     strat = TwoPhaseSchedule() if shape.ndim >= 2 else ARDirect()
-    point = SimPoint(strat, shape, m, BGL, None, seed, None)
+    point = SimPoint(strat, shape, m, BGL, seed)
     report = differential_point(point)
     assert report.ok, (lbl, m, seed, report.failures)
 

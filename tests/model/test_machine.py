@@ -119,6 +119,15 @@ class TestValidation:
     def test_zero_latency_and_cpu_cost_stay_legal(self, bgl, field):
         assert getattr(dataclasses.replace(bgl, **{field: 0.0}), field) == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_bubble_vcs", 2), ("num_bubble_vcs", 0), ("vc_depth_packets", 0)],
+    )
+    def test_rejects_unsupported_router_sizes(self, bgl, field, value):
+        # Caught here, before the params reach a cache key or a network.
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(bgl, **{field: value})
+
     def test_with_updates(self, bgl):
         p2 = bgl.with_updates(alpha_packet_cycles=0.0)
         assert p2.alpha_packet_cycles == 0.0

@@ -41,7 +41,7 @@ PLAN = FaultPlan.random(
 
 def _run(faulty: bool, obs=None, check=None):
     plan = PLAN if faulty else None
-    net = build_network(SHAPE, PARAMS, None, plan, obs, check)
+    net = build_network(SHAPE, PARAMS, plan, obs, check)
     program = ARDirect().build_program(SHAPE, MSG, PARAMS, 1)
     return net, net.run(program)
 
@@ -91,7 +91,7 @@ class TestObserverSurface:
                 return {"launch": launch, "deliver": deliver}
 
         seen = Counter()
-        net = build_network(SHAPE, PARAMS, None, PLAN)
+        net = build_network(SHAPE, PARAMS, PLAN)
         net.attach(seen)
         program = ARDirect().build_program(SHAPE, MSG, PARAMS, 1)
         res = net.run(program)

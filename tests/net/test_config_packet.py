@@ -1,35 +1,8 @@
-"""Unit tests for network config and packet types."""
+"""Unit tests for the packet types."""
 
 import pytest
 
-from repro.model.machine import MachineParams
-from repro.net.config import NetworkConfig
 from repro.net.packet import NO_VC, Packet, PacketSpec, RoutingMode
-
-
-class TestNetworkConfig:
-    def test_defaults_from_machine(self):
-        prm = MachineParams.bluegene_l()
-        cfg = NetworkConfig.from_machine(prm)
-        assert cfg.num_dynamic_vcs == prm.num_dynamic_vcs
-        assert cfg.vc_depth == prm.vc_depth_packets
-        assert cfg.num_vcs == 3
-        assert cfg.bubble_vc == 2
-
-    def test_overrides(self):
-        cfg = NetworkConfig.from_machine(
-            MachineParams.bluegene_l(), vc_depth=7, num_injection_fifos=2
-        )
-        assert cfg.vc_depth == 7
-        assert cfg.num_injection_fifos == 2
-
-    def test_rejects_multiple_bubbles(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(num_bubble_vcs=2)
-
-    def test_rejects_zero_depth(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(vc_depth=0)
 
 
 class TestPacketSpec:

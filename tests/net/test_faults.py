@@ -43,11 +43,9 @@ def ideal_params(**over):
     return MachineParams(**base)
 
 
-def run_faulty(shape_lbl, plans, plan, params=None, config=None):
+def run_faulty(shape_lbl, plans, plan, params=None):
     shape = TorusShape.parse(shape_lbl)
-    net = FaultyTorusNetwork(
-        shape, params or ideal_params(), config, faults=plan
-    )
+    net = FaultyTorusNetwork(shape, params or ideal_params(), faults=plan)
     return net.run(ListProgram(plans))
 
 

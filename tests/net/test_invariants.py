@@ -18,6 +18,7 @@ from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net import ListProgram, PacketSpec
 from repro.net.faultsim import build_network
+from repro.net.simulator import RECEPTION_FIFO_DEPTH
 from repro.strategies import ARDirect, TwoPhaseSchedule, VirtualMesh2D
 
 CHECK = CheckConfig(audit_interval=64)
@@ -48,9 +49,9 @@ def test_resource_conservation_oracles_stay_silent(strategy):
     )
     assert res.delivered_packets == res.injected_packets
     # Belt and braces: the oracle checked these before _result returned.
-    assert all(t == net.config.vc_depth for t in net._tokens)
-    assert all(f == net.config.injection_fifo_depth for f in net._fifo_free)
-    assert all(r == net.config.reception_fifo_depth for r in net._recv_free)
+    assert all(t == net.params.vc_depth_packets for t in net._tokens)
+    assert all(f == net.params.injection_fifo_depth for f in net._fifo_free)
+    assert all(r == RECEPTION_FIFO_DEPTH for r in net._recv_free)
 
 
 def test_busy_cycles_match_hops_exactly():

@@ -55,9 +55,9 @@ def test_every_packet_delivered_exactly_once(case):
     assert res.final_deliveries == total
     assert res.delivered_packets == total
     # All resources returned.
-    assert all(t == net.config.vc_depth for t in net._tokens)
+    assert all(t == net.params.vc_depth_packets for t in net._tokens)
     assert all(
-        f == net.config.injection_fifo_depth for f in net._fifo_free
+        f == net.params.injection_fifo_depth for f in net._fifo_free
     )
 
 

@@ -14,13 +14,13 @@ from repro.model.torus import TorusShape
 from repro.net import (
     DeadlockError,
     ListProgram,
-    NetworkConfig,
     PacketSpec,
     RoutingMode,
     SimulationError,
     SimulationLimitError,
     TorusNetwork,
 )
+from repro.net import simulator
 from repro.net.faultsim import FaultyTorusNetwork
 from repro.net.program import BaseProgram
 from repro.runner.supervise import watchdog
@@ -38,9 +38,9 @@ def ideal_params(**over):
     return MachineParams(**base)
 
 
-def run_plans(shape_lbl, plans, params=None, config=None):
+def run_plans(shape_lbl, plans, params=None):
     shape = TorusShape.parse(shape_lbl)
-    net = TorusNetwork(shape, params or ideal_params(), config)
+    net = TorusNetwork(shape, params or ideal_params())
     return net.run(ListProgram(plans))
 
 
@@ -257,48 +257,44 @@ class TestFlowControl:
     def test_finite_buffers_backpressure(self):
         # With depth-1 VCs a burst still delivers everything (no deadlock,
         # no loss) - just more slowly than with deep buffers.
-        prm = ideal_params()
-        shallow = NetworkConfig.from_machine(prm, vc_depth=1)
-        deep = NetworkConfig.from_machine(prm, vc_depth=64)
+        shallow = ideal_params(vc_depth_packets=1)
+        deep = ideal_params(vc_depth_packets=64)
         plans = [[PacketSpec(dst=4, wire_bytes=256)] * 30] + [[]] * 7
-        r_sh = run_plans("8", plans, prm, shallow)
-        r_dp = run_plans("8", plans, prm, deep)
+        r_sh = run_plans("8", plans, shallow)
+        r_dp = run_plans("8", plans, deep)
         assert r_sh.final_deliveries == r_dp.final_deliveries == 30
         assert r_sh.time_cycles >= r_dp.time_cycles
 
-    def test_reception_backpressure(self):
+    def test_reception_backpressure(self, monkeypatch):
         # A tiny reception FIFO with a slow CPU still delivers everything.
+        monkeypatch.setattr(simulator, "RECEPTION_FIFO_DEPTH", 1)
         prm = ideal_params(cpu_links=0.5)
-        cfg = NetworkConfig.from_machine(prm, reception_fifo_depth=1)
         plans = [[PacketSpec(dst=1, wire_bytes=256)] * 20, [], [], []]
-        res = run_plans("4", plans, prm, cfg)
+        res = run_plans("4", plans, prm)
         assert res.final_deliveries == 20
 
 
 class TestLimits:
-    def test_event_limit(self):
-        prm = ideal_params()
-        cfg = NetworkConfig.from_machine(prm, max_events=10)
+    def test_event_limit(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 10)
         plans = [[PacketSpec(dst=1, wire_bytes=64)] * 50, [], [], []]
         with pytest.raises(SimulationLimitError):
-            run_plans("4", plans, prm, cfg)
+            run_plans("4", plans)
 
-    def test_cycle_limit(self):
-        prm = ideal_params()
-        cfg = NetworkConfig.from_machine(prm, max_cycles=10.0)
+    def test_cycle_limit(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_CYCLES", 10.0)
         plans = [[PacketSpec(dst=1, wire_bytes=256)] * 50, [], [], []]
         with pytest.raises(SimulationLimitError):
-            run_plans("4", plans, prm, cfg)
+            run_plans("4", plans)
 
-    def test_limit_error_carries_diagnostics(self):
+    def test_limit_error_carries_diagnostics(self, monkeypatch):
         # A limit abort must say *where* the simulation was stuck, not just
         # that it stopped: event count, packets still in the network, and
         # the per-node pending-work hotspots.
-        prm = ideal_params()
-        cfg = NetworkConfig.from_machine(prm, max_events=10)
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 10)
         plans = [[PacketSpec(dst=1, wire_bytes=64)] * 50, [], [], []]
         with pytest.raises(SimulationLimitError) as ei:
-            run_plans("4", plans, prm, cfg)
+            run_plans("4", plans)
         err = ei.value
         assert err.events_processed >= 10
         assert err.packets_in_flight >= 0
@@ -307,7 +303,7 @@ class TestLimits:
         assert "events_processed=" in msg
         assert "packets_in_flight=" in msg
 
-    def test_tick_that_never_ends_trips_the_event_budget(self):
+    def test_tick_that_never_ends_trips_the_event_budget(self, monkeypatch):
         # Self-messages never touch the network, and with free CPU ops
         # every injection completes at the tick it starts: an endless
         # plan grows one tick without bound.  The budget must still trip
@@ -322,9 +318,9 @@ class TestLimits:
             def expected_final_deliveries(self):
                 return 0
 
+        monkeypatch.setattr(simulator, "MAX_EVENTS", 10_000)
         prm = ideal_params(cpu_links=float("inf"))
-        cfg = NetworkConfig.from_machine(prm, max_events=10_000)
-        net = TorusNetwork(TorusShape.parse("4"), prm, cfg)
+        net = TorusNetwork(TorusShape.parse("4"), prm)
         with watchdog(20.0, "endless-tick run"):
             with pytest.raises(SimulationLimitError) as ei:
                 net.run(Endless())

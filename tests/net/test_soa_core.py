@@ -18,11 +18,11 @@ from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net import (
     ListProgram,
-    NetworkConfig,
     PacketSpec,
     TorusNetwork,
     build_network,
 )
+from repro.net import simulator
 from repro.net.packet import NO_VC, Packet, PacketPool, RoutingMode
 from repro.net.simulator import TICK_SCALE, TICK_UNSCALE
 
@@ -146,10 +146,8 @@ class TestRingWraparound:
         # stride overlap) trips an assertion rather than corrupting
         # traffic silently.
         shape = TorusShape.parse("8")
-        config = NetworkConfig(vc_depth=2)
-        net = build_network(
-            shape, MachineParams(), config, check=CheckConfig()
-        )
+        params = MachineParams(vc_depth_packets=2)
+        net = build_network(shape, params, check=CheckConfig())
         plans = [
             [PacketSpec(dst=(u + 4) % 8, wire_bytes=256)] * 48
             for u in range(8)
@@ -160,26 +158,26 @@ class TestRingWraparound:
         assert res.total_hops == 8 * 48 * 4
         # Pigeonhole witnesses that wraparound actually occurred: the
         # traffic far exceeds the total ring capacity...
-        total_vc_slots = 8 * net._nvp * config.vc_depth
+        total_vc_slots = 8 * net._nvp * params.vc_depth_packets
         assert res.total_hops > 4 * total_vc_slots
         # ... and each node injected more packets than its FIFOs hold.
-        fifo_slots = net._nfifos * config.injection_fifo_depth
+        fifo_slots = net._nfifos * params.injection_fifo_depth
         assert 48 > fifo_slots
 
-    def test_reception_ring_wraps_at_hot_receiver(self):
+    def test_reception_ring_wraps_at_hot_receiver(self, monkeypatch):
         # All-to-one with a reception FIFO of 4: the receiver's pending
         # ring turns over dozens of times while backpressure holds
         # senders' packets in depth-2 VC rings.
+        monkeypatch.setattr(simulator, "RECEPTION_FIFO_DEPTH", 4)
         shape = TorusShape.parse("4x2")
-        config = NetworkConfig(vc_depth=2, reception_fifo_depth=4)
         net = build_network(
-            shape, MachineParams(), config, check=CheckConfig()
+            shape, MachineParams(vc_depth_packets=2), check=CheckConfig()
         )
         plans = [[PacketSpec(dst=0, wire_bytes=64)] * 32 for _ in range(8)]
         plans[0] = []
         res = net.run(ListProgram(plans))
         assert res.final_deliveries == 7 * 32
-        assert res.final_deliveries > 8 * config.reception_fifo_depth
+        assert res.final_deliveries > 8 * simulator.RECEPTION_FIFO_DEPTH
 
 
 # --------------------------------------------------------------------- #

@@ -11,7 +11,6 @@ import pytest
 from repro.api import simulate_alltoall
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.config import NetworkConfig
 from repro.net.faults import FaultPlan
 from repro.runner import (
     SimPoint,
@@ -65,7 +64,7 @@ class TestKeys:
             _point(strategy=TwoPhaseSchedule()),
             _point(strategy=TwoPhaseSchedule(packets_per_round=3)),
             _point(params=MachineParams(hop_latency_cycles=80.0)),
-            _point(config=NetworkConfig(vc_depth=8)),
+            _point(params=MachineParams(vc_depth_packets=8)),
             _point(faults=FaultPlan(loss_prob=0.01)),
             _point(faults=FaultPlan(loss_prob=0.01, seed=1)),
             _point(faults=FaultPlan(loss_prob=0.01, retx_timeout_cycles=9.0)),

@@ -99,6 +99,7 @@ def simulate_alltoall(
     (conservation, exactly-once, credits, progress, phases) breaks."""
     msg_bytes = check_positive_int(msg_bytes, "msg_bytes")
     params = params or MachineParams.bluegene_l()
+    strategy.check_params(params)
     program = strategy.build_program(shape, msg_bytes, params, seed)
     net = build_network(shape, params, faults, obs, check)
     if strategy.fifo_groups > 1:

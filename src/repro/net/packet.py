@@ -91,6 +91,10 @@ class PacketSpec:
 #: Sentinel for "no VC assigned yet".
 NO_VC = -1
 
+#: :class:`RoutingMode` by value: the pool's ``mode`` column back to the
+#: enum without an enum call per delivery.
+_MODES = (RoutingMode.ADAPTIVE, RoutingMode.DETERMINISTIC)
+
 
 @dataclass
 class Packet:
@@ -295,7 +299,7 @@ class PacketPool:
             self.src[h],
             self.dst[h],
             self.wire_bytes[h],
-            RoutingMode(self.mode[h]),
+            _MODES[self.mode[h]],
             self.tag[h],
             self.final_dst[h],
             self.payload_bytes[h],

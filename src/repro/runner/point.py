@@ -42,6 +42,11 @@ class SimPoint:
         object.__setattr__(
             self, "msg_bytes", check_positive_int(self.msg_bytes, "msg_bytes")
         )
+        # The default machine's four injection FIFOs split evenly for
+        # every strategy; an explicit machine is checked here, not after
+        # its program and network are built.
+        if self.params is not None:
+            self.strategy.check_params(self.params)
 
     @property
     def cost_hint(self) -> float:

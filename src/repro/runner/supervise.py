@@ -10,8 +10,8 @@ scheduler:
   :func:`watchdog` inside the worker (explicit via
   ``--point-timeout`` / ``REPRO_POINT_TIMEOUT``, else derived from the
   point's shape and message size).  The parent additionally enforces a
-  hard deadline (timeout + :data:`GRACE_S`): a worker wedged beyond its
-  own alarm is killed and its pool respawned.
+  hard deadline (timeout + :data:`GRACE_S`, from the point's start): a
+  worker wedged beyond its own alarm is killed and its pool respawned.
 * **Bounded retries with deterministic backoff** — transient failures
   (timeouts, worker deaths) are rescheduled with exponential backoff and
   *no jitter*: given the same failures, the schedule is reproducible.
@@ -19,9 +19,10 @@ scheduler:
   point returns bit-identical bytes.
 * **Worker-crash quarantine** — a ``BrokenProcessPool`` (worker SIGKILL,
   OOM, hard crash) is recovered by respawning the pool; every in-flight
-  point is rescheduled, and a point present at
+  point is rescheduled, and a point running at
   :data:`QUARANTINE_STRIKES` pool breaks is quarantined (recorded as a
   structured failure) instead of being allowed to kill the pool forever.
+  Points still queued behind the running ones requeue strike-free.
 * **Graceful degradation** — :func:`repro.runner.pool.run_sweep` returns
   a :class:`SweepResult` carrying every completed run plus a structured
   ``failures`` list; :func:`~repro.runner.pool.run_points` keeps its
@@ -270,6 +271,8 @@ QUARANTINE_STRIKES = 3
 GRACE_S = 10.0
 #: Longest gap between two calls of a sweep's ``tick`` while points run.
 TICK_S = 1.0
+#: Tasks the pooled path keeps queued behind each running one.
+QUEUE_DEPTH = 1
 
 
 def backoff_for(attempt: int) -> float:
@@ -705,16 +708,30 @@ class _Supervisor:
     # -- pooled path ------------------------------------------------ #
 
     def run_pooled(self, tasks: list, jobs: int) -> None:
-        """Fan *tasks* over a worker pool.  The parent starts no thread
-        of its own here (a fork with threads alive can deadlock a
-        worker); it ticks after every ``wait`` instead."""
+        """Fan *tasks* over a worker pool, longest first.
+
+        Up to :data:`QUEUE_DEPTH` tasks wait in the pool's queue behind
+        each running one, so a worker that finishes starts its next point
+        at once instead of idling while the parent stores a result.
+        Workers take tasks in submission order, so the running tasks are
+        the oldest ``max_workers`` unfinished submissions: a queued task
+        gets its ``start`` event and hard deadline when a completion
+        frees a worker for it.  The parent starts no thread of its own
+        here (a fork with threads alive can deadlock a worker); it ticks
+        after every ``wait`` instead."""
         max_workers = min(jobs, len(tasks))
         pool = ProcessPoolExecutor(max_workers=max_workers)
-        ready: deque = deque(tasks)
+        # sorted() is stable: equal hints keep their input order.
+        ready: deque = deque(
+            sorted(tasks, key=lambda t: -t.point.cost_hint)
+        )
         waiting: list = []
-        in_flight: dict = {}
+        # Submitted futures by state, each in submission order.
+        running: dict = {}
+        queued: dict = {}
+        limit = max_workers * (1 + QUEUE_DEPTH)
         try:
-            while ready or waiting or in_flight:
+            while ready or waiting or running or queued:
                 now = time.monotonic()
                 if waiting:
                     still = []
@@ -724,7 +741,7 @@ class _Supervisor:
                         else:
                             still.append(task)
                     waiting = still
-                while ready and len(in_flight) < max_workers:
+                while ready and len(running) + len(queued) < limit:
                     task = ready.popleft()
                     try:
                         future = pool.submit(
@@ -744,27 +761,23 @@ class _Supervisor:
                         # task back untouched (it never ran) and recover.
                         ready.appendleft(task)
                         pool = self._recover_pool_break(
-                            pool, in_flight, waiting, max_workers
+                            pool, running, queued, waiting, max_workers
                         )
                         continue
-                    if task.timeout_s is not None:
-                        task.deadline = now + task.timeout_s + GRACE_S
-                    else:
-                        task.deadline = float("inf")
-                    in_flight[future] = task
-                    self.on_event("start", task)
-                if not in_flight:
+                    queued[future] = task
+                self._start_queued(running, queued, max_workers, now)
+                if not running:
                     if waiting:
                         pause = min(t.not_before for t in waiting) - now
                         if pause > 0:
                             time.sleep(min(pause, TICK_S))
                     continue
-                horizon = min(t.deadline for t in in_flight.values())
+                horizon = min(t.deadline for t in running.values())
                 for t in waiting:
                     horizon = min(horizon, t.not_before)
                 wait_s = min(max(horizon - now, 0.02), TICK_S)
                 done, _ = wait(
-                    set(in_flight),
+                    [*running, *queued],
                     timeout=wait_s,
                     return_when=FIRST_COMPLETED,
                 )
@@ -772,7 +785,7 @@ class _Supervisor:
                 now = time.monotonic()
                 if not done:
                     overdue = [
-                        t for t in in_flight.values() if t.deadline <= now
+                        t for t in running.values() if t.deadline <= now
                     ]
                     if overdue:
                         # The in-worker alarm should have fired long ago:
@@ -790,27 +803,31 @@ class _Supervisor:
                     continue
                 broke = False
                 for future in done:
-                    task = in_flight.pop(future)
-                    try:
-                        payload = future.result()
-                    except PointTimeoutError as exc:
+                    held = running if future in running else queued
+                    task = held.pop(future)
+                    exc = future.exception()
+                    if isinstance(exc, BrokenProcessPool):
+                        # Put it back: the break handler below sorts the
+                        # in-flight tasks by whether they had started.
+                        held[future] = task
+                        broke = True
+                        continue
+                    if held is queued:
+                        # It started and finished between two looks.
+                        self.on_event("start", task)
+                    if exc is None:
+                        self._complete(task, future.result())
+                    elif isinstance(exc, PointTimeoutError):
                         again = self._retry_or_fail(
                             task, "timeout", str(exc), now
                         )
                         if again is not None:
                             waiting.append(again)
-                    except BrokenProcessPool:
-                        # Put it back: the break handler below treats
-                        # every in-flight task uniformly.
-                        in_flight[future] = task
-                        broke = True
-                    except Exception as exc:
-                        self._handle_error(task, exc)
                     else:
-                        self._complete(task, payload)
+                        self._handle_error(task, exc)
                 if broke:
                     pool = self._recover_pool_break(
-                        pool, in_flight, waiting, max_workers
+                        pool, running, queued, waiting, max_workers
                     )
         except BaseException:
             _kill_pool_workers(pool)
@@ -818,22 +835,61 @@ class _Supervisor:
             raise
         pool.shutdown(wait=True, cancel_futures=True)
 
+    def _start_queued(
+        self, running: dict, queued: dict, max_workers: int, now: float
+    ) -> None:
+        """Move the oldest queued tasks to *running* while a worker is
+        free, arming each one's hard deadline from now."""
+        while queued and len(running) < max_workers:
+            future = next(iter(queued))
+            task = queued.pop(future)
+            if task.timeout_s is not None:
+                task.deadline = now + task.timeout_s + GRACE_S
+            else:
+                task.deadline = float("inf")
+            running[future] = task
+            self.on_event("start", task)
+
     def _recover_pool_break(
-        self, pool, in_flight: dict, waiting: list, max_workers: int
+        self,
+        pool,
+        running: dict,
+        queued: dict,
+        waiting: list,
+        max_workers: int,
     ):
         """A worker died: drain every in-flight future, attribute the
-        damage, respawn the pool."""
+        damage, respawn the pool.
+
+        Results that landed before the break are kept, and the queued
+        tasks their workers went on to take count as started.  The rest
+        of the queue never ran: it requeues as it was, with no strike
+        and no backoff."""
         self.on_event("pool_break", None)
         _log.warning(
-            "worker pool broke with %d point(s) in flight; respawning",
-            len(in_flight),
+            "worker pool broke with %d point(s) running and %d queued; "
+            "respawning",
+            len(running),
+            len(queued),
         )
         now = time.monotonic()
-        # A pool break takes down *every* in-flight future, culprit and
+        for held in (running, queued):
+            for future, task in list(held.items()):
+                if future.done() and future.exception() is None:
+                    del held[future]
+                    if held is queued:
+                        self.on_event("start", task)
+                    self._complete(task, future.result())
+        self._start_queued(running, queued, max_workers, now)
+        for future, task in queued.items():
+            future.cancel()
+            waiting.append(task)
+        queued.clear()
+        # A pool break takes down *every* running future, culprit and
         # bystander alike.  For real crashes (OOM, segfault) the parent
         # cannot tell who was at fault, so everyone gets a strike — but
         # chaos kills are decided by a hash the parent can replay: when
-        # the chaos plan fingers a culprit among the in-flight attempts,
+        # the chaos plan fingers a culprit among the running attempts,
         # the others are provable bystanders and are rescheduled without
         # a strike (same attempt number, so the deterministic re-roll is
         # unchanged).  Without this, one slow point sharing a small pool
@@ -844,28 +900,18 @@ class _Supervisor:
         if chaos is not None and chaos.enabled:
             culprits = {
                 id(task)
-                for task in in_flight.values()
+                for task in running.values()
                 if chaos.decide(task.key, task.attempt) == "kill"
             }
             if culprits:
                 bystanders = {
                     id(task)
-                    for task in in_flight.values()
+                    for task in running.values()
                     if id(task) not in culprits
                 }
-        for future, task in list(in_flight.items()):
-            payload = None
-            exc: Optional[BaseException] = None
-            if future.done() and not future.cancelled():
-                exc = future.exception()
-                if exc is None:
-                    payload = future.result()
-            else:
-                future.cancel()
-            if payload is not None:
-                # Completed before the pool collapsed — keep it.
-                self._complete(task, payload)
-                continue
+        for future, task in running.items():
+            exc = future.exception() if future.done() else None
+            future.cancel()
             if task.hard_killed or isinstance(exc, PointTimeoutError):
                 again = self._retry_or_fail(
                     task,
@@ -888,7 +934,7 @@ class _Supervisor:
                 )
             if again is not None:
                 waiting.append(again)
-        in_flight.clear()
+        running.clear()
         pool.shutdown(wait=False, cancel_futures=True)
         return ProcessPoolExecutor(max_workers=max_workers)
 

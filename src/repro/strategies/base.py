@@ -12,12 +12,10 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-import numpy as np
-
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net.program import BaseProgram
-from repro.util.rng import derive_rng
+from repro.util.rng import shuffled_others
 from repro.util.validation import check_positive_int
 
 
@@ -55,6 +53,16 @@ class AllToAllStrategy(abc.ABC):
         params: Optional[MachineParams] = None,
     ) -> float:
         """Analytic completion-time prediction, cycles."""
+
+    def check_params(self, params: MachineParams) -> None:
+        """Refuse a machine whose injection FIFOs this strategy's
+        reservation groups cannot split evenly."""
+        if params.num_injection_fifos % self.fifo_groups:
+            raise ValueError(
+                f"num_injection_fifos={params.num_injection_fifos} is not "
+                f"a multiple of {self.name}'s fifo_groups="
+                f"{self.fifo_groups}"
+            )
 
     def supports(self, shape: TorusShape) -> bool:
         """Whether the strategy applies to *shape* (e.g. TPS needs >= 2
@@ -118,12 +126,9 @@ class DirectProgramBase(BaseProgram):
         assert len(split) == len(self.packet_sizes), (split, self.packet_sizes)
         return split
 
-    def destination_order(self, node: int) -> np.ndarray:
+    def destination_order(self, node: int) -> list[int]:
         """Random permutation of the other P-1 ranks, derived from the
         experiment seed and the node id (independent across nodes)."""
-        p = self.shape.nnodes
-        rng = derive_rng(self.seed, "destorder", node)
-        dests = np.arange(p, dtype=np.int64)
-        dests = np.delete(dests, node)
-        rng.shuffle(dests)
-        return dests
+        return shuffled_others(
+            self.seed, "destorder", node, self.shape.nnodes, node
+        )

@@ -94,7 +94,7 @@ class DirectProgram(DirectProgramBase):
         # packets per destination per sweep.  Every message has the same
         # packet count, so all destinations advance in lockstep: the sweep
         # starting at packet lo sends packets [lo, lo + k) of each message.
-        order = self.destination_order(node).tolist()
+        order = self.destination_order(node)
         npk = len(self.packet_sizes)
         k = self.packets_per_round
         if self.carry_data:

@@ -78,6 +78,8 @@ class CreditedTPSProgram(TPSProgram):
         ]
         #: Credit packets sent (for overhead accounting).
         self.credits_sent = 0
+        #: Credit specs, one per source they return to.
+        self._credits: dict[int, PacketSpec] = {}
 
     # -------------------------------------------------------------- #
 
@@ -130,8 +132,9 @@ class CreditedTPSProgram(TPSProgram):
         if cnt[packet.src] >= self.packets_per_credit:
             cnt[packet.src] = 0
             self.credits_sent += 1
-            out.append(
-                PacketSpec(
+            credit = self._credits.get(packet.src)
+            if credit is None:
+                credit = self._credits[packet.src] = PacketSpec(
                     dst=packet.src,
                     wire_bytes=CREDIT_WIRE_BYTES,
                     mode=RoutingMode.ADAPTIVE,
@@ -141,7 +144,7 @@ class CreditedTPSProgram(TPSProgram):
                     final_dst=packet.src,
                     payload_bytes=0,
                 )
-            )
+            out.append(credit)
         return out
 
     def expected_final_deliveries(self) -> int:

@@ -19,6 +19,7 @@ needs the planar phase to run at (m/n) * 100% of peak.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from repro.model.machine import MachineParams
@@ -63,7 +64,17 @@ def choose_linear_axis(shape: TorusShape) -> int:
 
 
 class TPSProgram(DirectProgramBase):
-    """Node program implementing TPS traffic."""
+    """Node program implementing TPS traffic.
+
+    Without ``carry_data`` a spec depends only on its network
+    destination, its final destination, its phase and its index in the
+    message, and a forwarded spec only on its final destination and
+    sizes.  The program builds each distinct spec once, on first use,
+    and every node shares it, as
+    :class:`~repro.strategies.direct.DirectProgram` does.  With
+    ``carry_data`` each spec's :class:`ChunkTag` names its source, so
+    specs are built one at a time as the plan is consumed.
+    """
 
     def __init__(
         self,
@@ -89,14 +100,15 @@ class TPSProgram(DirectProgramBase):
         #: With pipelining off (ablation), phase-2 packets share group 0,
         #: so they queue behind phase-1 packets in the injection FIFOs.
         self.pipelined = pipelined
+        self._phase2_group = PHASE2_GROUP if pipelined else PHASE1_GROUP
         self._stride = 1
         for a in range(self.linear_axis):
             self._stride *= shape.dims[a]
-        self._payload_offsets = []
-        off = 0
-        for pl in self.payload_split:
-            self._payload_offsets.append(off)
-            off += pl
+        self._payload_offsets = [0, *accumulate(self.payload_split[:-1])]
+        #: Shared message specs, keyed ``(net_dst * P + dst) * 2 + phase2``.
+        self._messages: dict[int, tuple[PacketSpec, ...]] = {}
+        #: Shared forwarded specs, as 1-tuples keyed (dst, wire, payload).
+        self._forwards: dict[tuple[int, int, int], tuple[PacketSpec]] = {}
 
     # -------------------------------------------------------------- #
 
@@ -109,62 +121,77 @@ class TPSProgram(DirectProgramBase):
         dst_c = (dst // stride) % n
         return src + (dst_c - src_c) * stride
 
-    def _specs_for_dst(self, src: int, dst: int) -> list[PacketSpec]:
-        mid = self.intermediate_for(src, dst)
-        phase2_direct = mid == src  # we already sit on the destination line
-        group = PHASE2_GROUP if phase2_direct else PHASE1_GROUP
-        if not self.pipelined:
-            group = PHASE1_GROUP
-        kind = PHASE_TPS2 if phase2_direct else PHASE_TPS1
-        spec_dst = dst if phase2_direct else mid
-        specs = []
-        for i, wire in enumerate(self.packet_sizes):
-            payload = self.payload_split[i]
-            if self.carry_data and payload > 0:
-                tag: object = ChunkTag(
-                    kind,
-                    (DataChunk(src, dst, self._payload_offsets[i], payload),),
-                )
-            else:
-                tag = kind
-            specs.append(
-                PacketSpec(
-                    dst=spec_dst,
-                    wire_bytes=wire,
-                    mode=RoutingMode.ADAPTIVE,
-                    fifo_group=group,
-                    new_message=(i == 0),
-                    tag=tag,
-                    final_dst=dst,
-                    payload_bytes=payload,
-                )
+    def _make_spec(self, src: int, dst: int, mid: int, i: int) -> PacketSpec:
+        """Packet *i* of the message *src* sends to *dst* through *mid*.
+
+        A source on the destination's line (``mid == src``) sends phase 2
+        directly."""
+        direct = mid == src
+        kind = PHASE_TPS2 if direct else PHASE_TPS1
+        payload = self.payload_split[i]
+        if self.carry_data and payload > 0:
+            tag: object = ChunkTag(
+                kind, (DataChunk(src, dst, self._payload_offsets[i], payload),)
+            )
+        else:
+            tag = kind
+        return PacketSpec(
+            dst=dst if direct else mid,
+            wire_bytes=self.packet_sizes[i],
+            mode=RoutingMode.ADAPTIVE,
+            fifo_group=self._phase2_group if direct else PHASE1_GROUP,
+            new_message=(i == 0),
+            tag=tag,
+            final_dst=dst,
+            payload_bytes=payload,
+        )
+
+    def _message(self, src: int, dst: int, mid: int) -> tuple[PacketSpec, ...]:
+        """The shared specs of the message *src* sends to *dst* through
+        *mid* (``carry_data`` off)."""
+        direct = mid == src
+        key = ((dst if direct else mid) * self.shape.nnodes + dst) * 2 + direct
+        specs = self._messages.get(key)
+        if specs is None:
+            specs = self._messages[key] = tuple(
+                self._make_spec(src, dst, mid, i)
+                for i in range(len(self.packet_sizes))
             )
         return specs
 
     def injection_plan(self, node: int) -> Iterator[PacketSpec]:
+        # Round-robin over this node's random destination order, k
+        # packets per destination per sweep; every message has the same
+        # packet count, so the sweep starting at packet lo sends packets
+        # [lo, lo + k) of each message.
         order = self.destination_order(node)
+        mids = [self.intermediate_for(node, dst) for dst in order]
         npk = len(self.packet_sizes)
         k = self.packets_per_round
-        cache: dict[int, list[PacketSpec]] = {}
-        cursors = [0] * len(order)
-        remaining = len(order) * npk
-        while remaining > 0:
-            for di in range(len(order)):
-                c = cursors[di]
-                take = min(k, npk - c)
-                if take <= 0:
-                    continue
-                dst = int(order[di])
-                specs = cache.get(dst)
-                if specs is None:
-                    specs = self._specs_for_dst(node, dst)
-                    cache[dst] = specs
-                for i in range(take):
-                    yield specs[c + i]
-                cursors[di] = c + take
-                remaining -= take
-                if cursors[di] >= npk:
-                    del cache[dst]
+        if self.carry_data:
+            for lo in range(0, npk, k):
+                idx = range(lo, min(lo + k, npk))
+                for dst, mid in zip(order, mids):
+                    for i in idx:
+                        yield self._make_spec(node, dst, mid, i)
+            return
+        messages = [self._message(node, d, m) for d, m in zip(order, mids)]
+        for lo in range(0, npk, k):
+            hi = lo + k
+            for specs in messages:
+                yield from specs[lo:hi]
+
+    def _forward_spec(self, packet: Packet, tag: object) -> PacketSpec:
+        return PacketSpec(
+            dst=packet.final_dst,
+            wire_bytes=packet.wire_bytes,
+            mode=RoutingMode.ADAPTIVE,
+            fifo_group=self._phase2_group,
+            new_message=False,
+            tag=tag,
+            final_dst=packet.final_dst,
+            payload_bytes=packet.payload_bytes,
+        )
 
     def on_delivery(
         self, node: int, packet: Packet, now: float
@@ -173,21 +200,15 @@ class TPSProgram(DirectProgramBase):
             return ()
         # Phase-1 packet at its intermediate: forward across the plane.
         chunks = chunks_of(packet)
-        tag: object = (
-            ChunkTag(PHASE_TPS2, chunks) if chunks else PHASE_TPS2
-        )
-        return (
-            PacketSpec(
-                dst=packet.final_dst,
-                wire_bytes=packet.wire_bytes,
-                mode=RoutingMode.ADAPTIVE,
-                fifo_group=PHASE2_GROUP if self.pipelined else PHASE1_GROUP,
-                new_message=False,
-                tag=tag,
-                final_dst=packet.final_dst,
-                payload_bytes=packet.payload_bytes,
-            ),
-        )
+        if chunks:
+            return (self._forward_spec(packet, ChunkTag(PHASE_TPS2, chunks)),)
+        key = (packet.final_dst, packet.wire_bytes, packet.payload_bytes)
+        fwd = self._forwards.get(key)
+        if fwd is None:
+            fwd = self._forwards[key] = (
+                self._forward_spec(packet, PHASE_TPS2),
+            )
+        return fwd
 
     def expected_final_deliveries(self) -> int:
         p = self.shape.nnodes

@@ -39,7 +39,7 @@ from repro.strategies.data import (
     DataChunk,
     chunks_of,
 )
-from repro.util.rng import derive_rng
+from repro.util.rng import shuffled_others
 from repro.util.validation import check_positive_int, require
 
 
@@ -124,87 +124,73 @@ class VMeshProgram(BaseProgram):
             [] for _ in range(shape.nnodes)
         ]
         self._p2_sent = [False] * shape.nnodes
+        #: Shared chunkless message specs, keyed (dst, kind).
+        self._messages: dict[tuple[int, str], tuple[PacketSpec, ...]] = {}
 
     # -------------------------------------------------------------- #
 
     def _message_specs(
-        self,
-        dst: int,
-        packets: list[int],
-        kind: str,
-        final_is_dst: bool,
-        chunks: tuple[DataChunk, ...],
-        payload_total: int,
-    ) -> list[PacketSpec]:
-        """Specs of one combined message; chunks ride the first packet.
+        self, dst: int, kind: str, chunks: tuple[DataChunk, ...] = ()
+    ) -> tuple[PacketSpec, ...]:
+        """Specs of one combined row (``PHASE_VMESH1``) or column message
+        to *dst*; chunks ride the first packet.
 
         The gamma memcpy for gathering/sorting the combined payload is
         charged per packet, pro-rated by wire size."""
-        specs = []
+        if kind == PHASE_VMESH1:
+            packets = self.row_packets
+            payload_total = self.map.pvy * self.msg_bytes
+        else:
+            packets = self.col_packets
+            payload_total = self.map.pvx * self.msg_bytes
         wire_total = sum(packets)
-        for i, wire in enumerate(packets):
-            tag: object = (
-                ChunkTag(kind, chunks) if (self.carry_data and i == 0) else kind
+        return tuple(
+            PacketSpec(
+                dst=dst,
+                wire_bytes=wire,
+                mode=RoutingMode.ADAPTIVE,
+                new_message=(i == 0),
+                tag=(
+                    ChunkTag(kind, chunks)
+                    if (self.carry_data and i == 0)
+                    else kind
+                ),
+                final_dst=dst,
+                payload_bytes=(payload_total * wire) // wire_total,
+                extra_cpu_cycles=self._gamma * wire,
+                alpha_cycles=self._alpha if i == 0 else -1.0,
             )
-            specs.append(
-                PacketSpec(
-                    dst=dst,
-                    wire_bytes=wire,
-                    mode=RoutingMode.ADAPTIVE,
-                    new_message=(i == 0),
-                    tag=tag,
-                    final_dst=dst,
-                    payload_bytes=(payload_total * wire) // wire_total,
-                    extra_cpu_cycles=self._gamma * wire,
-                    alpha_cycles=self._alpha if i == 0 else -1.0,
-                )
-            )
+            for i, wire in enumerate(packets)
+        )
+
+    def _shared_message(self, dst: int, kind: str) -> tuple[PacketSpec, ...]:
+        """The specs of a chunkless message, built once per (dst, kind)
+        and shared by every sender (``carry_data`` off)."""
+        specs = self._messages.get((dst, kind))
+        if specs is None:
+            specs = self._messages[dst, kind] = self._message_specs(dst, kind)
         return specs
 
-    def _row_message(self, node: int, col: int) -> list[PacketSpec]:
+    def _row_message(self, node: int, col: int) -> tuple[PacketSpec, ...]:
         """Phase-1 message from *node* to its row peer in column *col*:
         chunks for every row of that column."""
         r, c = self.map.row_col(node)
         dst = self.map.node_at(r, col)
-        chunks: tuple[DataChunk, ...] = ()
-        if self.carry_data:
-            chunks = tuple(
-                DataChunk(node, self.map.node_at(rr, col), 0, self.msg_bytes)
-                for rr in range(self.map.pvy)
-                if self.map.node_at(rr, col) != node
-            )
-        return self._message_specs(
-            dst,
-            self.row_packets,
-            PHASE_VMESH1,
-            final_is_dst=True,
-            chunks=chunks,
-            payload_total=self.map.pvy * self.msg_bytes,
+        if not self.carry_data:
+            return self._shared_message(dst, PHASE_VMESH1)
+        chunks = tuple(
+            DataChunk(node, self.map.node_at(rr, col), 0, self.msg_bytes)
+            for rr in range(self.map.pvy)
+            if self.map.node_at(rr, col) != node
         )
-
-    def _col_message(
-        self, node: int, row: int, chunks: tuple[DataChunk, ...]
-    ) -> list[PacketSpec]:
-        """Phase-2 message from *node* to its column peer in *row*."""
-        r, c = self.map.row_col(node)
-        dst = self.map.node_at(row, c)
-        return self._message_specs(
-            dst,
-            self.col_packets,
-            PHASE_VMESH2,
-            final_is_dst=True,
-            chunks=chunks,
-            payload_total=self.map.pvx * self.msg_bytes,
-        )
+        return self._message_specs(dst, PHASE_VMESH1, chunks)
 
     def _emit_phase2(self, node: int) -> list[PacketSpec]:
         """All phase-2 messages of *node* (called once phase 1 is in)."""
         assert not self._p2_sent[node], "phase 2 emitted twice"
         self._p2_sent[node] = True
         r, c = self.map.row_col(node)
-        rng = derive_rng(self.seed, "vmesh2", node)
-        rows = [rr for rr in range(self.map.pvy) if rr != r]
-        rng.shuffle(rows)
+        rows = shuffled_others(self.seed, "vmesh2", node, self.map.pvy, r)
         specs: list[PacketSpec] = []
         if self.carry_data:
             # Sort buffered + own chunks by destination row.
@@ -216,14 +202,16 @@ class VMeshProgram(BaseProgram):
                 assert cc == c, "phase-1 chunk routed to wrong column"
                 by_row[rr].append(ch)
             for rr in rows:
-                dst_self = self.map.node_at(rr, c)
-                by_row[rr].append(DataChunk(node, dst_self, 0, self.msg_bytes))
+                dst = self.map.node_at(rr, c)
+                by_row[rr].append(DataChunk(node, dst, 0, self.msg_bytes))
                 specs.extend(
-                    self._col_message(node, rr, tuple(by_row[rr]))
+                    self._message_specs(dst, PHASE_VMESH2, tuple(by_row[rr]))
                 )
         else:
             for rr in rows:
-                specs.extend(self._col_message(node, rr, ()))
+                specs.extend(
+                    self._shared_message(self.map.node_at(rr, c), PHASE_VMESH2)
+                )
         return specs
 
     # -------------------------------------------------------------- #
@@ -232,10 +220,7 @@ class VMeshProgram(BaseProgram):
 
     def injection_plan(self, node: int) -> Iterator[PacketSpec]:
         r, c = self.map.row_col(node)
-        rng = derive_rng(self.seed, "vmesh1", node)
-        cols = [cc for cc in range(self.map.pvx) if cc != c]
-        rng.shuffle(cols)
-        for col in cols:
+        for col in shuffled_others(self.seed, "vmesh1", node, self.map.pvx, c):
             yield from self._row_message(node, col)
         # Degenerate single-column mesh: no phase-1 traffic arrives, so
         # phase 2 must be driven from the plan.

@@ -23,7 +23,6 @@ from repro.util.units import (
     NS_PER_CYCLE,
     cycles_to_us,
     cycles_to_ms,
-    us_to_cycles,
     per_byte_ns_to_cycles,
 )
 from repro.util.validation import require, check_positive_int, check_nonneg
@@ -42,7 +41,6 @@ __all__ = [
     "NS_PER_CYCLE",
     "cycles_to_us",
     "cycles_to_ms",
-    "us_to_cycles",
     "per_byte_ns_to_cycles",
     "require",
     "check_positive_int",

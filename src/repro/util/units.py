@@ -25,11 +25,6 @@ def cycles_to_ms(cycles: float) -> float:
     return cycles * NS_PER_CYCLE * 1e-6
 
 
-def us_to_cycles(us: float) -> float:
-    """Convert microseconds to (fractional) cycles."""
-    return us * 1e3 / NS_PER_CYCLE
-
-
 def per_byte_ns_to_cycles(ns_per_byte: float) -> float:
     """Convert a per-byte cost in ns/B to cycles/B."""
     return ns_per_byte / NS_PER_CYCLE

@@ -97,6 +97,22 @@ class TestKeys:
         with pytest.raises(ValueError, match="msg_bytes"):
             _point(msg_bytes=0)
 
+    def test_fifo_groups_the_machine_cannot_split_are_refused(self):
+        # TPS reserves two injection-FIFO groups; three FIFOs cannot be
+        # split, so the point fails when it is built, not when it runs.
+        with pytest.raises(ValueError, match=(
+            r"num_injection_fifos=3 .* TPS's fifo_groups=2"
+        )):
+            _point(
+                strategy=TwoPhaseSchedule(),
+                params=MachineParams(num_injection_fifos=3),
+            )
+        _point(
+            strategy=TwoPhaseSchedule(),
+            params=MachineParams(num_injection_fifos=2),
+        )
+        _point(params=MachineParams(num_injection_fifos=3))
+
     def test_strategy_options_are_part_of_the_key(self):
         a = point_key(_point(strategy=TwoPhaseSchedule(pipelined=True)))
         b = point_key(_point(strategy=TwoPhaseSchedule(pipelined=False)))

@@ -349,6 +349,148 @@ class TestRunSweepChaos:
         assert counters.retries == 0
 
 
+def _items(points):
+    return [
+        (i, p, point_key(p), f"p{i}") for i, p in enumerate(points)
+    ]
+
+
+class TestPooledQueue:
+    def test_longest_first_one_queued_per_worker_input_order_back(
+        self, monkeypatch
+    ):
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted: list = []
+        futures: list = []
+        in_flight: list = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                submitted.append(args[0])
+                futures.append(future)
+                in_flight.append(sum(not f.done() for f in futures))
+                return future
+
+        monkeypatch.setattr(supervise, "ProcessPoolExecutor", Recording)
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        shape = TorusShape.parse("4x4")
+        sizes = [16, 256, 64, 256, 8, 128]
+        pts = [
+            SimPoint(ARDirect(), shape, m, seed=i)
+            for i, m in enumerate(sizes)
+        ]
+        sweep = run_sweep(pts, jobs=2)
+        assert sweep.complete
+        # Descending cost hint; the two 256-B points keep input order.
+        assert [p.msg_bytes for p in submitted] == [256, 256, 128, 64, 16, 8]
+        assert submitted[0] is pts[1] and submitted[1] is pts[3]
+        # One task queued behind each of the 2 workers, never more.
+        assert max(in_flight) == 4
+        assert _bits(sweep.runs) == _bits(run_points(pts, jobs=1))
+
+    def test_healthy_task_queued_behind_a_timeout_is_never_hard_killed(
+        self, monkeypatch, fast_backoff
+    ):
+        # Two points too big to finish within the 1 s limit take both
+        # workers; two small ones wait in the queue behind them, and
+        # chaos stalls each small one for 0.6 s before it simulates.
+        # Its hard deadline (limit + grace) must count from when it
+        # starts, about 1 s in, not from its submission.
+        monkeypatch.setattr(supervise, "GRACE_S", 0.3)
+        big = [
+            SimPoint(ARDirect(), TorusShape.parse("8x8x4"), 512, seed=s)
+            for s in (1, 2)
+        ]
+        small = [
+            SimPoint(ARDirect(), TorusShape.parse("2x2"), 16, seed=s)
+            for s in (1, 2)
+        ]
+        items = _items(big + small)
+        small_keys = [key for _, _, key, _ in items[2:]]
+        seed = next(
+            s for s in range(1000)
+            if all(
+                ChaosPlan(hang_prob=0.5, seed=s).decide(k, 1) == "hang"
+                for k in small_keys
+            )
+        )
+        cfg = SuperviseConfig(
+            point_timeout_s=1.0,
+            chaos=ChaosPlan(hang_prob=0.5, seed=seed, hang_s=0.6),
+            max_attempts=2,
+        )
+        events: list = []
+        payloads, failures = supervise.execute_supervised(
+            items,
+            2,
+            cfg,
+            None,
+            None,
+            on_event=lambda kind, task: events.append(
+                (kind, task.index if task is not None else None)
+            ),
+            strict_errors=False,
+        )
+        assert sorted(payloads) == [2, 3]
+        assert sorted(f.index for f in failures) == [0, 1]
+        assert {f.kind for f in failures} == {"timeout"}
+        assert not [e for e in events if e[0] == "timeout" and e[1] >= 2]
+        first_timeout = events.index(
+            next(e for e in events if e[0] == "timeout")
+        )
+        for i in (2, 3):
+            assert events.index(("start", i)) > first_timeout
+
+    def test_pool_break_strikes_only_started_tasks(self):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        tasks = [
+            supervise._Task(
+                index=i, point=None, key=f"k{i}", label=f"p{i}",
+                timeout_s=None,
+            )
+            for i in range(4)
+        ]
+        futures = [Future() for _ in tasks]
+        futures[0].set_result({"done": 0})
+        for f in futures[1:]:
+            f.set_exception(BrokenProcessPool("worker died"))
+        events: list = []
+        sup = supervise._Supervisor(
+            SuperviseConfig(),
+            None,
+            None,
+            on_event=lambda kind, task: events.append((kind, task)),
+        )
+
+        class DeadPool:
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        # One worker: task 0 ran and finished before the break, so its
+        # worker took task 1 next; tasks 2 and 3 never left the queue.
+        running = {futures[0]: tasks[0]}
+        queued = {f: t for f, t in zip(futures[1:], tasks[1:])}
+        waiting: list = []
+        pool = sup._recover_pool_break(
+            DeadPool(), running, queued, waiting, max_workers=1
+        )
+        pool.shutdown()
+        assert sup.payloads == {0: {"done": 0}}
+        assert (tasks[1].crashes, tasks[1].attempt) == (1, 2)
+        for t in tasks[2:]:
+            assert (t.crashes, t.attempt, t.not_before) == (0, 1, 0.0)
+        assert sorted(t.index for t in waiting) == [1, 2, 3]
+        assert not running and not queued
+        assert [k for k, t in events if t is tasks[1]] == [
+            "start", "crash", "retry"
+        ]
+        assert not [k for k, t in events if t in tasks[2:]]
+
+
 class TestResumeFromCache:
     def test_partial_cache_resumes_only_missing_points(self, tmp_path):
         pts = _points(3)

@@ -45,6 +45,21 @@ class TestSimulateAlltoall:
         run = simulate_alltoall(TwoPhaseSchedule(), TorusShape.parse("4x4"), 64)
         assert run.result.forwarded_packets > 0
 
+    def test_fifo_groups_are_checked_before_anything_is_built(self):
+        class NoBuild(TwoPhaseSchedule):
+            def build_program(self, *args, **kwargs):
+                raise AssertionError("program built for an unusable machine")
+
+        with pytest.raises(ValueError, match=(
+            r"num_injection_fifos=3 .* TPS's fifo_groups=2"
+        )):
+            simulate_alltoall(
+                NoBuild(),
+                TorusShape.parse("4x4"),
+                64,
+                MachineParams(num_injection_fifos=3),
+            )
+
     def test_custom_params(self):
         prm = MachineParams.bluegene_l().with_updates(alpha_packet_cycles=0.0)
         fast = simulate_alltoall(ARDirect(), TorusShape.parse("4x4"), 16, prm)

@@ -23,9 +23,5 @@ def test_paper_beta_consistency():
     assert units.per_byte_ns_to_cycles(6.48) == pytest.approx(4.536, abs=1e-3)
 
 
-def test_us_to_cycles():
-    assert units.us_to_cycles(1.0) == pytest.approx(700.0)
-
-
 def test_cycles_to_ms():
     assert units.cycles_to_ms(700e3) == pytest.approx(1.0)

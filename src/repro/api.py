@@ -92,7 +92,7 @@ def simulate_alltoall(
     and attaches the trace/metrics payload as ``result.extras["obs"]``
     without changing any measured quantity.
 
-    ``check`` opts into runtime verification: an enabled
+    ``check`` opts into runtime verification: a
     :class:`~repro.check.config.CheckConfig` runs the oracle-checked
     network, which makes identical decisions but raises
     :class:`~repro.check.oracle.InvariantError` the moment an invariant

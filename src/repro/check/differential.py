@@ -165,7 +165,7 @@ def functional_leg(point: "SimPoint", sim_run=None) -> list:
     if sim_run is not None and not lossy:
         st = sim_run.result
         # Delivered counts agree exactly across the two engines on
-        # loss-free points (every materialized packet is consumed once in
+        # loss-free points (every injected packet is consumed once in
         # both).  Forwarded counts deliberately do NOT: VMesh/credited-TPS
         # phase 2 is a re-injection to the simulator but an
         # ``on_delivery`` forward to the functional engine.

@@ -5,9 +5,9 @@ the observability layer (:mod:`repro.net.instrumented`) holds it: the
 oracles are one :class:`InvariantOracles` observer
 (:class:`~repro.net.simulator.SimObserver`) that
 :func:`repro.net.faultsim.build_network` attaches only when a
-:class:`~repro.check.config.CheckConfig` asks for verification; the
-network classes contain **no** checking code.  Attached after the
-instrumentation, the oracles see the state after every other hook ran.
+:class:`~repro.check.config.CheckConfig` is given; the network classes
+contain **no** checking code.  Attached after the instrumentation, the
+oracles see the state after every other hook ran.
 
 Every hook runs after the step it checks and only **reads** state, so a
 checked run makes exactly the decisions — and produces exactly the
@@ -15,8 +15,7 @@ checked run makes exactly the decisions — and produces exactly the
 behavioral difference is an :class:`InvariantError` raised at the moment a
 violation is observed.  ``tests/check`` pins this bit-identity.
 
-The oracles (see :class:`~repro.check.config.CheckConfig` for the
-switches):
+The oracles, all of which every checked run enforces:
 
 * **credits** — per launch: the just-decremented downstream credit count
   must be non-negative, and the packet's hop count must stay below the
@@ -34,10 +33,11 @@ switches):
   lines, VMesh phase-1/phase-2 packets must stay inside the sender's
   virtual-mesh row/column, and direct packets must never be consumed
   away from their final destination.
-* **progress** — every ``audit_interval`` deliveries (and at the end), the
-  per-node queued-packet counters must match the actual queue contents
-  (a non-empty queue behind a zero counter is never arbitrated again — a
-  silent stall), and every token/slot count must lie within capacity.
+* **progress** — every :data:`AUDIT_INTERVAL` deliveries (and at the end),
+  the per-node queued-packet counters must match the actual queue
+  contents (a non-empty queue behind a zero counter is never arbitrated
+  again — a silent stall), and every token/slot count must lie within
+  capacity.
 * **conservation** — at result assembly: all credits and FIFO/reception
   slots returned, queues empty, ``injected == delivered + duplicates +
   lost``, ``final + forwarded == delivered``, and total link-busy time
@@ -51,7 +51,6 @@ from typing import Optional
 from repro.net.errors import SimulationError
 from repro.net.simulator import TICK_UNSCALE, SimObserver
 from repro.net.trace import SimulationResult
-from repro.check.config import CheckConfig
 from repro.strategies.data import (
     PHASE_DIRECT,
     PHASE_TPS1,
@@ -60,6 +59,11 @@ from repro.strategies.data import (
     PHASE_VMESH2,
     kind_of_tag,
 )
+
+#: Deliveries between two progress audits: the audit is O(state), so
+#: running it on every event would change the run's complexity.  Read
+#: when the oracles bind to a network.
+AUDIT_INTERVAL = 512
 
 
 class InvariantError(SimulationError):
@@ -82,13 +86,11 @@ class InvariantError(SimulationError):
 class InvariantOracles(SimObserver):
     """The invariant oracles of one run, fed by the kernel's hooks."""
 
-    def __init__(self, check: CheckConfig) -> None:
-        self.check = check
+    def __init__(self) -> None:
         self._audit = None
         self._conserve = None
 
     def bind(self, net) -> dict:
-        chk = self.check
         ndirs, nvcs, nports, nfifos = (
             net._ndirs, net._nvcs, net._nports, net._nfifos
         )
@@ -98,9 +100,7 @@ class InvariantOracles(SimObserver):
         fifo_free, recv_free = net._fifo_free, net._recv_free
         q_n, queued = net._q_n, net._queued
         P_pid, P_src, P_dst = net._P_pid, net._P_src, net._P_dst
-        P_hops, P_seq, P_final, P_tag = (
-            net._P_hops, net._P_seq, net._P_final, net._P_tag
-        )
+        P_hops, P_seq, P_spec = net._P_hops, net._P_seq, net._P_spec
         coord = net._coord
         vc_depth = net._vc_depth
         fifo_cap = net.params.injection_fifo_depth
@@ -116,31 +116,26 @@ class InvariantOracles(SimObserver):
         seen_seqs: set[int] = set()
         busy_total = 0.0
         deliveries = 0
-        credits, exactly_once = chk.credits, chk.exactly_once
-        phases, progress = chk.phases, chk.progress
-        audit_interval = chk.audit_interval
+        audit_interval = AUDIT_INTERVAL
 
         # Strategy geometry for the phase oracles, sniffed from the node
         # program: ``linear_axis`` for TPS-family programs, ``map`` for
         # VMesh.
         axis: Optional[int] = None
         vmap = None
-        if phases:
-            prog = net._program
-            prog_axis = getattr(prog, "linear_axis", None)
-            if isinstance(prog_axis, int) and 0 <= prog_axis < ndim:
-                axis = prog_axis
-            prog_map = getattr(prog, "map", None)
-            if prog_map is not None and hasattr(prog_map, "row_col"):
-                vmap = prog_map
+        prog = net._program
+        prog_axis = getattr(prog, "linear_axis", None)
+        if isinstance(prog_axis, int) and 0 <= prog_axis < ndim:
+            axis = prog_axis
+        prog_map = getattr(prog, "map", None)
+        if prog_map is not None and hasattr(prog_map, "row_col"):
+            vmap = prog_map
 
         def launch(u, d, v, h, vc, now, busy0, flags):
             nonlocal busy_total
             # Tick deltas unscale to exactly the float cycle deltas the
             # pre-SoA oracle accumulated (power-of-two scaling is exact).
             busy_total += (link_busy[u * ndirs + d] - now) * TICK_UNSCALE
-            if not credits:
-                return
             tok = tokens[(v * ndirs + (d ^ 1)) * nvcs + vc]
             if tok < 0:
                 raise InvariantError(
@@ -198,7 +193,7 @@ class InvariantOracles(SimObserver):
         def deliver(u, h):
             nonlocal deliveries
             seq = P_seq[h]
-            if exactly_once and seq >= 0:
+            if seq >= 0:
                 if seq in seen_seqs:
                     raise InvariantError(
                         "exactly_once",
@@ -207,12 +202,11 @@ class InvariantOracles(SimObserver):
                         pid=P_pid[h], src=P_src[h],
                     )
                 seen_seqs.add(seq)
-            if phases:
-                phase(u, kind_of_tag(P_tag[h]), P_src[h], P_final[h], P_pid[h])
-            if progress:
-                deliveries += 1
-                if deliveries % audit_interval == 0:
-                    audit(net._now)
+            spec = P_spec[h]
+            phase(u, kind_of_tag(spec.tag), P_src[h], spec.final_dst, P_pid[h])
+            deliveries += 1
+            if deliveries % audit_interval == 0:
+                audit(net._now)
 
         def phase(u, kind, src, final_dst, pid):
             """Per-strategy phase/geometry invariants at consumption."""
@@ -386,14 +380,13 @@ class InvariantOracles(SimObserver):
 
         self._audit = audit
         self._conserve = conserve
-        hooks = {"launch": launch, "deliver": deliver}
-        if credits:
-            hooks["inject_begin"] = inject_begin
-            hooks["arrive"] = arrive
-        return hooks
+        return {
+            "launch": launch,
+            "deliver": deliver,
+            "inject_begin": inject_begin,
+            "arrive": arrive,
+        }
 
     def finish(self, net, res: SimulationResult) -> None:
-        if self.check.progress:
-            self._audit(net._now)
-        if self.check.conservation:
-            self._conserve(net._now)
+        self._audit(net._now)
+        self._conserve(net._now)

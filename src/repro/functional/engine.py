@@ -29,7 +29,7 @@ from typing import Optional
 
 from repro.model.torus import TorusShape
 from repro.net.faults import FaultPlan
-from repro.net.packet import Packet, PacketSpec
+from repro.net.packet import PacketSpec
 from repro.strategies.data import DataChunk, chunks_of
 from repro.util.rng import derive_rng
 
@@ -71,7 +71,8 @@ class FunctionalEngine:
         p = self.shape.nnodes
         received: dict[tuple[int, int], list[DataChunk]] = {}
         result = FunctionalResult(received=received)
-        pending: deque[tuple[int, Packet, int]] = deque()
+        # (node, src, spec, forward depth, pid) per packet in flight.
+        pending: deque[tuple[int, int, PacketSpec, int, int]] = deque()
         pid = 0
         intermediate_bytes = [0] * p
 
@@ -81,11 +82,11 @@ class FunctionalEngine:
         loss_p = faults.loss_prob if lossy else 0.0
         delivered_pids: set[int] = set()
 
-        def materialize(src: int, spec: PacketSpec, depth: int) -> None:
+        def inject(src: int, spec: PacketSpec, depth: int) -> None:
             nonlocal pid
-            pkt = Packet.from_spec(pid, src, spec, 0.0)
+            entry = (spec.dst, src, spec, depth, pid)
             pid += 1
-            pending.append((spec.dst, pkt, depth))
+            pending.append(entry)
             if lossy:
                 # Emulate the lossy wire + sender retransmission: each
                 # transmission is lost with probability loss_p and simply
@@ -97,37 +98,38 @@ class FunctionalEngine:
                     result.packets_retransmitted += 1
                 if rng.random() < loss_p:
                     result.packets_retransmitted += 1
-                    pending.append((spec.dst, pkt, depth))
+                    pending.append(entry)
 
         for node in range(p):
             for spec in program.injection_plan(node):
-                materialize(node, spec, 0)
+                inject(node, spec, 0)
 
         while pending:
-            node, pkt, depth = pending.popleft()
+            node, src, spec, depth, pkt_id = pending.popleft()
             if lossy:
-                if pkt.pid in delivered_pids:
+                if pkt_id in delivered_pids:
                     # Receiver-side dedup: the logical packet was already
                     # consumed; its duplicate twin is dropped silently.
                     result.duplicates_discarded += 1
                     continue
-                delivered_pids.add(pkt.pid)
+                delivered_pids.add(pkt_id)
             result.packets_delivered += 1
             if depth > result.max_forward_depth:
                 result.max_forward_depth = depth
+            chunks = chunks_of(spec.tag)
             consumed_here = 0
-            for chunk in chunks_of(pkt):
+            for chunk in chunks:
                 if chunk.dst == node:
                     received.setdefault((chunk.src, chunk.dst), []).append(chunk)
                     consumed_here += chunk.nbytes
-            forwards = program.on_delivery(node, pkt, 0.0)
-            carried = sum(c.nbytes for c in chunks_of(pkt))
-            if pkt.final_dst != node or carried > consumed_here:
+            forwards = program.on_delivery(node, src, spec)
+            carried = sum(c.nbytes for c in chunks)
+            if spec.final_dst != node or carried > consumed_here:
                 # Intermediate buffering: everything not consumed here.
                 intermediate_bytes[node] += carried - consumed_here
                 if intermediate_bytes[node] > result.peak_intermediate_bytes:
                     result.peak_intermediate_bytes = intermediate_bytes[node]
-            for spec in forwards:
+            for fwd in forwards:
                 result.packets_forwarded += 1
-                materialize(node, spec, depth + 1)
+                inject(node, fwd, depth + 1)
         return result

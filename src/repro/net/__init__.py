@@ -1,10 +1,10 @@
 """Packet-level discrete-event simulator of the BG/L torus network.
 
 Public surface: :class:`TorusNetwork` (the engine), :class:`PacketSpec` /
-:class:`Packet` / :class:`RoutingMode` (traffic), the
-:class:`NodeProgram` protocol with :class:`ListProgram` helper, the
-:class:`SimulationResult` summary, and the fault-injection layer
-(:class:`FaultPlan`, :class:`FaultyTorusNetwork`, :func:`build_network`).
+:class:`RoutingMode` (traffic), the :class:`NodeProgram` protocol with
+:class:`ListProgram` helper, the :class:`SimulationResult` summary, and
+the fault-injection layer (:class:`FaultPlan`, :class:`FaultyTorusNetwork`,
+:func:`build_network`).
 """
 
 from repro.net.errors import (
@@ -15,7 +15,7 @@ from repro.net.errors import (
 )
 from repro.net.faults import FaultPlan, FaultRoutingTable
 from repro.net.faultsim import FaultyTorusNetwork, build_network
-from repro.net.packet import NO_VC, Packet, PacketSpec, RoutingMode
+from repro.net.packet import NO_VC, PacketSpec, RoutingMode
 from repro.net.program import BaseProgram, ListProgram, NodeProgram
 from repro.net.simulator import TorusNetwork
 from repro.net.topology import (
@@ -36,7 +36,6 @@ __all__ = [
     "FaultyTorusNetwork",
     "build_network",
     "NO_VC",
-    "Packet",
     "PacketSpec",
     "RoutingMode",
     "BaseProgram",

@@ -136,9 +136,9 @@ def build_network(
     closures — no fault branches in the hot loop.  Observation and
     checking attach as observers (:class:`~repro.net.simulator.SimObserver`):
     an :class:`~repro.obs.config.ObsConfig` with something enabled adds
-    the instrumentation, a :class:`~repro.check.config.CheckConfig` with
-    at least one oracle on adds the invariant oracles.  The network is
-    always exactly :class:`TorusNetwork` or :class:`FaultyTorusNetwork`.
+    the instrumentation, and a :class:`~repro.check.config.CheckConfig`
+    adds the invariant oracles.  The network is always exactly
+    :class:`TorusNetwork` or :class:`FaultyTorusNetwork`.
     """
     if faults is None or faults.is_empty:
         net = TorusNetwork(shape, params)
@@ -149,8 +149,8 @@ def build_network(
         from repro.net.instrumented import Instrumentation
 
         net.attach(Instrumentation(obs))
-    if check is not None and check.enabled:
+    if check is not None:
         from repro.check.oracle import InvariantOracles
 
-        net.attach(InvariantOracles(check))
+        net.attach(InvariantOracles())
     return net

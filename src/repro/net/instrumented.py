@@ -86,8 +86,8 @@ class Instrumentation(SimObserver):
         p, ndirs, nvcs, ndim = net._p, net._ndirs, net._nvcs, net._ndim
         nports, nfifos = net._nports, net._nfifos
         st = net.stats
-        P_pid, P_src, P_tag = net._P_pid, net._P_src, net._P_tag
-        P_wire, P_final, P_inject = net._P_wire, net._P_final, net._P_inject
+        P_pid, P_src, P_spec = net._P_pid, net._P_src, net._P_spec
+        P_wire, P_inject = net._P_wire, net._P_inject
         link_busy = net._link_busy
 
         tr = self.tracer = (
@@ -167,7 +167,10 @@ class Instrumentation(SimObserver):
                     ls_drops[li] += 1
             if prof is not None:
                 prof.on_launch(
-                    kind_of_tag(P_tag[h]) or "untagged", d >> 1, now_f, dur
+                    kind_of_tag(P_spec[h].tag) or "untagged",
+                    d >> 1,
+                    now_f,
+                    dur,
                 )
 
         hooks = {"launch": launch}
@@ -262,7 +265,8 @@ class Instrumentation(SimObserver):
 
             def deliver(u, h):
                 now = net._now
-                final = P_final[h] == u
+                spec = P_spec[h]
+                final = spec.final_dst == u
                 if metrics is not None:
                     if final:
                         lat_hist.observe((now - P_inject[h]) * TICK_UNSCALE)
@@ -277,12 +281,12 @@ class Instrumentation(SimObserver):
                         P_pid[h],
                         P_src[h],
                         P_inject[h] * TICK_UNSCALE,
-                        kind_of_tag(P_tag[h]),
+                        kind_of_tag(spec.tag),
                         final,
                     )
                 if prof is not None:
                     prof.on_delivery(
-                        kind_of_tag(P_tag[h]) or "untagged",
+                        kind_of_tag(spec.tag) or "untagged",
                         now * TICK_UNSCALE,
                         final,
                     )

@@ -6,14 +6,17 @@ A :class:`NodeProgram` is the contract between an all-to-all *strategy*
 injection plan, reacts to packet deliveries — possibly returning more
 packets to inject, which is how indirect strategies forward — and declares
 how many *final* deliveries the run must produce (used as a sanity check on
-completion).
+completion).  A delivery hands the program the very :class:`PacketSpec`
+the source injected, plus the source's rank: the spec already names the
+packet's final destination, tag and sizes, so nothing is built per
+delivery.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.net.packet import Packet, PacketSpec
+from repro.net.packet import PacketSpec
 
 
 @runtime_checkable
@@ -25,12 +28,13 @@ class NodeProgram(Protocol):
         ...
 
     def on_delivery(
-        self, node: int, packet: Packet, now: float
+        self, node: int, src: int, spec: PacketSpec
     ) -> Iterable[PacketSpec]:
-        """Called when *packet* is drained by *node*'s CPU at time *now*.
+        """Called when *node*'s CPU drains the packet node *src* injected
+        from *spec*.
 
         Return packets to forward (empty for final deliveries).  A delivery
-        is *final* iff ``packet.final_dst == node``; forwarding programs
+        is *final* iff ``spec.final_dst == node``; forwarding programs
         must return the onward specs for non-final deliveries.
         """
         ...
@@ -52,12 +56,12 @@ class BaseProgram:
         raise NotImplementedError
 
     def on_delivery(
-        self, node: int, packet: Packet, now: float
+        self, node: int, src: int, spec: PacketSpec
     ) -> Iterable[PacketSpec]:
-        if packet.final_dst != node:
+        if spec.final_dst != node:
             raise RuntimeError(
                 f"non-final packet delivered to node {node} under a "
-                f"non-forwarding program (final_dst={packet.final_dst})"
+                f"non-forwarding program (final_dst={spec.final_dst})"
             )
         return ()
 

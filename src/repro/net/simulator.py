@@ -35,12 +35,12 @@ results are bit-identical to the straightforward object-per-packet
 implementation.  The load-bearing structures:
 
 * **Packet pool.**  Packets live as integer handles into the parallel
-  columns of a :class:`repro.net.packet.PacketPool`; a real ``Packet``
-  object is materialized only at the delivery boundary, and only for a
-  node program whose delivery hook reads it.  A program that inherits
-  :meth:`BaseProgram.on_delivery` unchanged (every direct strategy,
-  :class:`~repro.net.program.ListProgram`) gets that hook's
-  final-destination check on the pool column instead.  No per-hop or
+  columns of a :class:`repro.net.packet.PacketPool`; the pool's ``spec``
+  column keeps the spec each packet was injected from, and delivery
+  hands that spec and the source's rank to the node program.  A program
+  that inherits :meth:`BaseProgram.on_delivery` unchanged (every direct
+  strategy, :class:`~repro.net.program.ListProgram`) gets that hook's
+  final-destination check inline instead of a call.  No per-hop or
   per-delivery allocation, no attribute dictionaries.
 
 * **Integer timebase.**  All event times are cycle values scaled by
@@ -245,7 +245,7 @@ class TorusNetwork:
         "_buckets", "_theap", "_now", "_pid", "_busy_cycles",
         "_link_packets", "_program", "_num_links",
         "_pool", "_P_pid", "_P_src", "_P_dst", "_P_wire", "_P_mode",
-        "_P_tag", "_P_final", "_P_inject", "_P_hops", "_P_vc", "_P_half",
+        "_P_spec", "_P_inject", "_P_hops", "_P_vc", "_P_half",
         "_P_seq", "_P_down", "_P_route", "_plain_delivery",
         "_beta", "_hop_latency", "_cpu_fixed", "_cpu_incr", "_alpha",
         "_svc_f", "_svc_t", "_cpu_f", "_cpu_t", "_tbl_len",
@@ -372,8 +372,7 @@ class TorusNetwork:
         self._P_dst = pool.dst
         self._P_wire = pool.wire_bytes
         self._P_mode = pool.mode
-        self._P_tag = pool.tag
-        self._P_final = pool.final_dst
+        self._P_spec = pool.spec
         self._P_inject = pool.inject_time
         self._P_hops = pool.hops
         self._P_vc = pool.vc
@@ -540,23 +539,23 @@ class TorusNetwork:
         return nxt
 
     def _finish_delivery(self, u: int, h: int) -> None:
-        """Record a drained packet, run the program's delivery hook, and
-        retire the handle.
+        """Record a drained packet, hand its spec and source to the
+        program's delivery hook, and retire the handle.
 
         Under a program that inherits :meth:`BaseProgram.on_delivery`
         (:attr:`_plain_delivery`), a final delivery is all that hook
-        accepts and it forwards nothing, so no ``Packet`` is built; a
+        accepts and it forwards nothing, so the hook is not called; a
         non-final one still goes to the hook, which raises."""
         now = self._now
         now_f = now * TICK_UNSCALE
         st = self.stats
         st.delivered_packets += 1
         st.last_delivery = now_f
-        inject_t = self._P_inject[h]
-        if self._P_final[h] == u:
+        spec = self._P_spec[h]
+        if spec.final_dst == u:
             st.final_deliveries += 1
             st.last_final_delivery = now_f
-            lat = (now - inject_t) * TICK_UNSCALE
+            lat = (now - self._P_inject[h]) * TICK_UNSCALE
             st.final_latency_sum += lat
             if lat > st.final_latency_max:
                 st.final_latency_max = lat
@@ -566,8 +565,7 @@ class TorusNetwork:
         else:
             st.forwarded_packets += 1
         assert self._program is not None
-        pkt = self._pool.materialize(h, inject_t * TICK_UNSCALE, now_f)
-        fwd = self._program.on_delivery(u, pkt, now_f)
+        fwd = self._program.on_delivery(u, self._P_src[h], spec)
         self._pool.free.append(h)
         if fwd:
             fp = self._fwd_pending[u]

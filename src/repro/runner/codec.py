@@ -200,12 +200,3 @@ def decode_run(payload: dict) -> AllToAllRun:
         result=SimulationResult(**result),
         predicted_cycles=payload["predicted_cycles"],
     )
-
-
-def roundtrip_run(run: AllToAllRun) -> AllToAllRun:
-    """One encode/decode cycle through JSON text.
-
-    Applied to every freshly simulated result so fresh and cached runs are
-    bit-identical (numpy array dtype, int/float identity, dict contents).
-    """
-    return decode_run(json.loads(json.dumps(encode_run(run))))

@@ -159,8 +159,8 @@ def _simulate_encoded(
     process boundary and what lands in the cache, so all paths are the
     same bytes by construction.  With *obs* enabled the payload also
     carries ``result.extras["obs"]`` (trace + metrics), which the parent
-    harvests into the active collector.  With *check* enabled
-    the point runs on the oracle-checked network (same decisions, same
+    harvests into the active collector.  With a *check* config the
+    point runs on the oracle-checked network (same decisions, same
     payload).
     """
     run = simulate_alltoall(
@@ -215,9 +215,10 @@ def run_sweep(
     :func:`~repro.runner.supervise.supervising` (how the CLI flags work),
     else one resolved from ``REPRO_POINT_TIMEOUT`` / ``REPRO_CHAOS``.
     *obs* and *check* default to their own process-wide contexts; an
-    enabled config bypasses the cache in both directions (see module
-    docstring).  Points already in the cache are served from it, which
-    is how re-running an interrupted sweep resumes it.
+    enabled obs config or any check config bypasses the cache in both
+    directions (see module docstring).  Points already in the cache are
+    served from it, which is how re-running an interrupted sweep resumes
+    it.
     """
     points = list(points)
     if obs is None:
@@ -225,8 +226,7 @@ def run_sweep(
     observed = obs is not None and obs.enabled
     if check is None:
         check = active_check()
-    checked = check is not None and check.enabled
-    bypass = observed or checked
+    bypass = observed or check is not None
     cfg = resolve_supervision(supervise)
 
     keys = [point_key(p) for p in points]

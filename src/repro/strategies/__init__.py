@@ -7,12 +7,7 @@ Plus the auto-selector (:func:`select_strategy`).
 """
 
 from repro.strategies.base import AllToAllStrategy
-from repro.strategies.data import (
-    ChunkTag,
-    DataChunk,
-    chunks_of,
-    tag_kind,
-)
+from repro.strategies.data import ChunkTag, DataChunk, chunks_of
 from repro.strategies.direct import (
     ARDirect,
     DirectProgram,
@@ -30,7 +25,6 @@ __all__ = [
     "ChunkTag",
     "DataChunk",
     "chunks_of",
-    "tag_kind",
     "ARDirect",
     "DirectProgram",
     "DRDirect",

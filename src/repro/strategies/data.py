@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.packet import Packet
-
 
 @dataclass(frozen=True)
 class DataChunk:
@@ -47,31 +45,21 @@ class ChunkTag:
     meta: object = None
 
 
-def chunks_of(packet: Packet) -> tuple[DataChunk, ...]:
-    """Extract the chunks of a packet, or () when it carries none (timed
+def chunks_of(tag: object) -> tuple[DataChunk, ...]:
+    """The chunks a packet tag carries, or () when it carries none (timed
     runs that skip data materialization)."""
-    tag = packet.tag
     if isinstance(tag, ChunkTag):
         return tag.chunks
     return ()
 
 
 def kind_of_tag(tag: object) -> Optional[str]:
-    """The traffic-class marker of a raw packet tag, if any.
-
-    Works on the bare tag value so struct-of-arrays consumers (the
-    instrumented/checked networks read the pool's ``tag`` column, not a
-    :class:`Packet`) share one dispatch rule with :func:`tag_kind`."""
+    """The traffic-class marker of a packet tag, if any."""
     if tag.__class__ is str:  # timed runs tag packets with the bare marker
         return tag
     if isinstance(tag, ChunkTag):
         return tag.kind
     return tag if isinstance(tag, str) else None
-
-
-def tag_kind(packet: Packet) -> Optional[str]:
-    """The traffic-class marker of a packet's tag, if any."""
-    return kind_of_tag(packet.tag)
 
 
 # --------------------------------------------------------------------- #

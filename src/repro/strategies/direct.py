@@ -84,7 +84,6 @@ class DirectProgram(DirectProgramBase):
             mode=self.mode,
             new_message=(pkt_idx == 0),
             tag=tag,
-            final_dst=dst,
             payload_bytes=payload,
             alpha_cycles=self._alpha_override,
         )

@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, Optional
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.packet import Packet, PacketSpec, RoutingMode
-from repro.strategies.data import PHASE_CREDIT, ChunkTag
+from repro.net.packet import PacketSpec, RoutingMode
+from repro.strategies.data import PHASE_CREDIT, kind_of_tag
 from repro.strategies.tps import PHASE2_GROUP, TPSProgram, TwoPhaseSchedule
 from repro.util.validation import check_positive_int, require
 
@@ -103,45 +103,42 @@ class CreditedTPSProgram(TPSProgram):
                 self._deferred[node][mid].append(spec)
 
     def on_delivery(
-        self, node: int, packet: Packet, now: float
+        self, node: int, src: int, spec: PacketSpec
     ) -> Iterable[PacketSpec]:
-        tag = packet.tag
-        kind = tag.kind if isinstance(tag, ChunkTag) else tag
-        if kind == PHASE_CREDIT:
-            # A credit from intermediate `packet.src`: release the next
-            # deferred packets toward it; any unused allowance banks as
-            # balance for packets the (lazy) plan has not deferred yet.
+        if kind_of_tag(spec.tag) == PHASE_CREDIT:
+            # A credit from intermediate `src`: release the next deferred
+            # packets toward it; any unused allowance banks as balance
+            # for packets the (lazy) plan has not deferred yet.
             out = []
-            dq = self._deferred[node].get(packet.src)
+            dq = self._deferred[node].get(src)
             take = 0
             if dq:
                 take = min(self.packets_per_credit, len(dq))
                 for _ in range(take):
                     out.append(dq.popleft())
             if take < self.packets_per_credit:
-                self._credit_balance[node][packet.src] += (
+                self._credit_balance[node][src] += (
                     self.packets_per_credit - take
                 )
             return out
-        if packet.final_dst == node:
+        if spec.final_dst == node:
             return ()
         # Intermediate forwarding (phase 1 -> phase 2), plus credit logic.
-        out = list(super().on_delivery(node, packet, now))
+        out = list(super().on_delivery(node, src, spec))
         cnt = self._fwd_count[node]
-        cnt[packet.src] += 1
-        if cnt[packet.src] >= self.packets_per_credit:
-            cnt[packet.src] = 0
+        cnt[src] += 1
+        if cnt[src] >= self.packets_per_credit:
+            cnt[src] = 0
             self.credits_sent += 1
-            credit = self._credits.get(packet.src)
+            credit = self._credits.get(src)
             if credit is None:
-                credit = self._credits[packet.src] = PacketSpec(
-                    dst=packet.src,
+                credit = self._credits[src] = PacketSpec(
+                    dst=src,
                     wire_bytes=CREDIT_WIRE_BYTES,
                     mode=RoutingMode.ADAPTIVE,
                     fifo_group=PHASE2_GROUP,
                     new_message=False,
                     tag=PHASE_CREDIT,
-                    final_dst=packet.src,
                     payload_bytes=0,
                 )
             out.append(credit)

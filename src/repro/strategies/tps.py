@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional
 
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.packet import Packet, PacketSpec, RoutingMode
+from repro.net.packet import PacketSpec, RoutingMode
 from repro.strategies.base import AllToAllStrategy, DirectProgramBase
 from repro.strategies.data import (
     PHASE_TPS1,
@@ -181,33 +181,30 @@ class TPSProgram(DirectProgramBase):
             for specs in messages:
                 yield from specs[lo:hi]
 
-    def _forward_spec(self, packet: Packet, tag: object) -> PacketSpec:
+    def _forward_spec(self, spec: PacketSpec, tag: object) -> PacketSpec:
         return PacketSpec(
-            dst=packet.final_dst,
-            wire_bytes=packet.wire_bytes,
+            dst=spec.final_dst,
+            wire_bytes=spec.wire_bytes,
             mode=RoutingMode.ADAPTIVE,
             fifo_group=self._phase2_group,
             new_message=False,
             tag=tag,
-            final_dst=packet.final_dst,
-            payload_bytes=packet.payload_bytes,
+            payload_bytes=spec.payload_bytes,
         )
 
     def on_delivery(
-        self, node: int, packet: Packet, now: float
+        self, node: int, src: int, spec: PacketSpec
     ) -> Iterable[PacketSpec]:
-        if packet.final_dst == node:
+        if spec.final_dst == node:
             return ()
         # Phase-1 packet at its intermediate: forward across the plane.
-        chunks = chunks_of(packet)
+        chunks = chunks_of(spec.tag)
         if chunks:
-            return (self._forward_spec(packet, ChunkTag(PHASE_TPS2, chunks)),)
-        key = (packet.final_dst, packet.wire_bytes, packet.payload_bytes)
+            return (self._forward_spec(spec, ChunkTag(PHASE_TPS2, chunks)),)
+        key = (spec.final_dst, spec.wire_bytes, spec.payload_bytes)
         fwd = self._forwards.get(key)
         if fwd is None:
-            fwd = self._forwards[key] = (
-                self._forward_spec(packet, PHASE_TPS2),
-            )
+            fwd = self._forwards[key] = (self._forward_spec(spec, PHASE_TPS2),)
         return fwd
 
     def expected_final_deliveries(self) -> int:

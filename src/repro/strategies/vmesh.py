@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.model.alltoall import balanced_vmesh_factors, vmesh_time_cycles
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
-from repro.net.packet import Packet, PacketSpec, RoutingMode
+from repro.net.packet import PacketSpec, RoutingMode
 from repro.net.program import BaseProgram
 from repro.strategies.base import AllToAllStrategy
 from repro.strategies.data import (
@@ -155,7 +155,6 @@ class VMeshProgram(BaseProgram):
                     if (self.carry_data and i == 0)
                     else kind
                 ),
-                final_dst=dst,
                 payload_bytes=(payload_total * wire) // wire_total,
                 extra_cpu_cycles=self._gamma * wire,
                 alpha_cycles=self._alpha if i == 0 else -1.0,
@@ -228,14 +227,15 @@ class VMeshProgram(BaseProgram):
             yield from self._emit_phase2(node)
 
     def on_delivery(
-        self, node: int, packet: Packet, now: float
+        self, node: int, src: int, spec: PacketSpec
     ) -> Iterable[PacketSpec]:
-        kind = packet.tag.kind if isinstance(packet.tag, ChunkTag) else packet.tag
+        tag = spec.tag
+        kind = tag.kind if isinstance(tag, ChunkTag) else tag
         if kind == PHASE_VMESH2:
             return ()
         # Phase-1 row message packet.
         self._p1_chunks[node].extend(
-            ch for ch in chunks_of(packet) if ch.dst != node
+            ch for ch in chunks_of(tag) if ch.dst != node
         )
         self._p1_count[node] += 1
         if self._p1_count[node] == self.phase1_expected:

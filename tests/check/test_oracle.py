@@ -4,7 +4,7 @@ and bit-identical to the unchecked network either way."""
 import pytest
 
 from repro.api import simulate_alltoall
-from repro.check import CheckConfig, InvariantError
+from repro.check import CheckConfig, InvariantError, oracle
 from repro.check.fuzz import broken_dedup
 from repro.model.torus import TorusShape
 from repro.net.faults import FaultPlan
@@ -21,7 +21,7 @@ from repro.strategies import (
     VirtualMesh2D,
 )
 
-CHECK = CheckConfig(audit_interval=64)
+CHECK = CheckConfig()
 SHAPE = TorusShape.parse("4x4x2")
 STRATEGIES = [
     ARDirect(),
@@ -46,6 +46,13 @@ STRATEGY_IDS = [
     "TPS-credit",
     "VMesh",
 ]
+
+
+@pytest.fixture(autouse=True)
+def _frequent_audits(monkeypatch):
+    # Audit progress every 64 deliveries, so these small runs audit
+    # mid-run and not only at the end.
+    monkeypatch.setattr(oracle, "AUDIT_INTERVAL", 64)
 
 
 def _lossy_plan(shape=SHAPE, **kw):
@@ -85,22 +92,6 @@ class TestCleanRunsStaySilent:
         )
 
 
-class TestBuildNetworkSelection:
-    def test_disabled_config_selects_plain_classes(self):
-        all_off = CheckConfig(
-            conservation=False, exactly_once=False, credits=False,
-            progress=False, phases=False,
-        )
-        assert not all_off.enabled
-        net = build_network(SHAPE, check=all_off)
-        assert type(net) is TorusNetwork
-        assert type(build_network(SHAPE, check=None)) is TorusNetwork
-
-    def test_audit_interval_validated(self):
-        with pytest.raises(ValueError):
-            CheckConfig(audit_interval=0)
-
-
 class TestSabotageIsCaught:
     def test_broken_dedup_trips_exactly_once_oracle(self):
         plan = _lossy_plan()
@@ -130,10 +121,11 @@ class TestSabotageIsCaught:
                 )
         assert {"cycle", "seq", "pid"} <= exc_info.value.context.keys()
 
-    def test_counter_corruption_trips_progress_audit(self):
+    def test_counter_corruption_trips_progress_audit(self, monkeypatch):
+        monkeypatch.setattr(oracle, "AUDIT_INTERVAL", 16)
         shape = TorusShape.parse("4x4")
         strategy = ARDirect()
-        net = build_network(shape, check=CheckConfig(audit_interval=16))
+        net = build_network(shape, check=CHECK)
 
         original = TorusNetwork._finish_delivery
         state = {"fired": False}

@@ -16,6 +16,7 @@ import itertools
 
 import pytest
 
+from repro.check import oracle
 from repro.check.config import CheckConfig
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
@@ -58,9 +59,12 @@ class TestLayerLattice:
         list(itertools.product((False, True), repeat=3)),
         ids=lambda v: "on" if v else "off",
     )
-    def test_every_layer_combination(self, faulty, observed, checked):
+    def test_every_layer_combination(
+        self, monkeypatch, faulty, observed, checked
+    ):
+        monkeypatch.setattr(oracle, "AUDIT_INTERVAL", 64)
         obs = ObsConfig(metrics=True, link_stats=True) if observed else None
-        check = CheckConfig(audit_interval=64) if checked else None
+        check = CheckConfig() if checked else None
         net, res = _run(faulty, obs, check)
 
         assert type(net) is (FaultyTorusNetwork if faulty else TorusNetwork)

@@ -25,8 +25,8 @@ class DroppingTPS(BaseProgram):
     def injection_plan(self, node):
         return self.inner.injection_plan(node)
 
-    def on_delivery(self, node, packet, now):
-        out = list(self.inner.on_delivery(node, packet, now))
+    def on_delivery(self, node, src, spec):
+        out = list(self.inner.on_delivery(node, src, spec))
         if out:
             self._count += 1
             if self._count % 5 == 0:

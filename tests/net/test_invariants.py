@@ -13,7 +13,7 @@ covered by the sabotage tests in ``tests/check/test_oracle.py``.
 
 import pytest
 
-from repro.check import CheckConfig
+from repro.check import CheckConfig, oracle
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net import ListProgram, PacketSpec
@@ -21,7 +21,13 @@ from repro.net.faultsim import build_network
 from repro.net.simulator import RECEPTION_FIFO_DEPTH
 from repro.strategies import ARDirect, TwoPhaseSchedule, VirtualMesh2D
 
-CHECK = CheckConfig(audit_interval=64)
+CHECK = CheckConfig()
+
+
+@pytest.fixture(autouse=True)
+def _frequent_audits(monkeypatch):
+    # Audit progress every 64 deliveries, not only at the end.
+    monkeypatch.setattr(oracle, "AUDIT_INTERVAL", 64)
 
 
 def run_checked(shape_lbl, program, fifo_groups=1):

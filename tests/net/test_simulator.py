@@ -383,8 +383,8 @@ class TestForwarding:
                     )
                 return iter(())
 
-            def on_delivery(self, node, packet, now):
-                if packet.final_dst == node:
+            def on_delivery(self, node, src, spec):
+                if spec.final_dst == node:
                     return ()
                 return (PacketSpec(dst=2, wire_bytes=64, final_dst=2),)
 
@@ -434,7 +434,8 @@ class _Proxy:
 
 class TestNonForwardingDelivery:
     """``BaseProgram.on_delivery`` rejects a non-final delivery, on the
-    plain path (no ``Packet`` built) and through a duck-typed program."""
+    plain path (final deliveries skip the hook) and through a duck-typed
+    program."""
 
     @pytest.mark.parametrize("wrap", [False, True], ids=["plain", "proxy"])
     def test_non_final_delivery_raises(self, wrap):

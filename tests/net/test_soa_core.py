@@ -23,7 +23,7 @@ from repro.net import (
     build_network,
 )
 from repro.net import simulator
-from repro.net.packet import NO_VC, Packet, PacketPool, RoutingMode
+from repro.net.packet import PacketPool, RoutingMode
 from repro.net.simulator import TICK_SCALE, TICK_UNSCALE
 
 
@@ -47,23 +47,6 @@ def _spec(dst=3, **over):
 
 
 class TestPacketPool:
-    def test_alloc_initializes_like_from_spec(self):
-        pool = PacketPool(4)
-        spec = _spec()
-        h = pool.alloc(11, 2, spec, 123.0)
-        ref = Packet.from_spec(11, 2, spec, 123.0)
-        pkt = pool.materialize(h, 123.0, 456.0)
-        assert (pkt.pid, pkt.src, pkt.dst) == (ref.pid, ref.src, ref.dst)
-        assert pkt.wire_bytes == ref.wire_bytes
-        assert pkt.mode is RoutingMode.ADAPTIVE
-        assert pkt.tag == ref.tag
-        assert pkt.final_dst == ref.final_dst
-        assert pkt.payload_bytes == ref.payload_bytes
-        assert pkt.hops == 0 and pkt.vc == NO_VC
-        assert pkt.halfbits == ref.halfbits
-        assert pkt.seq == ref.seq and pkt.downphase is False
-        assert pkt.deliver_time == 456.0
-
     def test_release_recycles_lifo(self):
         pool = PacketPool(4)
         h = pool.alloc(0, 0, _spec(), 0.0)
@@ -74,7 +57,7 @@ class TestPacketPool:
     def test_exhaustion_grows_columns_in_place(self):
         pool = PacketPool(2)
         # The simulator hoists column references once, at construction.
-        src_col, dst_col, tag_col = pool.src, pool.dst, pool.tag
+        src_col, dst_col, spec_col = pool.src, pool.dst, pool.spec
         route_col = pool.route
         handles = []
         for i in range(5):
@@ -91,13 +74,14 @@ class TestPacketPool:
         # so the borrowed references still see every live packet.
         assert pool.src is src_col
         assert pool.dst is dst_col
-        assert pool.tag is tag_col
+        assert pool.spec is spec_col
         assert pool.route is route_col
         assert len(route_col) == pool.capacity
         assert len(handles) == len(set(handles))
         for i, h in enumerate(handles):
             assert src_col[h] == i
             assert dst_col[h] == i + 10
+            assert spec_col[h].dst == i + 10
             assert route_col[h] == 100 + i
 
     def test_regrowth_preserves_free_list_integrity(self):

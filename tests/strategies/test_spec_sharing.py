@@ -10,6 +10,8 @@ source and the exchange must still verify.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.functional import run_and_verify
@@ -22,9 +24,11 @@ from repro.strategies.data import ChunkTag
 BGL = MachineParams.bluegene_l()
 
 
-def _kernel_specs(strategy, spec: str, m: int, seed: int = 0):
+def _kernel_specs(strategy, spec: str, m: int, seed: int = 0, calls=None):
     """Run *strategy* and return (each node's plan, forwarded spec
-    batches) as the kernel received them, with the run's result."""
+    batches) as the kernel received them, with the run's result.  A
+    *calls* list collects each delivery hook call as (node, src, spec,
+    returned specs)."""
     shape = TorusShape.parse(spec)
     prog = strategy.build_program(shape, m, BGL, seed)
     planned: list = [[] for _ in range(shape.nnodes)]
@@ -36,8 +40,10 @@ def _kernel_specs(strategy, spec: str, m: int, seed: int = 0):
             planned[node].append(s)
             yield s
 
-    def on_delivery(node, packet, now):
-        out = list(deliver(node, packet, now))
+    def on_delivery(node, src, spec):
+        out = list(deliver(node, src, spec))
+        if calls is not None:
+            calls.append((node, src, spec, out))
         if out:
             forwarded.append(out)
         return out
@@ -115,6 +121,31 @@ class TestSharedWithoutData:
 
 
 STRATEGIES = [TwoPhaseSchedule(), CreditedTPS(), VirtualMesh2D()]
+
+
+class TestDeliveryHandsOverTheInjectedSpec:
+    @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
+    def test_hook_gets_the_spec_its_source_emitted(self, strategy):
+        # Every delivery hands the hook the very spec object its source
+        # planned or forwarded, and that source's rank: nothing is
+        # rebuilt between injection and delivery.
+        calls: list = []
+        plans, _, res = _kernel_specs(strategy, "4x4x2", 256, calls=calls)
+        emitted = [Counter(map(id, plan)) for plan in plans]
+        for node, _, _, out in calls:
+            emitted[node].update(map(id, out))
+        non_final = 0
+        for node, src, spec, _ in calls:
+            assert emitted[src][id(spec)] > 0, (node, src, spec)
+            emitted[src][id(spec)] -= 1
+            non_final += spec.final_dst != node
+        # Each emission is delivered exactly once, and every delivery
+        # reached the hook.
+        assert not any(+c for c in emitted)
+        assert len(calls) == res.delivered_packets
+        assert non_final == res.forwarded_packets
+        if strategy.name.startswith("TPS"):
+            assert non_final > 0
 
 
 class TestPerSourceWithData:

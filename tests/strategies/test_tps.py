@@ -106,7 +106,7 @@ class TestPlan:
         )
 
     def test_forwarding_spec(self, bgl):
-        from repro.net.packet import Packet, PacketSpec
+        from repro.net.packet import PacketSpec
 
         shape = TorusShape.parse("4x4x8")
         prog = TwoPhaseSchedule().build_program(shape, 64, bgl)
@@ -114,21 +114,19 @@ class TestPlan:
         dst = shape.rank((2, 3, 5))
         mid = prog.intermediate_for(src, dst)
         spec = PacketSpec(dst=mid, wire_bytes=128, tag="tps1", final_dst=dst)
-        pkt = Packet.from_spec(0, src, spec, 0.0)
-        fwd = list(prog.on_delivery(mid, pkt, 0.0))
+        fwd = list(prog.on_delivery(mid, src, spec))
         assert len(fwd) == 1
         assert fwd[0].dst == dst
         assert fwd[0].fifo_group == PHASE2_GROUP
         assert not fwd[0].new_message
 
     def test_final_delivery_no_forward(self, bgl):
-        from repro.net.packet import Packet, PacketSpec
+        from repro.net.packet import PacketSpec
 
         shape = TorusShape.parse("4x4x8")
         prog = TwoPhaseSchedule().build_program(shape, 64, bgl)
         spec = PacketSpec(dst=3, wire_bytes=128, tag="tps2", final_dst=3)
-        pkt = Packet.from_spec(0, 0, spec, 0.0)
-        assert list(prog.on_delivery(3, pkt, 0.0)) == []
+        assert list(prog.on_delivery(3, 0, spec)) == []
 
 
 class TestPrediction:

@@ -108,17 +108,15 @@ class TestProgram:
         assert prog.expected_final_deliveries() == 16 * 6
 
     def test_phase2_triggered_after_all_rows(self, bgl):
-        from repro.net.packet import Packet, PacketSpec
+        from repro.net.packet import PacketSpec
 
         shape = TorusShape.parse("4x4")
         prog = VirtualMesh2D().build_program(shape, 8, bgl)
         node = 0
+        spec = PacketSpec(dst=node, wire_bytes=128, tag="vmesh1")
         fwd_total = []
-        for i in range(prog.phase1_expected):
-            spec = PacketSpec(dst=node, wire_bytes=128, tag="vmesh1",
-                              final_dst=node)
-            pkt = Packet.from_spec(i, 1, spec, 0.0)
-            fwd_total.extend(prog.on_delivery(node, pkt, 0.0))
+        for _ in range(prog.phase1_expected):
+            fwd_total.extend(prog.on_delivery(node, 1, spec))
         # Nothing until the last row message, then all column messages.
         assert len(fwd_total) == (prog.map.pvy - 1) * len(prog.col_packets)
 

@@ -12,6 +12,7 @@ Run:  python examples/asymmetric_torus.py
 from repro import TorusShape, simulate_alltoall
 from repro.analysis import render_table
 from repro.model import asymmetry_metrics
+from repro.obs import LinkAnalytics
 from repro.strategies import ARDirect, TwoPhaseSchedule
 
 # 128 nodes in three aspect ratios (1:1:2 up to 1:2:4).
@@ -26,7 +27,12 @@ def main() -> None:
         metrics = asymmetry_metrics(shape)
         ar = simulate_alltoall(ARDirect(), shape, MSG_BYTES)
         tps = simulate_alltoall(TwoPhaseSchedule(), shape, MSG_BYTES)
-        axis_util = ar.result.axis_utilization(shape)
+        axis_util = [
+            pct / 100.0
+            for pct in LinkAnalytics.from_result(
+                ar.result, shape, ar.params.beta_cycles_per_byte
+            ).axis_percent_of_peak()
+        ]
         rows.append(
             {
                 "partition": lbl,

@@ -346,10 +346,11 @@ def main(argv: list[str] | None = None) -> int:
     except (TypeError, ValueError) as exc:
         runp.error(str(exc))
 
+    env: dict[str, str] = {}
     if args.no_cache:
-        os.environ["REPRO_CACHE"] = "0"
+        env["REPRO_CACHE"] = "0"
     if args.progress is not None:
-        os.environ["REPRO_PROGRESS"] = "1" if args.progress else "0"
+        env["REPRO_PROGRESS"] = "1" if args.progress else "0"
 
     ids = list(ALL) if args.exp_id == "all" else [args.exp_id]
 
@@ -375,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
 
     sup_ctx = supervising(sup_cfg)
 
+    # Pool workers inherit the settings; the caller gets its own values
+    # back, so its later in-process sweeps are not left uncached or silent.
+    prev_env = {k: os.environ.get(k) for k in env}
+    os.environ.update(env)
     try:
         with _sigterm_interrupts(), ctx as collected, chk_ctx, sup_ctx:
             results = []
@@ -418,6 +423,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("\ninterrupted", file=sys.stderr)
         return 130
+    finally:
+        for k, v in prev_env.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
     if args.cache_stats:
         _print_cache_stats()
     return 0

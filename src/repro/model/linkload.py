@@ -10,8 +10,8 @@ the load of the Y and Z links, so adaptive routing backs up behind X.
 
 Loads are reported in *bytes per directed link* for an all-to-all in which
 each of the P nodes sends ``m_bytes`` to every node (self included, matching
-the Section 2.1 model's accounting; excluding self-traffic changes loads by
-O(1/P) and is available via ``include_self=False``).
+the Section 2.1 model's accounting; self pairs make zero hops, so they add
+no load).
 """
 
 from __future__ import annotations
@@ -25,16 +25,12 @@ from repro.model.torus import TorusShape
 from repro.util.validation import require
 
 
-def _pair_displacement_counts(n: int, torus: bool, include_self: bool) -> np.ndarray:
+def _pair_displacement_counts(n: int, torus: bool) -> np.ndarray:
     """count[k] = number of ordered (s, t) pairs in one dimension whose
     shortest |displacement| is k, for s, t in [0, n)."""
     counts = np.zeros(n, dtype=np.int64)
     for s in range(n):
         for t in range(n):
-            if not include_self and s == t:
-                # handled by caller at full-coordinate granularity; per-dim
-                # we always include all pairs and correct at the top level.
-                pass
             if torus and n > 2:
                 d = (t - s) % n
                 k = min(d, n - d)
@@ -44,21 +40,18 @@ def _pair_displacement_counts(n: int, torus: bool, include_self: bool) -> np.nda
     return counts
 
 
-def dim_byte_hops(
-    shape: TorusShape, m_bytes: float, include_self: bool = True
-) -> np.ndarray:
+def dim_byte_hops(shape: TorusShape, m_bytes: float) -> np.ndarray:
     """Total byte-hops the all-to-all induces in each dimension.
 
     byte_hops[d] = m * sum over ordered (src,dst) pairs of |disp_d|.
-    Factorizes: (P/n_d)^2 * (pairwise 1-D hop sum) * m, optionally minus the
-    (zero-hop) self pairs, which contribute nothing anyway.
+    Factorizes: (P/n_d)^2 * (pairwise 1-D hop sum) * m.
     """
     require(m_bytes >= 0, "m_bytes must be >= 0")
     p = shape.nnodes
     out = np.zeros(shape.ndim, dtype=np.float64)
     for axis in range(shape.ndim):
         n = shape.dims[axis]
-        counts = _pair_displacement_counts(n, shape.wrap_effective(axis), True)
+        counts = _pair_displacement_counts(n, shape.wrap_effective(axis))
         hop_sum_1d = float(np.dot(counts, np.arange(n)))
         rows = p // n
         out[axis] = rows * rows * hop_sum_1d * m_bytes
@@ -95,7 +88,7 @@ def dor_max_link_loads(shape: TorusShape, m_bytes: float) -> np.ndarray:
             continue
         rows = p // n
         if shape.wrap_effective(axis):
-            counts = _pair_displacement_counts(n, True, True)
+            counts = _pair_displacement_counts(n, True)
             hop_sum_1d = float(np.dot(counts, np.arange(n)))
             loads[axis] = rows * rows * hop_sum_1d * m_bytes / shape.links_in_dim(axis)
         else:

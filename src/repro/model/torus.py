@@ -14,16 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro.util.coords import (
-    Coord,
-    all_coords,
-    coord_to_rank,
-    hop_vector,
-    mean_hops_per_dim,
-    rank_to_coord,
-)
 from repro.util.validation import check_positive_int, require
 
 _DIM_RE = re.compile(r"^(\d+)(M?)$", re.IGNORECASE)
@@ -152,24 +144,38 @@ class TorusShape:
         return self.torus[axis] and self.dims[axis] > 2
 
     # ------------------------------------------------------------------ #
-    # coordinates
+    # coordinates (X fastest: rank = x + Px*(y + Py*z), the BG/L XYZ order)
     # ------------------------------------------------------------------ #
 
-    def coord(self, rank: int) -> Coord:
-        """Coordinate of *rank* (X fastest)."""
-        return rank_to_coord(rank, self.dims)
+    def coord(self, rank: int) -> tuple[int, ...]:
+        """Coordinate of *rank*, the inverse of :meth:`rank`.
+
+        >>> TorusShape.parse("8x8x8").coord(209)
+        (1, 2, 3)
+        """
+        total = self.nnodes
+        require(0 <= rank < total, f"rank {rank} out of range [0,{total})")
+        coord = []
+        for d in self.dims:
+            coord.append(rank % d)
+            rank //= d
+        return tuple(coord)
 
     def rank(self, coord: Sequence[int]) -> int:
-        """Rank of *coord*."""
-        return coord_to_rank(coord, self.dims)
+        """Linearize *coord*, X (``dims[0]``) fastest.
 
-    def coords(self) -> Iterator[Coord]:
-        """All coordinates in rank order."""
-        return all_coords(self.dims)
-
-    def hops(self, src: Sequence[int], dst: Sequence[int]) -> Coord:
-        """Signed shortest-path hop vector from *src* to *dst*."""
-        return hop_vector(src, dst, self.dims, self.torus)
+        >>> TorusShape.parse("8x8x8").rank((1, 2, 3))
+        209
+        """
+        dims = self.dims
+        require(len(coord) == len(dims), "coord/dims dimensionality mismatch")
+        rank = 0
+        stride = 1
+        for c, d in zip(coord, dims):
+            require(0 <= c < d, f"coordinate {c} out of range [0,{d})")
+            rank += c * stride
+            stride *= d
+        return rank
 
     # ------------------------------------------------------------------ #
     # link accounting
@@ -197,8 +203,26 @@ class TorusShape:
         return sum(self.links_in_dim(a) for a in range(self.ndim))
 
     def mean_hops(self, axis: int) -> float:
-        """Mean |hops| in *axis* over all ordered (src,dst) pairs."""
-        return mean_hops_per_dim(self.dims[axis], self.wrap_effective(axis))
+        """Mean |hops| in *axis* over all ordered (src, dst) pairs drawn
+        uniformly (self-pairs included, as in the paper's model).
+
+        Torus of extent n: the paper's Section 2 uses n/4.  The exact
+        all-pairs average is n/4 for even n (each |d| in 1..n/2-1 appears
+        twice per source, d = n/2 once), and (n^2-1)/(4n) for odd n; we
+        return the exact value, which equals the paper's n/4 for the even
+        extents BG/L uses.
+
+        Mesh (or an extent-2 torus, whose wrap adds no link) of extent n:
+        the exact all-pairs average is (n^2 - 1) / (3 n).
+        """
+        n = self.dims[axis]
+        if n == 1:
+            return 0.0
+        if self.wrap_effective(axis):
+            if n % 2 == 0:
+                return n / 4.0
+            return (n * n - 1) / (4.0 * n)
+        return (n * n - 1) / (3.0 * n)
 
     @cached_property
     def mean_total_hops(self) -> float:

@@ -18,12 +18,7 @@ from repro.net.faultsim import FaultyTorusNetwork, build_network
 from repro.net.packet import NO_VC, PacketSpec, RoutingMode
 from repro.net.program import BaseProgram, ListProgram, NodeProgram
 from repro.net.simulator import TorusNetwork
-from repro.net.topology import (
-    Topology,
-    direction_axis,
-    direction_of,
-    direction_sign,
-)
+from repro.net.topology import Topology, direction_of
 from repro.net.trace import SimStats, SimulationResult
 
 __all__ = [
@@ -43,9 +38,7 @@ __all__ = [
     "NodeProgram",
     "TorusNetwork",
     "Topology",
-    "direction_axis",
     "direction_of",
-    "direction_sign",
     "SimStats",
     "SimulationResult",
 ]

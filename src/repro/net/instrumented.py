@@ -93,9 +93,9 @@ class Instrumentation(SimObserver):
         tr = self.tracer = (
             Tracer(sample=obs.trace_sample) if obs.trace else None
         )
-        kinds = tr.kinds if tr is not None else frozenset()
-        want = tr.want if tr is not None else None
-        emit = tr.emit if tr is not None else None
+        traced = tr is not None
+        want = tr.want if traced else None
+        emit = tr.emit if traced else None
         metrics = axis_ts = lat_hist = None
         if obs.metrics:
             metrics = self.metrics = MetricsRegistry()
@@ -148,13 +148,12 @@ class Instrumentation(SimObserver):
                     lost_ctr().inc()
                 if flags & LAUNCH_REROUTED:
                     reroute_ctr().inc()
-            if want is not None and want(P_pid[h]):
+            if traced and want(P_pid[h]):
                 pid = P_pid[h]
-                if "link" in kinds:
-                    emit(now_f, "link", u, d, dur, pid)
-                if "reroute" in kinds and flags & LAUNCH_REROUTED:
+                emit(now_f, "link", u, d, dur, pid)
+                if flags & LAUNCH_REROUTED:
                     emit(now_f, "reroute", u, d, pid)
-                if "drop" in kinds and flags & LAUNCH_DROPPED:
+                if flags & LAUNCH_DROPPED:
                     emit(now_f, "drop", u, d, pid)
             if ls_on:
                 ls_bytes[li] += P_wire[h]
@@ -216,8 +215,7 @@ class Instrumentation(SimObserver):
 
             hooks["stall"] = stall
 
-        trace_queue = "queue" in kinds
-        if metrics is not None or trace_queue:
+        if metrics is not None or traced:
             q_n = net._q_n
             port_dir = net._port_dir
 
@@ -229,7 +227,7 @@ class Instrumentation(SimObserver):
                     # pressure).
                     if metrics is not None:
                         queue_gauge().set(depth)
-                    if trace_queue and want(P_pid[h]):
+                    if traced and want(P_pid[h]):
                         emit(
                             net._now * TICK_UNSCALE,
                             "queue",
@@ -241,8 +239,7 @@ class Instrumentation(SimObserver):
 
             hooks["arrive"] = arrive
 
-        trace_inject = "inject" in kinds
-        if metrics is not None or trace_inject:
+        if metrics is not None or traced:
             fifo_free = net._fifo_free
             slots = nfifos * net.params.injection_fifo_depth
 
@@ -254,13 +251,12 @@ class Instrumentation(SimObserver):
                 # Injections are the only consumer of the pid counter, so
                 # the packet just injected has id injected_packets - 1.
                 pid = st.injected_packets - 1
-                if trace_inject and want(pid):
+                if traced and want(pid):
                     emit(net._now * TICK_UNSCALE, "inject", u, pid)
 
             hooks["inject"] = inject
 
-        trace_deliver = "deliver" in kinds
-        if metrics is not None or trace_deliver or prof is not None:
+        if metrics is not None or traced or prof is not None:
             fwd_pending = net._fwd_pending
 
             def deliver(u, h):
@@ -273,7 +269,7 @@ class Instrumentation(SimObserver):
                     backlog = len(fwd_pending[u])
                     if backlog:
                         backlog_gauge().set(backlog)
-                if trace_deliver and want(P_pid[h]):
+                if traced and want(P_pid[h]):
                     emit(
                         now * TICK_UNSCALE,
                         "deliver",
@@ -293,15 +289,14 @@ class Instrumentation(SimObserver):
 
             hooks["deliver"] = deliver
 
-        trace_retx = "retx" in kinds
-        if ls_on or metrics is not None or trace_retx:
+        if ls_on or metrics is not None or traced:
 
             def retx(src, seq, attempt):
                 if ls_on:
                     ls_retx[src] += 1
                 if metrics is not None:
                     retx_ctr().inc()
-                if trace_retx:
+                if traced:
                     emit(net._now * TICK_UNSCALE, "retx", src, seq, attempt)
 
             hooks["retx"] = retx

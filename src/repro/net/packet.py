@@ -121,9 +121,10 @@ class PacketPool:
     leaves it alone.
 
     Handles are recycled through a LIFO ``free`` list (hot handles stay
-    cache-warm).  When the pool runs dry it doubles every column *in
-    place* via ``list.extend``, so references to the column lists held
-    by the simulator remain valid across regrowth.
+    cache-warm): whoever retires a handle appends it to ``free``.  When
+    the pool runs dry it doubles every column *in place* via
+    ``list.extend``, so references to the column lists held by the
+    simulator remain valid across regrowth.
     """
 
     __slots__ = (
@@ -212,8 +213,3 @@ class PacketPool:
         self.seq[h] = spec.seq
         self.downphase[h] = False
         return h
-
-    def release(self, h: int) -> None:
-        """Return a handle to the free list (caller must not use it
-        again until re-allocated)."""
-        self.free.append(h)

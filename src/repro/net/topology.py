@@ -3,7 +3,8 @@
 Directions are numbered ``2*axis + 0`` for the positive and ``2*axis + 1``
 for the negative direction of each axis, giving 2, 4 or 6 directions for
 1-D, 2-D or 3-D partitions.  A direction with no link (mesh edge, or a
-dimension of extent 1) maps to neighbor ``-1``.
+dimension of extent 1) maps to neighbor ``-1``.  Which way round an axis
+a packet goes is decided in :mod:`repro.net.displacement` alone.
 """
 
 from __future__ import annotations
@@ -13,22 +14,11 @@ from functools import cached_property
 import numpy as np
 
 from repro.model.torus import TorusShape
-from repro.util.validation import require
 
 
 def direction_of(axis: int, positive: bool) -> int:
     """Direction index for (*axis*, sign)."""
     return 2 * axis + (0 if positive else 1)
-
-
-def direction_axis(direction: int) -> int:
-    """Axis of a direction index."""
-    return direction // 2
-
-
-def direction_sign(direction: int) -> int:
-    """+1 or -1 for a direction index."""
-    return 1 if direction % 2 == 0 else -1
 
 
 class Topology:
@@ -88,47 +78,3 @@ class Topology:
     def num_links(self) -> int:
         """Total directed links (matches ``TorusShape.total_links``)."""
         return int((self.neighbor >= 0).sum())
-
-    def displacement(self, cur: int, dst: int, axis: int) -> int:
-        """Shortest signed displacement from *cur* to *dst* along *axis*
-        (wrap-aware on effective-torus dimensions, positive tie-break)."""
-        n = self.shape.dims[axis]
-        d = int(self.coords[dst, axis]) - int(self.coords[cur, axis])
-        if self.shape.wrap_effective(axis):
-            d %= n
-            if d > n // 2:
-                d -= n
-            # d == n/2 stays positive (tie-break toward +)
-        return d
-
-    def profitable_direction(self, cur: int, dst: int, axis: int) -> int:
-        """Direction reducing |displacement| on *axis*, or -1 if none."""
-        d = self.displacement(cur, dst, axis)
-        if d == 0:
-            return -1
-        return direction_of(axis, d > 0)
-
-    def profitable_directions(self, cur: int, dst: int) -> list[int]:
-        """All directions that make minimal progress toward *dst*."""
-        out = []
-        for axis in range(self.ndim):
-            dd = self.profitable_direction(cur, dst, axis)
-            if dd >= 0:
-                out.append(dd)
-        return out
-
-    def dimension_order_direction(self, cur: int, dst: int) -> int:
-        """The unique dimension-ordered (X then Y then Z) next direction,
-        or -1 if *cur* == *dst* coordinate-wise."""
-        for axis in range(self.ndim):
-            dd = self.profitable_direction(cur, dst, axis)
-            if dd >= 0:
-                return dd
-        return -1
-
-    def min_hops(self, src: int, dst: int) -> int:
-        """Minimal hop count between two ranks."""
-        require(0 <= src < self.nnodes and 0 <= dst < self.nnodes, "rank range")
-        return sum(
-            abs(self.displacement(src, dst, a)) for a in range(self.ndim)
-        )

@@ -3,7 +3,9 @@
 :class:`SimStats` accumulates counters during a run;
 :class:`SimulationResult` is the immutable summary handed back to callers,
 carrying everything the experiment harness needs: completion time, per-link
-utilization, delivery latencies and event counts.
+busy cycles and packet counts, delivery latencies and event counts.
+:class:`repro.obs.linkstats.LinkAnalytics` turns the link counters into
+utilization and percent of peak.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-from repro.model.torus import TorusShape
 
 
 @dataclass(slots=True)
@@ -80,55 +80,3 @@ class SimulationResult:
     #: built by code predating the counter.
     link_packets: Optional[np.ndarray] = None
     extras: dict = field(default_factory=dict)
-
-    @property
-    def mean_link_utilization(self) -> float:
-        """Mean busy fraction over existing links during the run."""
-        if self.time_cycles <= 0 or self.num_links == 0:
-            return 0.0
-        return float(self.link_busy_cycles.sum()) / (
-            self.time_cycles * self.num_links
-        )
-
-    @property
-    def max_link_utilization(self) -> float:
-        """Busy fraction of the hottest link."""
-        if self.time_cycles <= 0 or self.link_busy_cycles.size == 0:
-            return 0.0
-        return float(self.link_busy_cycles.max()) / self.time_cycles
-
-    def _check_shape(self, shape: TorusShape) -> None:
-        """Reject a *shape* that cannot be the one this run simulated.
-
-        The busy matrix is (nnodes, 2*ndim); passing a mismatched shape
-        used to index out of bounds or silently misattribute columns to
-        the wrong axis.
-        """
-        nnodes, ncols = self.link_busy_cycles.shape
-        if shape.nnodes != nnodes or 2 * shape.ndim != ncols:
-            raise ValueError(
-                f"shape {shape.dims} (nnodes={shape.nnodes}, "
-                f"ndim={shape.ndim}) does not match this run's busy "
-                f"matrix of {nnodes} nodes x {ncols} directions"
-            )
-
-    def axis_utilization(self, shape: TorusShape) -> list[float]:
-        """Mean busy fraction per dimension (+/- pooled), confirming the
-        Section 3.2 analysis that long dimensions run hotter.
-
-        Degenerate axes are handled explicitly: an extent-1 dimension has
-        no links (utilization 0.0), and an extent-2 dimension counts its
-        links once even when the torus flag is set (the wrap link *is*
-        the mesh link, which :meth:`TorusShape.links_in_dim` already
-        accounts for)."""
-        self._check_shape(shape)
-        out = []
-        for axis in range(shape.ndim):
-            cols = [2 * axis, 2 * axis + 1]
-            busy = self.link_busy_cycles[:, cols]
-            nlinks = shape.links_in_dim(axis)
-            if nlinks == 0 or self.time_cycles <= 0:
-                out.append(0.0)
-            else:
-                out.append(float(busy.sum()) / (self.time_cycles * nlinks))
-        return out

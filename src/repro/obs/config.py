@@ -8,10 +8,10 @@ instrumentation observer only when :attr:`ObsConfig.enabled` is true.  The
 default (``None`` everywhere) attaches no observer: the run kernel builds
 no hook wrapper, each hook site costs one ``is not None`` test, and
 ``tests/check/test_oracle.py`` counts frames to show such a run enters no
-``repro.obs`` code.  Sizes and filters (trace ring capacity, traced event
-kinds, time-series bucket width and cap) are the
-:class:`~repro.obs.tracer.Tracer` and
-:class:`~repro.obs.metrics.MetricsRegistry` defaults.
+``repro.obs`` code.  Sizes (trace ring capacity, time-series bucket width
+and cap) are the :class:`~repro.obs.tracer.Tracer` and
+:class:`~repro.obs.metrics.MetricsRegistry` defaults; a traced run
+records every event kind.
 """
 
 from __future__ import annotations

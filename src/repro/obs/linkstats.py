@@ -153,7 +153,20 @@ class LinkAnalytics:
         """Build the always-available subset from a plain
         :class:`~repro.net.trace.SimulationResult` (no ``link_stats``
         payload needed: the core collects busy cycles and packet counts
-        on every run).  Prefers the full payload when present."""
+        on every run).  Prefers the full payload when present.
+
+        Raises ``ValueError`` when *shape* cannot be the one the run
+        simulated: the busy matrix is (nnodes, 2*ndim), and a mismatched
+        shape would misattribute columns to the wrong axis.  A shape of
+        the same node count and dimensionality (other torus flags, say)
+        cannot be told apart from the matrix and passes."""
+        nnodes, ncols = result.link_busy_cycles.shape
+        if shape.nnodes != nnodes or 2 * shape.ndim != ncols:
+            raise ValueError(
+                f"shape {shape.dims} (nnodes={shape.nnodes}, "
+                f"ndim={shape.ndim}) does not match this run's busy "
+                f"matrix of {nnodes} nodes x {ncols} directions"
+            )
         obs = result.extras.get("obs") if isinstance(result.extras, dict) else None
         if obs and "link_stats" in obs:
             return cls.from_payload(obs["link_stats"])
@@ -231,14 +244,6 @@ class LinkAnalytics:
     # hot spots
     # -------------------------------------------------------------- #
 
-    def _coords(self, node: int) -> tuple[int, ...]:
-        out = []
-        rem = node
-        for d in self.shape.dims:
-            out.append(rem % d)
-            rem //= d
-        return tuple(out)
-
     def hotspots(self, top: int = 10) -> list[dict]:
         """The *top* most-loaded links, hottest first.
 
@@ -258,7 +263,7 @@ class LinkAnalytics:
             axis = d >> 1
             entry = {
                 "node": u,
-                "coords": list(self._coords(u)),
+                "coords": list(self.shape.coord(u)),
                 "direction": f"{AXIS_NAMES[axis]}{'+' if d % 2 == 0 else '-'}",
                 "axis": AXIS_NAMES[axis],
                 "utilization": float(flat[li]),

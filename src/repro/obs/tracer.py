@@ -65,17 +65,14 @@ _FIELDS = {
 class Tracer:
     """Bounded, sampled recorder of simulation lifecycle events.
 
-    The instrumented network calls :meth:`want` (sampling gate) and the
-    ``emit_*`` methods; everything else is export-side.
+    The instrumented network calls :meth:`want` (sampling gate) and
+    :meth:`emit`; everything else is export-side.
     """
 
-    __slots__ = ("capacity", "sample", "kinds", "events", "total", "_seq")
+    __slots__ = ("capacity", "sample", "events", "total", "_seq")
 
     def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        sample: int = 1,
-        kinds: Optional[Iterable[str]] = None,
+        self, capacity: int = DEFAULT_CAPACITY, sample: int = 1
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -83,17 +80,6 @@ class Tracer:
             raise ValueError("sample must be >= 1")
         self.capacity = capacity
         self.sample = sample
-        if kinds is None:
-            self.kinds = frozenset(EVENT_KINDS)
-        else:
-            kinds = frozenset(kinds)
-            unknown = kinds - frozenset(EVENT_KINDS)
-            if unknown:
-                raise ValueError(
-                    f"unknown trace event kinds: {sorted(unknown)}; "
-                    f"known: {list(EVENT_KINDS)}"
-                )
-            self.kinds = kinds
         #: Ring of (t, seq, kind, *fields) rows; seq makes sort stable.
         self.events: deque[tuple] = deque(maxlen=capacity)
         #: Events emitted (recorded + overwritten); ``total - len(events)``

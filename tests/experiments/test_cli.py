@@ -1,6 +1,7 @@
 """CLI smoke tests (bgl-alltoall)."""
 
 import json
+import os
 
 import pytest
 
@@ -95,6 +96,16 @@ def test_cache_stats_flag(capsys):
     out = capsys.readouterr().out
     assert "cache:" in out
     assert "hit(s)" in out and "miss(es)" in out and "store(s)" in out
+
+
+def test_run_settings_leave_the_environment_as_found(monkeypatch):
+    # REPRO_CACHE starts unset (fixture), REPRO_PROGRESS set: after the
+    # run, one is unset again and the other reads its old value.
+    monkeypatch.setenv("REPRO_PROGRESS", "0")
+    argv = ["run", "fig5_vmesh_pred", "--scale", "tiny", "--no-cache"]
+    assert main(argv + ["--progress"]) == 0
+    assert "REPRO_CACHE" not in os.environ
+    assert os.environ["REPRO_PROGRESS"] == "0"
 
 
 def test_provenance_flag(capsys):

@@ -12,6 +12,7 @@ pytestmark = pytest.mark.slow
 from repro.api import simulate_alltoall
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
+from repro.obs import LinkAnalytics
 from repro.strategies import (
     ARDirect,
     DRDirect,
@@ -51,9 +52,10 @@ class TestSection32_AsymmetricContention:
 
     def test_long_dimension_runs_hotter(self, runs):
         # "in a 2n x n x n torus ... the X links have twice the utilization"
-        util = runs["ar_asym"].result.axis_utilization(
-            TorusShape.parse(ASYM)
-        )
+        run = runs["ar_asym"]
+        util = LinkAnalytics.from_result(
+            run.result, TorusShape.parse(ASYM), run.params.beta_cycles_per_byte
+        ).axis_percent_of_peak()
         assert util[2] > 1.5 * util[0]
         assert util[2] > 1.5 * util[1]
 

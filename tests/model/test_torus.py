@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.model.torus import TorusShape
+from repro.net.displacement import displacement_tables, reference_displacement
 
 
 class TestParsing:
@@ -114,14 +115,78 @@ class TestContention:
 
 
 class TestCoordinates:
+    def test_x_fastest(self):
+        s = TorusShape.parse("8x8x8")
+        assert s.rank((1, 0, 0)) == 1
+        assert s.rank((0, 1, 0)) == 8
+        assert s.rank((0, 0, 1)) == 64
+        assert [s.coord(r) for r in range(3)] == [
+            (0, 0, 0), (1, 0, 0), (2, 0, 0)
+        ]
+
+    def test_roundtrip_example(self):
+        s = TorusShape.parse("8x8x8")
+        assert s.coord(209) == (1, 2, 3)
+        assert s.rank((1, 2, 3)) == 209
+
     @given(st.integers(0, 511))
     def test_coord_rank_roundtrip(self, rank):
         s = TorusShape.parse("8x8x8")
         assert s.rank(s.coord(rank)) == rank
 
-    def test_hops(self):
+    def test_1d(self):
+        s = TorusShape.parse("8")
+        assert s.rank((5,)) == 5
+        assert s.coord(5) == (5,)
+
+    def test_out_of_range_coord_raises(self):
+        with pytest.raises(ValueError, match="coordinate 8 out of range"):
+            TorusShape.parse("8x8x8").rank((8, 0, 0))
+
+    def test_out_of_range_rank_raises(self):
         s = TorusShape.parse("8x8x8")
-        assert s.hops((0, 0, 0), (7, 1, 4)) == (-1, 1, 4)
+        with pytest.raises(ValueError, match=r"rank 512 out of range \[0,"):
+            s.coord(512)
+        with pytest.raises(ValueError, match="out of range"):
+            s.coord(-1)
+
+    def test_dim_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimensionality mismatch"):
+            TorusShape.parse("8x8x8").rank((1, 2))
+
+    def test_hops(self):
+        # Per-axis shortest displacement as the kernel settles it: the
+        # exact-half z offset goes + or - by the packet's z tie bit.
+        s = TorusShape.parse("8x8x8")
+        tabs = displacement_tables(s)
+        src, dst = (0, 0, 0), (7, 1, 4)
+        for halfbits, want in ((0b100, (-1, 1, 4)), (0, (-1, 1, -4))):
+            assert tuple(
+                tabs.displacement(a, src[a], dst[a], halfbits)
+                for a in range(3)
+            ) == want
+
+    def test_mean_hops_even_torus_is_quarter(self):
+        # The paper's n/4 average (Section 2.1).
+        assert TorusShape.parse("8").mean_hops(0) == pytest.approx(2.0)
+        assert TorusShape.parse("16").mean_hops(0) == pytest.approx(4.0)
+
+    def test_mean_hops_odd_torus_exact(self):
+        n = 7
+        exact = sum(
+            abs(reference_displacement(n, True, t - s, 0))
+            for s in range(n)
+            for t in range(n)
+        ) / n**2
+        assert TorusShape.parse("7").mean_hops(0) == pytest.approx(exact)
+
+    def test_mean_hops_mesh_exact(self):
+        n = 8
+        exact = sum(abs(t - s) for s in range(n) for t in range(n)) / n**2
+        assert TorusShape.parse("8M").mean_hops(0) == pytest.approx(exact)
+
+    def test_mean_hops_extent_one(self):
+        assert TorusShape.parse("1x8").mean_hops(0) == 0.0
 
     def test_mean_total_hops_symmetric(self):
         s = TorusShape.parse("8x8x8")

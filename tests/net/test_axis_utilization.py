@@ -8,11 +8,18 @@ import pytest
 from repro.api import simulate_alltoall
 from repro.model.torus import TorusShape
 from repro.net.trace import SimulationResult
+from repro.obs import LinkAnalytics
 from repro.strategies import ARDirect
 
 
-def _result_for(shape: TorusShape):
-    return simulate_alltoall(ARDirect(), shape, 64, seed=1).result
+def _run_for(shape: TorusShape):
+    return simulate_alltoall(ARDirect(), shape, 64, seed=1)
+
+
+def _analytics(run, shape: TorusShape) -> LinkAnalytics:
+    return LinkAnalytics.from_result(
+        run.result, shape, run.params.beta_cycles_per_byte
+    )
 
 
 def _zero_result(nnodes: int, ndim: int) -> SimulationResult:
@@ -49,22 +56,24 @@ class TestDegenerateShapes:
     @pytest.mark.parametrize("spec", DEGENERATE_SHAPES)
     def test_axis_means_are_consistent_with_global_mean(self, spec):
         shape = TorusShape.parse(spec)
-        res = _result_for(shape)
-        per_axis = res.axis_utilization(shape)
+        run = _run_for(shape)
+        la = _analytics(run, shape)
+        per_axis = la.axis_percent_of_peak()
         assert len(per_axis) == shape.ndim
         # Weighted by per-axis link counts, the axis means reconstruct
-        # the global mean exactly.
+        # the mean over every existing link exactly.
         weighted = sum(
-            u * shape.links_in_dim(a) for a, u in enumerate(per_axis)
+            pct / 100.0 * shape.links_in_dim(a)
+            for a, pct in enumerate(per_axis)
         )
-        assert weighted / res.num_links == pytest.approx(
-            res.mean_link_utilization, rel=1e-12
+        mean = float(la.utilization().sum()) / run.result.num_links
+        assert weighted / run.result.num_links == pytest.approx(
+            mean, rel=1e-12
         )
 
     def test_extent1_axis_reports_zero(self):
         shape = TorusShape.parse("4x1x1")
-        res = _result_for(shape)
-        per_axis = res.axis_utilization(shape)
+        per_axis = _analytics(_run_for(shape), shape).axis_percent_of_peak()
         assert per_axis[1] == 0.0
         assert per_axis[2] == 0.0
         assert per_axis[0] > 0.0
@@ -72,37 +81,36 @@ class TestDegenerateShapes:
     @pytest.mark.parametrize("spec", DEGENERATE_SHAPES)
     def test_utilization_bounded(self, spec):
         shape = TorusShape.parse(spec)
-        res = _result_for(shape)
-        for u in res.axis_utilization(shape):
-            assert 0.0 <= u <= 1.0 + 1e-9
+        la = _analytics(_run_for(shape), shape)
+        for pct in la.axis_percent_of_peak():
+            assert 0.0 <= pct <= 100.0 + 1e-7
+        assert float(la.utilization().max()) <= 1.0 + 1e-9
 
 
 class TestShapeMismatch:
     def test_wrong_node_count_raises(self):
-        res = _result_for(TorusShape.parse("4x4x2"))
+        run = _run_for(TorusShape.parse("4x4x2"))
         with pytest.raises(ValueError, match="does not match"):
-            res.axis_utilization(TorusShape.parse("4x4x4"))
+            _analytics(run, TorusShape.parse("4x4x4"))
 
     def test_wrong_ndim_raises(self):
-        res = _result_for(TorusShape.parse("4x4x2"))
+        run = _run_for(TorusShape.parse("4x4x2"))
         with pytest.raises(ValueError, match="does not match"):
-            res.axis_utilization(TorusShape.parse("8x4"))
+            _analytics(run, TorusShape.parse("8x4"))
 
     def test_matching_shape_variant_is_accepted(self):
         # Same node count and ndim but different torus flags: cannot be
         # distinguished from the busy matrix alone, so it is accepted.
-        res = _result_for(TorusShape.parse("4x4x2"))
-        res.axis_utilization(TorusShape.parse("4x4x2M"))
+        run = _run_for(TorusShape.parse("4x4x2"))
+        _analytics(run, TorusShape.parse("4x4x2M"))
 
 
 class TestZeroRuns:
     def test_zero_time_and_zero_links_are_all_zero(self):
-        res = _zero_result(8, 3)
-        shape = TorusShape.parse("2x2x2")
-        assert res.mean_link_utilization == 0.0
-        assert res.max_link_utilization == 0.0
-        assert res.axis_utilization(shape) == [0.0, 0.0, 0.0]
-
-    def test_empty_busy_matrix_max_is_zero(self):
-        res = _zero_result(0, 3)
-        assert res.max_link_utilization == 0.0
+        la = LinkAnalytics.from_result(
+            _zero_result(8, 3), TorusShape.parse("2x2x2"), 1.0
+        )
+        assert not la.utilization().any()
+        assert la.axis_percent_of_peak() == [0.0, 0.0, 0.0]
+        assert la.percent_of_peak() == 0.0
+        assert la.hotspots() == []

@@ -34,7 +34,7 @@ def _halfbits(pids):
     for pid in pids:
         h = pool.alloc(pid, 0, spec, 0.0)
         bits.append(pool.halfbits[h])
-        pool.release(h)
+        pool.free.append(h)
     return bits
 
 

@@ -81,6 +81,27 @@ def test_tables_match_reference_everywhere(spec: str) -> None:
                     assert tabs.displacement(axis, cc, cd, hb << axis) == want
 
 
+def test_torus_displacement_minimal() -> None:
+    """On an even ring every displacement is a shortest way round, and
+    lands on the destination, whichever way the tie bit points."""
+    for s in range(8):
+        for t in range(8):
+            for hb in (0, 1):
+                d = reference_displacement(8, True, t - s, hb)
+                assert abs(d) <= 4
+                assert (s + d) % 8 == t
+
+
+def test_odd_torus_unambiguous() -> None:
+    """An odd ring has no exact half: the tie bit never matters."""
+    for s in range(7):
+        for t in range(7):
+            d = reference_displacement(7, True, t - s, 0)
+            assert abs(d) <= 3
+            assert (s + d) % 7 == t
+            assert reference_displacement(7, True, t - s, 1) == d
+
+
 def test_halfbit_breaks_even_torus_ties_both_ways() -> None:
     """Exact-half displacement on an even torus axis goes + with the bit
     set and - with it clear; everything else ignores the bit."""

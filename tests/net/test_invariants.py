@@ -17,6 +17,7 @@ from repro.check import CheckConfig, oracle
 from repro.model.machine import MachineParams
 from repro.model.torus import TorusShape
 from repro.net import ListProgram, PacketSpec
+from repro.net.displacement import displacement_tables
 from repro.net.faultsim import build_network
 from repro.net.simulator import RECEPTION_FIFO_DEPTH
 from repro.strategies import ARDirect, TwoPhaseSchedule, VirtualMesh2D
@@ -76,9 +77,7 @@ def test_busy_cycles_match_hops_exactly():
 
 def test_hops_are_minimal_for_direct_traffic():
     shape = TorusShape.parse("4x4x4")
-    from repro.net.topology import Topology
-
-    topo = Topology(shape)
+    tabs = displacement_tables(shape)
     plans = [[] for _ in range(64)]
     total_min = 0
     for u in (0, 17, 40):
@@ -86,7 +85,11 @@ def test_hops_are_minimal_for_direct_traffic():
             if u == v:
                 continue
             plans[u].append(PacketSpec(dst=v, wire_bytes=64))
-            total_min += topo.min_hops(u, v)
+            cu, cv = shape.coord(u), shape.coord(v)
+            # |displacement| is the same for either tie bit.
+            total_min += sum(
+                abs(tabs.displacement(a, cu[a], cv[a])) for a in range(3)
+            )
     _, res = run_checked("4x4x4", ListProgram(plans))
     assert res.total_hops == total_min
 

@@ -23,6 +23,7 @@ from repro.net import (
 from repro.net import simulator
 from repro.net.faultsim import FaultyTorusNetwork
 from repro.net.program import BaseProgram
+from repro.obs import LinkAnalytics
 from repro.runner.supervise import watchdog
 
 
@@ -110,8 +111,11 @@ class TestLinkTiming:
         prm = ideal_params()
         plans = [[PacketSpec(dst=1, wire_bytes=256)] * 10, [], [], []]
         res = run_plans("4", plans, prm)
+        la = LinkAnalytics.from_result(
+            res, TorusShape.parse("4"), prm.beta_cycles_per_byte
+        )
         # Exactly one link busy the whole time.
-        assert res.max_link_utilization == pytest.approx(1.0, rel=1e-6)
+        assert la.utilization().max() == pytest.approx(1.0, rel=1e-6)
         busy = res.link_busy_cycles
         assert busy.sum() == pytest.approx(res.time_cycles)
 

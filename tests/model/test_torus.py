@@ -134,6 +134,11 @@ class TestCoordinates:
         s = TorusShape.parse("8x8x8")
         assert s.rank(s.coord(rank)) == rank
 
+    @given(st.integers(0, 8 * 4 * 2 - 1))
+    def test_coord_rank_roundtrip_mixed_extents(self, rank):
+        s = TorusShape.parse("8x4x2")
+        assert s.rank(s.coord(rank)) == rank
+
     def test_1d(self):
         s = TorusShape.parse("8")
         assert s.rank((5,)) == 5

@@ -148,6 +148,17 @@ def test_mesh_axis_is_plain_difference() -> None:
             assert tabs.disp[0][0][cc * 6 + cd] == cd - cc
 
 
+@pytest.mark.parametrize("halfbit", [0, 1])
+def test_mesh_axis_never_wraps_beside_a_torus_axis(halfbit: int) -> None:
+    """On 8x8M the torus X axis wraps the short way; the mesh Y axis
+    goes the long way whatever the tie bit."""
+    tabs = DisplacementTables(TorusShape.parse("8x8M"))
+    assert tabs.disp[0][halfbit][0 * 8 + 7] == -1
+    assert tabs.disp[1][halfbit][0 * 8 + 7] == 7
+    assert tabs.disp[1][halfbit][1 * 8 + 6] == 5
+    assert tabs.disp[1][halfbit][6 * 8 + 1] == -5
+
+
 # --------------------------------------------------------------------- #
 # route state
 # --------------------------------------------------------------------- #

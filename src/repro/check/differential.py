@@ -5,7 +5,7 @@ repository.  :func:`differential_point` runs one
 :class:`~repro.runner.point.SimPoint` through all three and reports every
 divergence with the full configuration:
 
-* **simulator leg** — the point runs through :func:`repro.runner.run_points`
+* **simulator leg** — the point runs through :func:`repro.runner.run_sweep`
   on the oracle-checked network (so every invariant in
   :mod:`repro.check.oracle` is enforced along the way); an
   :class:`~repro.net.errors.SimulationError` — including
@@ -187,31 +187,31 @@ def differential_points(
     """Cross-check a batch of points; returns one
     :class:`DifferentialReport` per point, in input order.
 
-    The simulator legs go through :func:`repro.runner.run_points` as one
+    The simulator legs go through :func:`repro.runner.run_sweep` as one
     batch (oracle-checked, cache bypassed), so ``jobs > 1`` runs them on
-    the process pool.  If the batch raises — an invariant trip anywhere
-    aborts a pooled map without naming the culprit — every point is
-    re-run in isolation to attribute the failure.  Never raises for a
+    worker processes.  A point's :class:`SimulationError` lands on its
+    own report; any other sweep failure raises as
+    :func:`repro.runner.run_points` would raise it.  Never raises for a
     divergence: every failed leg lands in ``report.failures`` so callers
     (the fuzz driver) can shrink and report."""
     # Lazy: repro.runner imports this package for the check context.
-    from repro.runner.pool import point_label, run_points
+    from repro.runner.pool import point_label, run_sweep
+    from repro.runner.supervise import SweepResult
 
     points = list(points)
     check = check if check is not None else CheckConfig()
     reports = [DifferentialReport(label=point_label(p)) for p in points]
-    runs: list = [None] * len(points)
-    try:
-        runs = list(run_points(points, jobs=jobs, check=check))
-    except SimulationError:
-        for i, point in enumerate(points):
-            try:
-                runs[i] = run_points([point], jobs=1, check=check)[0]
-            except SimulationError as exc:
-                reports[i].failures.append(
-                    f"simulator: {type(exc).__name__}: {exc}"
-                )
-    for point, run, report in zip(points, runs, reports):
+    sweep = run_sweep(points, jobs=jobs, check=check)
+    others = []
+    for failure in sweep.failures:
+        if isinstance(failure.exception, SimulationError):
+            reports[failure.index].failures.append(
+                f"simulator: {failure.error}"
+            )
+        else:
+            others.append(failure)
+    SweepResult(sweep.runs, others).require()
+    for point, run, report in zip(points, sweep.runs, reports):
         if run is not None:
             report.measured_cycles = run.result.time_cycles
             report.predicted_cycles = run.predicted_cycles

@@ -395,8 +395,9 @@ def shrink(
 def broken_dedup() -> Iterator[None]:
     """Sabotage the receiver-side dedup for the dynamic extent of the
     block: duplicate sequence numbers reach the program twice, which the
-    ``exactly_once`` oracle must catch.  In-process only (the self-test
-    runs its points sequentially, never on the pool)."""
+    ``exactly_once`` oracle must catch.  Pooled workers forked inside
+    the block inherit the sabotage; the self-test itself runs its
+    points sequentially."""
     from repro.net.faultsim import FaultyTorusNetwork
     from repro.net.simulator import TorusNetwork
 

@@ -46,6 +46,7 @@ The oracles, all of which every checked run enforces:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.net.errors import SimulationError
@@ -75,11 +76,20 @@ class InvariantError(SimulationError):
 
     def __init__(self, oracle: str, message: str, **context: object) -> None:
         self.oracle = oracle
+        self.message = message
         self.context = context
         detail = ", ".join(f"{k}={v!r}" for k, v in sorted(context.items()))
         super().__init__(
             f"invariant violated [{oracle}]: {message}"
             + (f" ({detail})" if detail else "")
+        )
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted text: rebuild from the parts,
+        # so the error survives the pipe from a pooled worker.
+        return (
+            partial(type(self), **self.context),
+            (self.oracle, self.message),
         )
 
 

@@ -148,18 +148,12 @@ def _print_cache_stats() -> None:
         f"{counters.cache_corrupt} corrupt; "
         f"{counters.simulated} point(s) simulated"
     )
-    if (
-        counters.retries
-        or counters.timeouts
-        or counters.pool_breaks
-        or counters.quarantined
-    ):
+    if counters.retries or counters.timeouts or counters.crashes:
         print(
             "supervision: "
             f"{counters.retries} retr{'y' if counters.retries == 1 else 'ies'}, "
             f"{counters.timeouts} timeout(s), "
-            f"{counters.pool_breaks} pool break(s), "
-            f"{counters.quarantined} quarantined"
+            f"{counters.crashes} crash(es)"
         )
 
 

@@ -80,7 +80,7 @@ def run_experiment(
     simulation points this call executed: runner counters are snapshotted
     before and after the driver, and the delta — point keys, points
     simulated vs. cached, simulated cycles/events, supervision activity
-    (retries, timeouts, quarantines) — plus wall time, seed and git state
+    (retries, timeouts) — plus wall time, seed and git state
     goes into ``result.provenance``.  Point failures recorded by the
     supervision layer during this call land on ``result.failures`` (and
     an ``INCOMPLETE`` note on the rendered table), so a gracefully
@@ -121,7 +121,6 @@ def run_experiment(
         points_cached=len(new_keys) - simulated,
         retries=after["retries"] - before["retries"],
         timeouts=after["timeouts"] - before["timeouts"],
-        quarantined=after["quarantined"] - before["quarantined"],
         points_failed=len(new_failures),
     )
     if new_failures:

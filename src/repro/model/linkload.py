@@ -25,21 +25,6 @@ from repro.model.torus import TorusShape
 from repro.util.validation import require
 
 
-def _pair_displacement_counts(n: int, torus: bool) -> np.ndarray:
-    """count[k] = number of ordered (s, t) pairs in one dimension whose
-    shortest |displacement| is k, for s, t in [0, n)."""
-    counts = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        for t in range(n):
-            if torus and n > 2:
-                d = (t - s) % n
-                k = min(d, n - d)
-            else:
-                k = abs(t - s)
-            counts[k] += 1
-    return counts
-
-
 def dim_byte_hops(shape: TorusShape, m_bytes: float) -> np.ndarray:
     """Total byte-hops the all-to-all induces in each dimension.
 
@@ -50,11 +35,8 @@ def dim_byte_hops(shape: TorusShape, m_bytes: float) -> np.ndarray:
     p = shape.nnodes
     out = np.zeros(shape.ndim, dtype=np.float64)
     for axis in range(shape.ndim):
-        n = shape.dims[axis]
-        counts = _pair_displacement_counts(n, shape.wrap_effective(axis))
-        hop_sum_1d = float(np.dot(counts, np.arange(n)))
-        rows = p // n
-        out[axis] = rows * rows * hop_sum_1d * m_bytes
+        rows = p // shape.dims[axis]
+        out[axis] = rows * rows * float(shape.pair_hops(axis)) * m_bytes
     return out
 
 
@@ -88,8 +70,7 @@ def dor_max_link_loads(shape: TorusShape, m_bytes: float) -> np.ndarray:
             continue
         rows = p // n
         if shape.wrap_effective(axis):
-            counts = _pair_displacement_counts(n, True)
-            hop_sum_1d = float(np.dot(counts, np.arange(n)))
+            hop_sum_1d = float(shape.pair_hops(axis))
             loads[axis] = rows * rows * hop_sum_1d * m_bytes / shape.links_in_dim(axis)
         else:
             i = np.arange(n - 1, dtype=np.float64)

@@ -202,27 +202,28 @@ class TorusShape:
         """Total directed links in the partition."""
         return sum(self.links_in_dim(a) for a in range(self.ndim))
 
-    def mean_hops(self, axis: int) -> float:
-        """Mean |hops| in *axis* over all ordered (src, dst) pairs drawn
-        uniformly (self-pairs included, as in the paper's model).
+    def pair_hops(self, axis: int) -> int:
+        """Sum of |hops| in *axis* over all ordered (src, dst) pairs of
+        coordinates (self-pairs included, as in the paper's model).
 
-        Torus of extent n: the paper's Section 2 uses n/4.  The exact
-        all-pairs average is n/4 for even n (each |d| in 1..n/2-1 appears
-        twice per source, d = n/2 once), and (n^2-1)/(4n) for odd n; we
-        return the exact value, which equals the paper's n/4 for the even
-        extents BG/L uses.
-
-        Mesh (or an extent-2 torus, whose wrap adds no link) of extent n:
-        the exact all-pairs average is (n^2 - 1) / (3 n).
+        Torus of extent n: each source sees |d| in 1..⌈n/2⌉-1 twice, plus
+        n/2 once for even n, so the sum is n·⌊n²/4⌋.  Mesh (or an
+        extent-2 torus, whose wrap adds no link): (n³ - n) / 3.
         """
         n = self.dims[axis]
-        if n == 1:
-            return 0.0
         if self.wrap_effective(axis):
-            if n % 2 == 0:
-                return n / 4.0
-            return (n * n - 1) / (4.0 * n)
-        return (n * n - 1) / (3.0 * n)
+            return n * (n * n // 4)
+        return (n**3 - n) // 3
+
+    def mean_hops(self, axis: int) -> float:
+        """Mean |hops| in *axis* over all ordered (src, dst) pairs drawn
+        uniformly: :meth:`pair_hops` over n².
+
+        Torus of extent n: n/4 for even n, the paper's Section 2 value,
+        and (n² - 1)/(4n) for odd n.  Mesh: (n² - 1)/(3n).
+        """
+        n = self.dims[axis]
+        return self.pair_hops(axis) / (n * n)
 
     @cached_property
     def mean_total_hops(self) -> float:

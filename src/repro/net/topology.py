@@ -48,7 +48,6 @@ class Topology:
             coords[:, a] = rem % d
             rem //= d
         self.coords = coords
-        self.strides = strides
         # neighbor[node, direction] -> node or -1
         nbr = np.full((p, self.ndirs), -1, dtype=np.int64)
         for a, d in enumerate(dims):

@@ -180,8 +180,8 @@ class SweepProgress:
     """Parent-side sweep telemetry (one instance per ``run_sweep``).
 
     Fed by the supervised executor's event stream (``start`` / ``retry``
-    / ``timeout`` / ``crash`` / ``failed`` / ``pool_break``), completion
-    callbacks and :meth:`tick`.  Thread-safe: sequential sweeps tick
+    / ``timeout`` / ``crash`` / ``failed``), completion callbacks and
+    :meth:`tick`.  Thread-safe: sequential sweeps tick
     from the supervisor's ticker thread.
     """
 
@@ -251,10 +251,6 @@ class SweepProgress:
                 self.failed += 1
                 self._running.pop(task.key, None)
                 self._retrying.discard(task.key)
-            elif kind == "pool_break":
-                # Every in-flight future died with the pool; survivors
-                # re-announce themselves with fresh start events.
-                self._running.clear()
         self._render()
 
     def complete(self, task) -> None:

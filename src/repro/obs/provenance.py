@@ -21,7 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 
 #: Version of the provenance record layout.
-PROVENANCE_VERSION = 1
+PROVENANCE_VERSION = 2
 
 
 @lru_cache(maxsize=1)
@@ -82,12 +82,11 @@ def provenance_record(
     points_cached: int,
     retries: int = 0,
     timeouts: int = 0,
-    quarantined: int = 0,
     points_failed: int = 0,
 ) -> dict:
     """Build the provenance dict attached to an experiment result.
 
-    The supervision counters (``retries``/``timeouts``/``quarantined``/
+    The supervision counters (``retries``/``timeouts``/
     ``points_failed``) record how bumpy the road to this result was: a
     record with nonzero ``points_failed`` describes a *partial* result,
     and nonzero retries mean the numbers were reproduced only after
@@ -108,7 +107,6 @@ def provenance_record(
         "points_failed": points_failed,
         "retries": retries,
         "timeouts": timeouts,
-        "quarantined": quarantined,
         "wall_s": round(wall_s, 4),
         "simulated_cycles": simulated_cycles,
         "simulated_events": simulated_events,

@@ -15,8 +15,9 @@ Guarantees:
   results.
 * **Resilience** — every sweep runs under the supervision layer
   (:mod:`repro.runner.supervise`): per-point wall-clock timeouts,
-  bounded deterministic retries and ``BrokenProcessPool`` recovery with
-  per-point quarantine.  :func:`run_sweep` returns a
+  bounded deterministic retries, and owned worker processes that hold
+  one point each, so a dead worker costs only its own point one
+  attempt.  :func:`run_sweep` returns a
   :class:`~repro.runner.supervise.SweepResult` carrying completed runs
   plus structured failures; :func:`run_points` keeps the historical
   list-returning contract (deterministic simulation errors re-raise
@@ -40,8 +41,8 @@ same holds for checked runs (a stored result was produced without the
 oracles watching).
 
 The module-level :data:`counters` record how many points were actually
-simulated vs. served from cache (plus retries, timeouts, pool breaks,
-quarantines, corrupt entries, simulated cycles/events and the executed
+simulated vs. served from cache (plus retries, timeouts, worker
+crashes, corrupt entries, simulated cycles/events and the executed
 point keys for provenance) — tests assert on them, and the CLI reports
 them.  The same supervisor events drive the live status line
 (:mod:`repro.obs.progress`).
@@ -81,12 +82,10 @@ class RunnerCounters:
     cache_misses: int = 0
     cache_stores: int = 0
     cache_corrupt: int = 0
-    #: Supervision layer: reschedules, attempt timeouts, worker-pool
-    #: breaks, quarantined points.
+    #: Supervision layer: reschedules, attempt timeouts, worker crashes.
     retries: int = 0
     timeouts: int = 0
-    pool_breaks: int = 0
-    quarantined: int = 0
+    crashes: int = 0
     #: Simulated-time and event totals over freshly executed points.
     sim_cycles: float = 0.0
     sim_events: int = 0
@@ -187,10 +186,8 @@ def _count_event(kind: str, task) -> None:
         counters.retries += 1
     elif kind == "timeout":
         counters.timeouts += 1
-    elif kind == "pool_break":
-        counters.pool_breaks += 1
-    elif kind == "quarantined":
-        counters.quarantined += 1
+    elif kind == "crash":
+        counters.crashes += 1
 
 
 def run_sweep(
@@ -331,8 +328,7 @@ def _collect_supervision_metrics(obs: ObsConfig, failures: list) -> None:
     eventful = (
         counters.retries
         or counters.timeouts
-        or counters.pool_breaks
-        or counters.quarantined
+        or counters.crashes
         or failures
     )
     if not eventful:
@@ -342,8 +338,7 @@ def _collect_supervision_metrics(obs: ObsConfig, failures: list) -> None:
     reg = MetricsRegistry()
     reg.counter("runner.retries").inc(counters.retries)
     reg.counter("runner.timeouts").inc(counters.timeouts)
-    reg.counter("runner.pool_breaks").inc(counters.pool_breaks)
-    reg.counter("runner.quarantined").inc(counters.quarantined)
+    reg.counter("runner.crashes").inc(counters.crashes)
     reg.counter("runner.failed_points").inc(len(failures))
     collect("sweep:supervisor", {"metrics": reg.to_dict()})
 
@@ -360,7 +355,7 @@ def run_points(
     Returns one :class:`AllToAllRun` per point, in input order.  Runs
     under the supervision layer (see :func:`run_sweep`) in fail-fast
     mode: deterministic simulation errors re-raise unchanged; points
-    still missing after timeouts/retries/quarantine raise
+    still missing after timeouts and retries raise
     :class:`~repro.runner.supervise.SweepIncompleteError`, which carries
     the partial :class:`~repro.runner.supervise.SweepResult` (completed
     runs + structured failures) so a caller can still salvage the sweep.

@@ -1,7 +1,7 @@
-"""Sweep supervision: timeouts, retries, quarantine, chaos.
+"""Sweep supervision: timeouts, retries, owned workers, chaos.
 
 The parallel runner (:mod:`repro.runner.pool`) fans independent
-simulation points over a process pool.  Without supervision, one hung
+simulation points over worker processes.  Without supervision, one hung
 point, one OOM-killed worker or one Ctrl-C throws away the whole sweep.
 This module wraps point execution in the machinery of a production job
 scheduler:
@@ -10,19 +10,20 @@ scheduler:
   :func:`watchdog` inside the worker (explicit via
   ``--point-timeout`` / ``REPRO_POINT_TIMEOUT``, else derived from the
   point's shape and message size).  The parent additionally enforces a
-  hard deadline (timeout + :data:`GRACE_S`, from the point's start): a
-  worker wedged beyond its own alarm is killed and its pool respawned.
+  hard deadline (timeout + :data:`GRACE_S`, from the point's hand-over
+  to its worker): a worker wedged beyond its own alarm is killed and
+  replaced.
 * **Bounded retries with deterministic backoff** — transient failures
   (timeouts, worker deaths) are rescheduled with exponential backoff and
   *no jitter*: given the same failures, the schedule is reproducible.
   Simulation results themselves are seed-deterministic, so a retried
   point returns bit-identical bytes.
-* **Worker-crash quarantine** — a ``BrokenProcessPool`` (worker SIGKILL,
-  OOM, hard crash) is recovered by respawning the pool; every in-flight
-  point is rescheduled, and a point running at
-  :data:`QUARANTINE_STRIKES` pool breaks is quarantined (recorded as a
-  structured failure) instead of being allowed to kill the pool forever.
-  Points still queued behind the running ones requeue strike-free.
+* **One point per worker** — the pooled path owns its worker processes,
+  each with its own pipe and at most one point.  A worker that dies
+  (SIGKILL, OOM, hard crash) costs exactly the point it held one
+  attempt, and only that worker is replaced.  An exception a point
+  raises comes back as itself, with the worker's traceback chained as
+  its ``__cause__``.
 * **Graceful degradation** — :func:`repro.runner.pool.run_sweep` returns
   a :class:`SweepResult` carrying every completed run plus a structured
   ``failures`` list; :func:`~repro.runner.pool.run_points` keeps its
@@ -46,11 +47,11 @@ strict mode a deterministic error re-raises as the same exception object
 a direct call would have raised.
 
 Telemetry is the supervisor's own event stream: ``on_event`` reports
-each start, retry, timeout, crash, pool break and failure, and
-``on_complete`` each landed point.  A ``tick`` callable, if given, is
-called at least once per :data:`TICK_S` while points run, so a status
-line can age its in-flight points between events.  Workers report
-nothing on a side channel.
+each start, retry, timeout, crash and failure, and ``on_complete`` each
+landed point.  A ``tick`` callable, if given, is called at least once
+per :data:`TICK_S` while points run, so a status line can age its
+in-flight points between events.  Workers report nothing on a side
+channel.
 """
 
 from __future__ import annotations
@@ -58,14 +59,16 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import logging
+import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Iterator, Optional
 
 from repro.util.validation import check_positive_int
@@ -265,14 +268,10 @@ def derive_timeout(point) -> float:
 #: seconds — exponential and jitter-free, so the schedule is reproducible.
 BACKOFF_S = 0.25
 BACKOFF_FACTOR = 2.0
-#: Pool breaks a single point may be present for before it is quarantined.
-QUARANTINE_STRIKES = 3
 #: Seconds past a point's own timeout before the parent kills its worker.
 GRACE_S = 10.0
 #: Longest gap between two calls of a sweep's ``tick`` while points run.
 TICK_S = 1.0
-#: Tasks the pooled path keeps queued behind each running one.
-QUEUE_DEPTH = 1
 
 
 def backoff_for(attempt: int) -> float:
@@ -303,8 +302,7 @@ class SuperviseConfig:
     ``point_timeout_s=None`` means "derive from the point" when timeouts
     are needed (chaos active, or supervision explicitly activated) and
     "no timeout" otherwise.  ``max_attempts`` bounds every retry cause
-    together; :data:`QUARANTINE_STRIKES` separately bounds how many pool
-    breaks a single point may be present for.
+    together.
     """
 
     point_timeout_s: Optional[float] = None
@@ -405,7 +403,7 @@ class PointFailure:
     index: int
     key: str
     label: str
-    #: ``"timeout"`` | ``"crash"`` | ``"quarantined"`` | ``"error"``
+    #: ``"timeout"`` | ``"crash"`` | ``"error"``
     kind: str
     attempts: int
     error: str
@@ -474,9 +472,9 @@ def _worker_entry(
 ) -> dict:
     """One supervised attempt: chaos, watchdog, simulate, encode.
 
-    Runs in a pool worker (``in_pool=True``) or inline in the parent for
-    sequential sweeps.  The watchdog arms *before* chaos so an injected
-    hang is caught exactly like a real one.
+    Runs in a pooled worker (``in_pool=True``) or inline in the parent
+    for sequential sweeps.  The watchdog arms *before* chaos so an
+    injected hang is caught exactly like a real one.
     """
     from repro.runner.pool import _simulate_encoded, point_label
 
@@ -486,8 +484,8 @@ def _worker_entry(
             fate = chaos.decide(key, attempt)
             if fate == "kill":
                 if in_pool:
-                    # A hard worker death: the parent sees
-                    # BrokenProcessPool, exactly like an OOM kill.
+                    # A hard worker death: the parent sees the worker's
+                    # pipe close, exactly like an OOM kill.
                     os._exit(42)
                 raise ChaosKilled(
                     f"chaos killed point {label} (attempt {attempt})"
@@ -495,6 +493,64 @@ def _worker_entry(
             if fate == "hang":
                 time.sleep(chaos.hang_s)
         return _simulate_encoded(point, obs, check)
+
+
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the ``__cause__`` of
+    the exception the worker's point raised."""
+
+
+def _worker_main(conn, parent_end) -> None:
+    """Body of one pooled worker process.
+
+    Runs each :func:`_worker_entry` argument tuple the parent sends on
+    *conn*, one at a time, and replies ``(payload, None, None)`` or
+    ``(None, exception, traceback text)``.  An exception that does not
+    survive a pickle round trip is replaced by a :class:`RuntimeError`
+    naming its type and message.  Ctrl-C is the parent's to handle: it
+    kills its workers on the way out.  The worker closes its copy of
+    the parent's end, so a parent that dies without killing it leaves
+    the worker a closed pipe to exit on rather than a wait forever.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            args = conn.recv()
+            try:
+                reply = (_worker_entry(*args, in_pool=True), None, None)
+            except Exception as exc:
+                tb = "".join(traceback.format_exception(exc))
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                reply = (None, exc, tb)
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the pipe broke: the parent is gone
+
+
+class _Worker:
+    """One pooled worker process, the parent's end of its pipe, and the
+    task it holds (``None`` while idle)."""
+
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.proc = multiprocessing.Process(
+            target=_worker_main,
+            args=(child, self.conn),
+            name="sweep-worker",
+        )
+        self.proc.start()
+        child.close()
+        self.task: Optional[_Task] = None
+
+    def stop(self) -> None:
+        """Kill the process (a no-op once it has died) and reap it."""
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
 
 
 # --------------------------------------------------------------------- #
@@ -512,11 +568,8 @@ class _Task:
     label: str
     timeout_s: Optional[float]
     attempt: int = 1
-    timeouts: int = 0
-    crashes: int = 0
     not_before: float = 0.0
     deadline: float = float("inf")
-    hard_killed: bool = False
 
 
 class _Supervisor:
@@ -525,8 +578,7 @@ class _Supervisor:
     Shared state machine for the pooled and sequential paths: attempts
     either complete (``on_complete`` fires, for cache/counters), time
     out, crash, or error; transient causes reschedule with backoff until
-    ``max_attempts`` (or :data:`QUARANTINE_STRIKES` pool breaks), then
-    become :class:`PointFailure` records.
+    ``max_attempts``, then become :class:`PointFailure` records.
     """
 
     def __init__(
@@ -612,27 +664,13 @@ class _Supervisor:
     def _retry_or_fail(
         self, task: _Task, kind: str, message: str, now: float
     ) -> Optional[_Task]:
-        """Reschedule *task* after a transient failure, or fail it.
+        """Reschedule *task* after a transient failure (kind ``timeout``
+        or ``crash``), or fail it.
 
         Returns the task when it should be requeued (with its backoff
         gate set), else records the failure and returns None.
         """
-        if kind == "timeout":
-            task.timeouts += 1
-            self.on_event("timeout", task)
-        elif kind == "crash":
-            task.crashes += 1
-            self.on_event("crash", task)
-            if task.crashes >= QUARANTINE_STRIKES:
-                self._fail(
-                    task,
-                    "quarantined",
-                    f"present at {task.crashes} pool break(s) "
-                    f"(strikes limit {QUARANTINE_STRIKES}): "
-                    f"{message}",
-                )
-                self.on_event("quarantined", task)
-                return None
+        self.on_event(kind, task)
         if task.attempt >= self.cfg.max_attempts:
             self._fail(
                 task,
@@ -644,7 +682,6 @@ class _Supervisor:
         task.attempt += 1
         task.not_before = now + backoff_for(task.attempt)
         task.deadline = float("inf")
-        task.hard_killed = False
         self.on_event("retry", task)
         _log.warning(
             "%s; retry %d/%d in %.2fs",
@@ -708,115 +745,70 @@ class _Supervisor:
     # -- pooled path ------------------------------------------------ #
 
     def run_pooled(self, tasks: list, jobs: int) -> None:
-        """Fan *tasks* over a worker pool, longest first.
+        """Run *tasks* longest first on ``min(jobs, len(tasks))`` worker
+        processes this supervisor owns, one point per worker.
 
-        Up to :data:`QUEUE_DEPTH` tasks wait in the pool's queue behind
-        each running one, so a worker that finishes starts its next point
-        at once instead of idling while the parent stores a result.
-        Workers take tasks in submission order, so the running tasks are
-        the oldest ``max_workers`` unfinished submissions: a queued task
-        gets its ``start`` event and hard deadline when a completion
-        frees a worker for it.  The parent starts no thread of its own
-        here (a fork with threads alive can deadlock a worker); it ticks
-        after every ``wait`` instead."""
-        max_workers = min(jobs, len(tasks))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+        A worker that replies gets its next point before the parent
+        stores the reply, so it never idles through a cache write; the
+        point's ``start`` event and hard deadline count from that
+        hand-over.  A worker that dies, or that the parent kills past
+        its hard deadline, costs the point it held one attempt, and only
+        that worker is replaced.  The parent starts no thread here (a
+        fork with threads alive can deadlock a worker); it ticks after
+        every wait instead.  Every worker is killed and reaped before
+        this returns or raises."""
+        nworkers = min(jobs, len(tasks))
         # sorted() is stable: equal hints keep their input order.
         ready: deque = deque(
             sorted(tasks, key=lambda t: -t.point.cost_hint)
         )
         waiting: list = []
-        # Submitted futures by state, each in submission order.
-        running: dict = {}
-        queued: dict = {}
-        limit = max_workers * (1 + QUEUE_DEPTH)
+        idle: list = []
+        busy: dict = {}  # the parent's end of a pipe -> its worker
         try:
-            while ready or waiting or running or queued:
+            while ready or waiting or busy:
                 now = time.monotonic()
                 if waiting:
-                    still = []
-                    for task in waiting:
-                        if task.not_before <= now:
-                            ready.append(task)
-                        else:
-                            still.append(task)
-                    waiting = still
-                while ready and len(running) + len(queued) < limit:
-                    task = ready.popleft()
-                    try:
-                        future = pool.submit(
-                            _worker_entry,
-                            task.point,
-                            task.key,
-                            task.attempt,
-                            task.timeout_s,
-                            self.cfg.chaos,
-                            self.obs,
-                            self.check,
-                            True,
-                        )
-                    except BrokenProcessPool:
-                        # A worker died between our last wait and this
-                        # submit: the pool is already broken.  Put the
-                        # task back untouched (it never ran) and recover.
-                        ready.appendleft(task)
-                        pool = self._recover_pool_break(
-                            pool, running, queued, waiting, max_workers
-                        )
-                        continue
-                    queued[future] = task
-                self._start_queued(running, queued, max_workers, now)
-                if not running:
-                    if waiting:
-                        pause = min(t.not_before for t in waiting) - now
-                        if pause > 0:
-                            time.sleep(min(pause, TICK_S))
-                    continue
-                horizon = min(t.deadline for t in running.values())
-                for t in waiting:
-                    horizon = min(horizon, t.not_before)
-                wait_s = min(max(horizon - now, 0.02), TICK_S)
-                done, _ = wait(
-                    [*running, *queued],
-                    timeout=wait_s,
-                    return_when=FIRST_COMPLETED,
+                    ready.extend(t for t in waiting if t.not_before <= now)
+                    waiting = [t for t in waiting if t.not_before > now]
+                while ready and len(busy) < nworkers:
+                    worker = idle.pop() if idle else _Worker()
+                    self._hand_over(worker, ready.popleft(), busy, now)
+                horizon = min(
+                    [w.task.deadline for w in busy.values()]
+                    + [t.not_before for t in waiting]
                 )
+                wait_s = min(max(horizon - now, 0.02), TICK_S)
+                if busy:
+                    replied = wait(list(busy), wait_s)
+                else:
+                    replied = []
+                    time.sleep(wait_s)
                 self._tick()
                 now = time.monotonic()
-                if not done:
-                    overdue = [
-                        t for t in running.values() if t.deadline <= now
-                    ]
-                    if overdue:
-                        # The in-worker alarm should have fired long ago:
-                        # the worker is wedged beyond Python's reach.
-                        # Kill the pool; the break handler sorts out who
-                        # was a timeout and who was a bystander.
-                        for t in overdue:
-                            t.hard_killed = True
-                            _log.warning(
-                                "point %s overran its hard deadline; "
-                                "killing the worker pool",
-                                t.label,
-                            )
-                        _kill_pool_workers(pool)
-                    continue
-                broke = False
-                for future in done:
-                    held = running if future in running else queued
-                    task = held.pop(future)
-                    exc = future.exception()
-                    if isinstance(exc, BrokenProcessPool):
-                        # Put it back: the break handler below sorts the
-                        # in-flight tasks by whether they had started.
-                        held[future] = task
-                        broke = True
+                for conn in replied:
+                    worker = busy.pop(conn)
+                    task, worker.task = worker.task, None
+                    try:
+                        payload, exc, tb = conn.recv()
+                    except (EOFError, OSError):
+                        worker.stop()
+                        again = self._retry_or_fail(
+                            task,
+                            "crash",
+                            f"worker running point {task.label} died "
+                            f"(exit code {worker.proc.exitcode})",
+                            now,
+                        )
+                        if again is not None:
+                            waiting.append(again)
                         continue
-                    if held is queued:
-                        # It started and finished between two looks.
-                        self.on_event("start", task)
+                    if ready:
+                        self._hand_over(worker, ready.popleft(), busy, now)
+                    else:
+                        idle.append(worker)
                     if exc is None:
-                        self._complete(task, future.result())
+                        self._complete(task, payload)
                     elif isinstance(exc, PointTimeoutError):
                         again = self._retry_or_fail(
                             task, "timeout", str(exc), now
@@ -824,128 +816,58 @@ class _Supervisor:
                         if again is not None:
                             waiting.append(again)
                     else:
+                        exc.__cause__ = _RemoteTraceback(f'\n"""\n{tb}"""')
                         self._handle_error(task, exc)
-                if broke:
-                    pool = self._recover_pool_break(
-                        pool, running, queued, waiting, max_workers
+                for conn, worker in list(busy.items()):
+                    if worker.task.deadline > now:
+                        continue
+                    # The in-worker alarm should have fired long ago: the
+                    # worker is wedged beyond Python's reach.
+                    _log.warning(
+                        "point %s overran its hard deadline; killing its "
+                        "worker",
+                        worker.task.label,
                     )
-        except BaseException:
-            _kill_pool_workers(pool)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True, cancel_futures=True)
+                    del busy[conn]
+                    worker.stop()
+                    again = self._retry_or_fail(
+                        worker.task,
+                        "timeout",
+                        "hard-killed after overrunning its deadline",
+                        now,
+                    )
+                    if again is not None:
+                        waiting.append(again)
+        finally:
+            for worker in (*idle, *busy.values()):
+                worker.stop()
 
-    def _start_queued(
-        self, running: dict, queued: dict, max_workers: int, now: float
+    def _hand_over(
+        self, worker: _Worker, task: _Task, busy: dict, now: float
     ) -> None:
-        """Move the oldest queued tasks to *running* while a worker is
-        free, arming each one's hard deadline from now."""
-        while queued and len(running) < max_workers:
-            future = next(iter(queued))
-            task = queued.pop(future)
-            if task.timeout_s is not None:
-                task.deadline = now + task.timeout_s + GRACE_S
-            else:
-                task.deadline = float("inf")
-            running[future] = task
-            self.on_event("start", task)
-
-    def _recover_pool_break(
-        self,
-        pool,
-        running: dict,
-        queued: dict,
-        waiting: list,
-        max_workers: int,
-    ):
-        """A worker died: drain every in-flight future, attribute the
-        damage, respawn the pool.
-
-        Results that landed before the break are kept, and the queued
-        tasks their workers went on to take count as started.  The rest
-        of the queue never ran: it requeues as it was, with no strike
-        and no backoff."""
-        self.on_event("pool_break", None)
-        _log.warning(
-            "worker pool broke with %d point(s) running and %d queued; "
-            "respawning",
-            len(running),
-            len(queued),
-        )
-        now = time.monotonic()
-        for held in (running, queued):
-            for future, task in list(held.items()):
-                if future.done() and future.exception() is None:
-                    del held[future]
-                    if held is queued:
-                        self.on_event("start", task)
-                    self._complete(task, future.result())
-        self._start_queued(running, queued, max_workers, now)
-        for future, task in queued.items():
-            future.cancel()
-            waiting.append(task)
-        queued.clear()
-        # A pool break takes down *every* running future, culprit and
-        # bystander alike.  For real crashes (OOM, segfault) the parent
-        # cannot tell who was at fault, so everyone gets a strike — but
-        # chaos kills are decided by a hash the parent can replay: when
-        # the chaos plan fingers a culprit among the running attempts,
-        # the others are provable bystanders and are rescheduled without
-        # a strike (same attempt number, so the deterministic re-roll is
-        # unchanged).  Without this, one slow point sharing a small pool
-        # with chaos-killed neighbours soaks up bystander strikes until
-        # it is quarantined for crimes it never committed.
-        bystanders: set = set()
-        chaos = self.cfg.chaos
-        if chaos is not None and chaos.enabled:
-            culprits = {
-                id(task)
-                for task in running.values()
-                if chaos.decide(task.key, task.attempt) == "kill"
-            }
-            if culprits:
-                bystanders = {
-                    id(task)
-                    for task in running.values()
-                    if id(task) not in culprits
-                }
-        for future, task in running.items():
-            exc = future.exception() if future.done() else None
-            future.cancel()
-            if task.hard_killed or isinstance(exc, PointTimeoutError):
-                again = self._retry_or_fail(
-                    task,
-                    "timeout",
-                    "hard-killed after overrunning its deadline",
-                    now,
-                )
-            elif exc is not None and not isinstance(exc, BrokenProcessPool):
-                self._handle_error(task, exc)
-                again = None
-            elif id(task) in bystanders:
-                # Not at fault: requeue immediately, no strike, no
-                # backoff, same attempt number.
-                task.deadline = float("inf")
-                task.hard_killed = False
-                again = task
-            else:
-                again = self._retry_or_fail(
-                    task, "crash", "worker died (pool broke)", now
-                )
-            if again is not None:
-                waiting.append(again)
-        running.clear()
-        pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=max_workers)
-
-
-def _kill_pool_workers(pool) -> None:
-    """Hard-kill a pool's worker processes (wedged or abandoned)."""
-    procs = getattr(pool, "_processes", None) or {}
-    for proc in list(procs.values()):
+        """Send *task* to the idle *worker* and arm its hard deadline."""
+        worker.task = task
+        if task.timeout_s is not None:
+            task.deadline = now + task.timeout_s + GRACE_S
+        else:
+            task.deadline = float("inf")
+        busy[worker.conn] = worker
+        self.on_event("start", task)
         try:
-            proc.kill()
-        except (OSError, AttributeError, ValueError):  # pragma: no cover
+            worker.conn.send(
+                (
+                    task.point,
+                    task.key,
+                    task.attempt,
+                    task.timeout_s,
+                    self.cfg.chaos,
+                    self.obs,
+                    self.check,
+                )
+            )
+        except OSError:
+            # The worker died since its last reply; its closed pipe
+            # reports the crash on the next wait.
             pass
 
 
@@ -964,12 +886,11 @@ def execute_supervised(
 
     Returns ``(payloads_by_index, failures)``.  ``on_complete(task,
     payload)`` fires as each point lands (cache/counters hook);
-    ``on_event(kind, task)`` fires on start/retry/timeout/crash/
-    pool_break/quarantined/failed transitions (counters + progress
-    hook); ``tick()`` is called at least once per :data:`TICK_S` while
-    points run, from the parent's main thread (pooled) or from one
-    daemon ticker thread (sequential, whose main thread is busy
-    simulating).  With ``strict_errors`` deterministic simulation errors
+    ``on_event(kind, task)`` fires on start/retry/timeout/crash/failed
+    transitions (counters + progress hook); ``tick()`` is called at
+    least once per :data:`TICK_S` while points run, from the parent's
+    main thread (pooled) or from one daemon ticker thread (sequential,
+    whose main thread is busy simulating).  With ``strict_errors`` deterministic simulation errors
     re-raise immediately (the historical contract); otherwise they
     become structured failures like everything else.
     """

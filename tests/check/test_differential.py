@@ -1,5 +1,7 @@
 """The differential harness: three engines, one verdict."""
 
+import multiprocessing
+
 import pytest
 
 from repro.check import (
@@ -150,3 +152,27 @@ class TestInvariantTripSurfacesAsFailure:
             report = differential_point(point, check=CheckConfig())
         assert not report.ok
         assert any("exactly_once" in f for f in report.failures)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the sabotage only when forked",
+    )
+    def test_pooled_batch_reports_each_point(self):
+        from repro.check.fuzz import (
+            _SELF_TEST_CASE,
+            FuzzCase,
+            broken_dedup,
+            run_cases,
+        )
+
+        cases = [FuzzCase.parse(_SELF_TEST_CASE)] * 2
+        with broken_dedup():
+            reports = run_cases(cases, jobs=2)
+        assert len(reports) == 2
+        for report in reports:
+            assert not report.ok
+            assert any(
+                f.startswith("simulator: InvariantError")
+                and "exactly_once" in f
+                for f in report.failures
+            )

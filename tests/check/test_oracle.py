@@ -1,12 +1,20 @@
 """The invariant oracles: silent on correct runs, loud on sabotaged ones,
 and bit-identical to the unchecked network either way."""
 
+import pickle
+
 import pytest
 
 from repro.api import simulate_alltoall
 from repro.check import CheckConfig, InvariantError, oracle
 from repro.check.fuzz import broken_dedup
 from repro.model.torus import TorusShape
+from repro.net.errors import (
+    DeadlockError,
+    PartitionedNetworkError,
+    SimulationError,
+    SimulationLimitError,
+)
 from repro.net.faults import FaultPlan
 from repro.net.faultsim import FaultyTorusNetwork, build_network
 from repro.net.simulator import TorusNetwork
@@ -214,3 +222,30 @@ class TestZeroCostStructure:
             )
         )
         assert {"repro.net.instrumented", "repro.check.oracle"} <= observed
+
+
+class TestErrorsSurvivePickling:
+    """Pooled workers send a point's error back through a pipe, so every
+    simulation error must rebuild from its pickle."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            SimulationError("boom"),
+            DeadlockError("stuck"),
+            SimulationLimitError(
+                "cycle cap", events_processed=7, pending_by_node={3: 2}
+            ),
+            PartitionedNetworkError("cut", unreachable=[1, 2]),
+            InvariantError("credits", "x", node=3),
+            InvariantError("progress", "no context"),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_round_trip(self, error):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error)
+        if isinstance(error, InvariantError):
+            assert back.oracle == error.oracle
+            assert back.context == error.context

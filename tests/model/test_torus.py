@@ -193,6 +193,18 @@ class TestCoordinates:
     def test_mean_hops_extent_one(self):
         assert TorusShape.parse("1x8").mean_hops(0) == 0.0
 
+    @pytest.mark.parametrize("suffix", ["", "M"])
+    def test_pair_hops_matches_brute_force(self, suffix):
+        for n in range(1, 13):
+            shape = TorusShape.parse(f"{n}{suffix}")
+            wrap = shape.wrap_effective(0)
+            brute = sum(
+                abs(reference_displacement(n, wrap, t - s, 0))
+                for s in range(n)
+                for t in range(n)
+            )
+            assert shape.pair_hops(0) == brute, (n, suffix)
+
     def test_mean_total_hops_symmetric(self):
         s = TorusShape.parse("8x8x8")
         assert s.mean_total_hops == pytest.approx(6.0)

@@ -248,15 +248,6 @@ class TestSweepProgress:
         assert tty.getvalue().endswith("slowest 8x8x8/m64 10s")
         p.finish()
 
-    def test_pool_break_clears_in_flight_state(self):
-        p = self._progress()
-        p.event("start", Task("a"))
-        self._age(p, "a", 99.0)
-        p.event("pool_break", Task("a"))
-        s = p._summary_locked()
-        assert "running" not in s and "slowest" not in s
-        p.finish()
-
     def test_tty_renders_status_line(self):
         tty = TtyStringIO()
         p = self._progress(stream=tty)

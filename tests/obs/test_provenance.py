@@ -115,7 +115,9 @@ class TestProvenance:
         assert rec["points_failed"] == 0
         assert rec["retries"] == 0
         assert rec["timeouts"] == 0
-        assert rec["quarantined"] == 0
+        # Version 2 dropped the "quarantined" counter.
+        assert rec["provenance_version"] == 2
+        assert "quarantined" not in rec
 
     def test_record_carries_supervision_counters(self):
         rec = provenance_record(
@@ -130,12 +132,10 @@ class TestProvenance:
             points_cached=0,
             retries=3,
             timeouts=2,
-            quarantined=1,
             points_failed=1,
         )
         assert rec["retries"] == 3
         assert rec["timeouts"] == 2
-        assert rec["quarantined"] == 1
         assert rec["points_failed"] == 1
 
     def test_run_experiment_attaches_provenance(self, tmp_path, monkeypatch):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import threading
 import time
 
 import pytest
@@ -263,13 +266,12 @@ class TestRunSweepChaos:
         assert counters.retries >= 1  # chaos actually struck
 
     @pytest.mark.slow
-    def test_pooled_chaos_kill_survives_pool_breaks(
+    def test_pooled_chaos_kill_replaces_workers_and_converges(
         self, monkeypatch, fast_backoff
     ):
         pts = _points(4)
         clean = run_points(pts, jobs=1)
         monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setattr(supervise, "QUARANTINE_STRIKES", 10)
         counters.reset()
         cfg = SuperviseConfig(
             chaos=ChaosPlan(kill_prob=0.4, seed=2),
@@ -278,7 +280,7 @@ class TestRunSweepChaos:
         sweep = run_sweep(pts, jobs=2, supervise=cfg)
         assert sweep.complete, sweep.failures
         assert _bits(sweep.runs) == _bits(clean)
-        assert counters.pool_breaks >= 1
+        assert counters.crashes >= 1
 
     def test_chaos_hang_trips_timeout_then_converges(
         self, monkeypatch, fast_backoff
@@ -355,25 +357,35 @@ def _items(points):
     ]
 
 
+def _exit_on(poison, monkeypatch):
+    """Make every attempt of points at msg size *poison* kill its worker
+    outright, as an OOM kill would; pooled workers inherit the patch
+    under the fork start method."""
+    import repro.runner.pool as pool_mod
+
+    real = pool_mod._simulate_encoded
+
+    def dying(point, obs, check):
+        if point.msg_bytes == poison:
+            os._exit(3)
+        return real(point, obs, check)
+
+    monkeypatch.setattr(pool_mod, "_simulate_encoded", dying)
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the parent's patches only when forked",
+)
+
+
 class TestPooledQueue:
-    def test_longest_first_one_queued_per_worker_input_order_back(
+    @needs_fork
+    def test_longest_first_at_most_jobs_in_flight_input_order_back(
         self, monkeypatch
     ):
-        from concurrent.futures import ProcessPoolExecutor
+        import repro.runner.pool as pool_mod
 
-        submitted: list = []
-        futures: list = []
-        in_flight: list = []
-
-        class Recording(ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                future = super().submit(fn, *args, **kwargs)
-                submitted.append(args[0])
-                futures.append(future)
-                in_flight.append(sum(not f.done() for f in futures))
-                return future
-
-        monkeypatch.setattr(supervise, "ProcessPoolExecutor", Recording)
         monkeypatch.setenv("REPRO_CACHE", "0")
         shape = TorusShape.parse("4x4")
         sizes = [16, 256, 64, 256, 8, 128]
@@ -381,23 +393,50 @@ class TestPooledQueue:
             SimPoint(ARDirect(), shape, m, seed=i)
             for i, m in enumerate(sizes)
         ]
-        sweep = run_sweep(pts, jobs=2)
-        assert sweep.complete
+        # Points the workers have finished simulating, counted in shared
+        # memory: a point handed over and not yet finished is in flight.
+        finished = multiprocessing.Value("i", 0)
+        real = pool_mod._simulate_encoded
+
+        def counted(point, obs, check):
+            payload = real(point, obs, check)
+            with finished.get_lock():
+                finished.value += 1
+            return payload
+
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", counted)
+        started: list = []
+        in_flight: list = []
+
+        def on_event(kind, task):
+            if kind == "start":
+                started.append(task.index)
+                in_flight.append(len(started) - finished.value)
+
+        payloads, failures = supervise.execute_supervised(
+            _items(pts), 2, SuperviseConfig(), None, None,
+            on_event=on_event,
+        )
+        assert not failures
         # Descending cost hint; the two 256-B points keep input order.
-        assert [p.msg_bytes for p in submitted] == [256, 256, 128, 64, 16, 8]
-        assert submitted[0] is pts[1] and submitted[1] is pts[3]
-        # One task queued behind each of the 2 workers, never more.
-        assert max(in_flight) == 4
-        assert _bits(sweep.runs) == _bits(run_points(pts, jobs=1))
+        assert started == [1, 3, 5, 2, 0, 4]
+        # One point per worker: never more than 2 in flight.
+        assert max(in_flight) == 2
+        clean = run_points(pts, jobs=1)
+        assert [payloads[i] for i in range(len(pts))] == [
+            encode_run(r) for r in clean
+        ]
+        # run_sweep files every payload back in input order.
+        assert _bits(run_sweep(pts, jobs=2).runs) == _bits(clean)
 
     def test_healthy_task_queued_behind_a_timeout_is_never_hard_killed(
         self, monkeypatch, fast_backoff
     ):
         # Two points too big to finish within the 1 s limit take both
-        # workers; two small ones wait in the queue behind them, and
-        # chaos stalls each small one for 0.6 s before it simulates.
-        # Its hard deadline (limit + grace) must count from when it
-        # starts, about 1 s in, not from its submission.
+        # workers; two small ones wait for a worker, and chaos stalls
+        # each small one for 0.6 s before it simulates.  Its hard
+        # deadline (limit + grace) must count from its hand-over to a
+        # worker, about 1 s in, not from the start of the sweep.
         monkeypatch.setattr(supervise, "GRACE_S", 0.3)
         big = [
             SimPoint(ARDirect(), TorusShape.parse("8x8x4"), 512, seed=s)
@@ -422,73 +461,159 @@ class TestPooledQueue:
             max_attempts=2,
         )
         events: list = []
+        attempts: dict = {}
         payloads, failures = supervise.execute_supervised(
             items,
             2,
             cfg,
             None,
             None,
-            on_event=lambda kind, task: events.append(
-                (kind, task.index if task is not None else None)
+            on_complete=lambda task, payload: attempts.update(
+                {task.index: task.attempt}
             ),
+            on_event=lambda kind, task: events.append((kind, task.index)),
             strict_errors=False,
         )
         assert sorted(payloads) == [2, 3]
+        assert attempts == {2: 1, 3: 1}
         assert sorted(f.index for f in failures) == [0, 1]
         assert {f.kind for f in failures} == {"timeout"}
         assert not [e for e in events if e[0] == "timeout" and e[1] >= 2]
-        first_timeout = events.index(
-            next(e for e in events if e[0] == "timeout")
-        )
-        for i in (2, 3):
-            assert events.index(("start", i)) > first_timeout
+        # The small points waited for a worker: both big ones started first.
+        starts = [i for kind, i in events if kind == "start"]
+        assert starts[:2] == [0, 1]
 
-    def test_pool_break_strikes_only_started_tasks(self):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
 
-        tasks = [
-            supervise._Task(
-                index=i, point=None, key=f"k{i}", label=f"p{i}",
-                timeout_s=None,
-            )
-            for i in range(4)
-        ]
-        futures = [Future() for _ in tasks]
-        futures[0].set_result({"done": 0})
-        for f in futures[1:]:
-            f.set_exception(BrokenProcessPool("worker died"))
+@needs_fork
+class TestPooledWorkers:
+    def test_crashing_point_costs_only_its_own_attempts(
+        self, monkeypatch, fast_backoff
+    ):
+        _exit_on(8, monkeypatch)
+        healthy = SimPoint(ARDirect(), TorusShape.parse("8x4x4"), 64, seed=0)
+        poison = SimPoint(ARDirect(), TorusShape.parse("2x2"), 8, seed=0)
+        completed: dict = {}
         events: list = []
-        sup = supervise._Supervisor(
-            SuperviseConfig(),
+        payloads, failures = supervise.execute_supervised(
+            _items([healthy, poison]),
+            2,
+            SuperviseConfig(max_attempts=3),
             None,
             None,
-            on_event=lambda kind, task: events.append((kind, task)),
+            on_complete=lambda task, payload: completed.update(
+                {task.index: task.attempt}
+            ),
+            on_event=lambda kind, task: events.append((kind, task.index)),
+            strict_errors=False,
         )
-
-        class DeadPool:
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        # One worker: task 0 ran and finished before the break, so its
-        # worker took task 1 next; tasks 2 and 3 never left the queue.
-        running = {futures[0]: tasks[0]}
-        queued = {f: t for f, t in zip(futures[1:], tasks[1:])}
-        waiting: list = []
-        pool = sup._recover_pool_break(
-            DeadPool(), running, queued, waiting, max_workers=1
+        assert completed == {0: 1}
+        assert [e for e in events if e[1] == 0] == [("start", 0)]
+        (failure,) = failures
+        assert (failure.index, failure.kind, failure.attempts) == (
+            1, "crash", 3
         )
-        pool.shutdown()
-        assert sup.payloads == {0: {"done": 0}}
-        assert (tasks[1].crashes, tasks[1].attempt) == (1, 2)
-        for t in tasks[2:]:
-            assert (t.crashes, t.attempt, t.not_before) == (0, 1, 0.0)
-        assert sorted(t.index for t in waiting) == [1, 2, 3]
-        assert not running and not queued
-        assert [k for k, t in events if t is tasks[1]] == [
-            "start", "crash", "retry"
-        ]
-        assert not [k for k, t in events if t in tasks[2:]]
+        assert "exit code 3" in failure.error
+        assert payloads[0] == encode_run(run_points([healthy], jobs=1)[0])
+
+    def test_checked_invariant_error_arrives_as_itself(self):
+        from repro.check.config import CheckConfig
+        from repro.check.fuzz import _SELF_TEST_CASE, FuzzCase, broken_dedup
+        from repro.check.oracle import InvariantError
+
+        point = FuzzCase.parse(_SELF_TEST_CASE).to_point()
+        with broken_dedup():
+            sweep = run_sweep([point, point], jobs=2, check=CheckConfig())
+        assert sweep.runs == [None, None]
+        assert sorted(f.index for f in sweep.failures) == [0, 1]
+        for f in sweep.failures:
+            assert (f.kind, f.attempts) == ("error", 1)
+            assert isinstance(f.exception, InvariantError)
+            assert f.exception.oracle == "exactly_once"
+        assert counters.retries == 0
+
+    def test_strict_error_carries_the_worker_traceback(self, monkeypatch):
+        import repro.runner.pool as pool_mod
+
+        def boom(point, obs, check):
+            raise ZeroDivisionError("deterministic bug")
+
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", boom)
+        with pytest.raises(ZeroDivisionError, match="deterministic bug") as ei:
+            run_points(_points(2), jobs=2)
+        cause = str(ei.value.__cause__)
+        assert "Traceback" in cause and "in boom" in cause
+
+    def test_unpicklable_error_arrives_as_runtime_error(self, monkeypatch):
+        import repro.runner.pool as pool_mod
+
+        class Local(Exception):
+            pass
+
+        def boom(point, obs, check):
+            raise Local("not importable")
+
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", boom)
+        sweep = run_sweep(_points(2), jobs=2)
+        for f in sweep.failures:
+            assert f.kind == "error"
+            assert type(f.exception) is RuntimeError
+            assert str(f.exception) == "Local: not importable"
+
+    def test_workers_are_reaped_on_return_error_and_interrupt(
+        self, monkeypatch
+    ):
+        import repro.runner.pool as pool_mod
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        assert run_sweep(_points(4), jobs=2).complete
+        assert not multiprocessing.active_children()
+
+        real = pool_mod._simulate_encoded
+
+        def boom(point, obs, check):
+            if point.msg_bytes == 16:
+                raise ZeroDivisionError("deterministic bug")
+            return real(point, obs, check)
+
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", boom)
+        with pytest.raises(ZeroDivisionError):
+            run_points(_points(4), jobs=2)
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", real)
+
+        def interrupt(key, payload):
+            raise KeyboardInterrupt
+
+        monkeypatch.delenv("REPRO_CACHE")
+        monkeypatch.setattr(pool_mod, "cache_put", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_points(4), jobs=2)
+        assert not multiprocessing.active_children()
+
+    def test_every_worker_forks_with_no_extra_thread(
+        self, monkeypatch, fast_backoff
+    ):
+        from multiprocessing.process import BaseProcess
+
+        threads: list = []
+        real_start = BaseProcess.start
+
+        def start(self):
+            threads.append(threading.active_count())
+            real_start(self)
+
+        monkeypatch.setattr(BaseProcess, "start", start)
+        _exit_on(8, monkeypatch)
+        healthy = SimPoint(ARDirect(), TorusShape.parse("8x4x4"), 64, seed=0)
+        poison = SimPoint(ARDirect(), TorusShape.parse("2x2"), 8, seed=0)
+        before = threading.active_count()
+        sweep = run_sweep(
+            [healthy, poison], jobs=2, supervise=SuperviseConfig(max_attempts=3)
+        )
+        assert [f.kind for f in sweep.failures] == ["crash"]
+        # Two first workers, then one replacement per retried crash.
+        assert len(threads) == 4
+        assert set(threads) == {before}
 
 
 class TestResumeFromCache:

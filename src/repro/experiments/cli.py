@@ -43,7 +43,10 @@ how to resume and exits 130.  ``--point-timeout S`` (or
 ``REPRO_POINT_TIMEOUT``) bounds each point's wall clock; ``--retries
 N`` bounds reschedules of timed-out/crashed points.
 ``REPRO_CHAOS=kill:0.1,hang:0.05,seed=0`` injects deterministic worker
-deaths and stalls to exercise the supervision layer.
+deaths and stalls to exercise the supervision layer.  A point timeout
+or ``REPRO_CHAOS`` runs the points on worker processes even with
+``--jobs 1`` (on one worker then), so the parent can kill a point that
+overruns its limit.
 
 Telemetry (DESIGN.md section 15): a live sweep status line (TTY) or
 periodic progress log lines (elsewhere) render by default, built from
@@ -53,9 +56,10 @@ phase-level time profiler and writes per-point + aggregate phase
 attributions as JSON (with ``--trace *.json`` the phase spans also land
 in the Chrome trace).
 
-A bad run setting — a flag value, or ``REPRO_SCALE``, ``REPRO_JOBS``,
-``REPRO_POINT_TIMEOUT`` or ``REPRO_CHAOS`` — exits 2 with a usage error
-before any point runs.
+A bad run setting — an unknown experiment id, a flag value, an output
+file that is a directory or sits in a missing one, or ``REPRO_SCALE``,
+``REPRO_JOBS``, ``REPRO_POINT_TIMEOUT`` or ``REPRO_CHAOS`` — exits 2
+with a usage error before any point runs.
 """
 
 from __future__ import annotations
@@ -198,7 +202,12 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     sub.add_parser("list", help="list experiment ids")
     runp = sub.add_parser("run", help="run one experiment (or 'all')")
-    runp.add_argument("exp_id", help="experiment id, or 'all'")
+    runp.add_argument(
+        "exp_id",
+        choices=[*ALL, "all"],
+        metavar="EXP_ID",
+        help="experiment id (see 'list'), or 'all'",
+    )
     runp.add_argument("--scale", default=None, choices=["tiny", "small", "full"])
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument(
@@ -257,7 +266,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SECONDS",
         help="wall-clock limit per simulation point (default: "
         "REPRO_POINT_TIMEOUT env var, else derived from shape/message "
-        "size when supervision is active)",
+        "size under REPRO_CHAOS); the points then run on worker "
+        "processes, one worker with --jobs 1",
     )
     runp.add_argument(
         "--retries",
@@ -337,6 +347,19 @@ def main(argv: list[str] | None = None) -> int:
             profile=bool(args.profile),
         )
         sup_cfg = SuperviseConfig.from_env(**sup_overrides)
+        # Observed runs bypass the cache: an output that cannot be
+        # written would lose every simulated point.
+        for flag, path in (
+            ("--trace", args.trace),
+            ("--metrics", args.metrics),
+            ("--profile", args.profile),
+        ):
+            parent = os.path.dirname(path or "") or "."
+            if path and (os.path.isdir(path) or not os.path.isdir(parent)):
+                raise ValueError(f"{flag}: cannot write a file at {path!r}")
+        report = args.report
+        if report and os.path.exists(report) and not os.path.isdir(report):
+            raise ValueError(f"--report: {report!r} is not a directory")
     except (TypeError, ValueError) as exc:
         runp.error(str(exc))
 

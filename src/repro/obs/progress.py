@@ -11,7 +11,8 @@ gives the parent process one coordinated view of a sweep in flight:
   logs and piped output never see ANSI control sequences.  Its only
   inputs are the supervisor's own events (:mod:`repro.runner.supervise`)
   and a periodic ``tick``: a point's start event dates it, so a wedged
-  point is named as the slowest *before* the watchdog kills it.
+  point is named as the slowest *before* the parent kills its worker at
+  the point's timeout.
 * :class:`OutputCoordinator` — the single stderr writer.  Log records
   and the status line share one stream; the coordinator erases the
   status line, lets the record through, and redraws, so worker log
@@ -181,8 +182,8 @@ class SweepProgress:
 
     Fed by the supervised executor's event stream (``start`` / ``retry``
     / ``timeout`` / ``crash`` / ``failed``), completion callbacks and
-    :meth:`tick`.  Thread-safe: sequential sweeps tick
-    from the supervisor's ticker thread.
+    :meth:`tick`.  Thread-safe: an in-process sweep ticks from the
+    supervisor's ticker thread.
     """
 
     def __init__(

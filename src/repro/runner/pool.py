@@ -14,10 +14,10 @@ Guarantees:
   the points that are still missing.  The cache is the only store of
   results.
 * **Resilience** — every sweep runs under the supervision layer
-  (:mod:`repro.runner.supervise`): per-point wall-clock timeouts,
-  bounded deterministic retries, and owned worker processes that hold
-  one point each, so a dead worker costs only its own point one
-  attempt.  :func:`run_sweep` returns a
+  (:mod:`repro.runner.supervise`): per-point wall-clock timeouts that
+  the parent enforces, bounded deterministic retries, and owned worker
+  processes that hold one point each, so a dead worker costs only its
+  own point one attempt.  :func:`run_sweep` returns a
   :class:`~repro.runner.supervise.SweepResult` carrying completed runs
   plus structured failures; :func:`run_points` keeps the historical
   list-returning contract (deterministic simulation errors re-raise
@@ -26,8 +26,9 @@ Guarantees:
   carries the partial results).
 
 Job-count resolution: explicit ``jobs`` argument, else the ``REPRO_JOBS``
-environment variable, else 1 (sequential, in-process).  ``jobs=0`` or a
-negative value means "all cores".
+environment variable, else 1 (in-process, unless a point timeout or
+chaos puts the sweep on one worker).  ``jobs=0`` means "all cores"; a
+negative count is refused.
 
 Observability: when an :class:`~repro.obs.config.ObsConfig` is passed (or
 one is active via :func:`repro.obs.context.observe`, which is how the CLI

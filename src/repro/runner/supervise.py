@@ -6,24 +6,24 @@ point, one OOM-killed worker or one Ctrl-C throws away the whole sweep.
 This module wraps point execution in the machinery of a production job
 scheduler:
 
-* **Per-point wall-clock timeouts** — every attempt runs under a SIGALRM
-  :func:`watchdog` inside the worker (explicit via
-  ``--point-timeout`` / ``REPRO_POINT_TIMEOUT``, else derived from the
-  point's shape and message size).  The parent additionally enforces a
-  hard deadline (timeout + :data:`GRACE_S`, from the point's hand-over
-  to its worker): a worker wedged beyond its own alarm is killed and
-  replaced.
+* **One point per owned worker** — a supervised sweep runs on
+  ``min(jobs, points)`` worker processes the supervisor owns (one when
+  ``jobs`` is 1), each with its own pipe and at most one point.  A
+  worker that dies (SIGKILL, OOM, hard crash) costs exactly the point
+  it held one attempt, and only that worker is replaced.  An exception
+  a point raises comes back as itself, with the worker's traceback
+  chained as its ``__cause__``.
+* **Per-point wall-clock timeouts, enforced by the parent** — the limit
+  is explicit (``--point-timeout`` / ``REPRO_POINT_TIMEOUT``) or derived
+  from the point's shape and message size.  A point still running at
+  its hand-over time plus its limit has its worker killed and replaced,
+  and is charged one ``timeout`` attempt.  No worker arms an alarm, so
+  a timeout holds whichever thread runs the sweep.
 * **Bounded retries with deterministic backoff** — transient failures
   (timeouts, worker deaths) are rescheduled with exponential backoff and
   *no jitter*: given the same failures, the schedule is reproducible.
   Simulation results themselves are seed-deterministic, so a retried
   point returns bit-identical bytes.
-* **One point per worker** — the pooled path owns its worker processes,
-  each with its own pipe and at most one point.  A worker that dies
-  (SIGKILL, OOM, hard crash) costs exactly the point it held one
-  attempt, and only that worker is replaced.  An exception a point
-  raises comes back as itself, with the worker's traceback chained as
-  its ``__cause__``.
 * **Graceful degradation** — :func:`repro.runner.pool.run_sweep` returns
   a :class:`SweepResult` carrying every completed run plus a structured
   ``failures`` list; :func:`~repro.runner.pool.run_points` keeps its
@@ -40,11 +40,12 @@ scheduler:
   retried attempt re-rolls the dice, so chaos converges.  This is how
   the whole layer is tested in CI.
 
-Every sweep, pooled or sequential, runs through :func:`execute_supervised`.
-With no timeout or chaos configured (supervision not *active*) the
-sequential supervisor is a thin wrapper: the watchdog is a no-op, and in
-strict mode a deterministic error re-raises as the same exception object
-a direct call would have raised.
+Every sweep runs through :func:`execute_supervised`.  Only a sweep with
+no point timeout, no enabled chaos plan and one job or one point stays
+in the calling process: it simulates its points in order on the calling
+thread, each one completing or failing as ``error``, and in strict mode
+a deterministic error re-raises as the same exception object a direct
+call would have raised.  Every other sweep runs on owned workers.
 
 Telemetry is the supervisor's own event stream: ``on_event`` reports
 each start, retry, timeout, crash and failure, and ``on_complete`` each
@@ -82,14 +83,9 @@ _log = logging.getLogger("repro.runner.supervise")
 
 
 class PointTimeoutError(Exception):
-    """An attempt exceeded its wall-clock limit (raised by the in-worker
-    :func:`watchdog`, or synthesized by the parent after a hard kill)."""
-
-
-class ChaosKilled(Exception):
-    """Sequential-mode stand-in for a chaos worker kill: the in-process
-    path cannot ``os._exit`` without taking the whole run down, so the
-    'killed worker' surfaces as this retryable crash instead."""
+    """A block guarded by :func:`watchdog` outlived its limit.  A sweep
+    never raises it: the parent times a point out by killing its
+    worker."""
 
 
 class SweepIncompleteError(RuntimeError):
@@ -111,7 +107,7 @@ class SweepIncompleteError(RuntimeError):
 
 
 # --------------------------------------------------------------------- #
-# watchdog (shared with repro.check.fuzz)
+# watchdog (the fuzz driver's batch and shrink guards)
 # --------------------------------------------------------------------- #
 
 
@@ -268,8 +264,6 @@ def derive_timeout(point) -> float:
 #: seconds — exponential and jitter-free, so the schedule is reproducible.
 BACKOFF_S = 0.25
 BACKOFF_FACTOR = 2.0
-#: Seconds past a point's own timeout before the parent kills its worker.
-GRACE_S = 10.0
 #: Longest gap between two calls of a sweep's ``tick`` while points run.
 TICK_S = 1.0
 
@@ -279,18 +273,11 @@ def backoff_for(attempt: int) -> float:
     return BACKOFF_S * BACKOFF_FACTOR ** max(attempt - 2, 0)
 
 
-#: Longest per-point limit, s (~32 years).  ``setitimer`` cannot arm a
-#: timer past ~9.2e9 s, so a longer (or infinite) limit is refused up
-#: front rather than failing every point inside :func:`watchdog`.
-MAX_POINT_TIMEOUT_S = 1e9
-
-
 def _check_timeout(seconds: float, name: str) -> float:
-    """Return *seconds* if the watchdog can arm it, else raise."""
-    if not 0.0 < seconds <= MAX_POINT_TIMEOUT_S:  # NaN fails here too
+    """Return *seconds* if it is a finite limit > 0, else raise."""
+    if not 0.0 < seconds < float("inf"):  # NaN fails here too
         raise ValueError(
-            f"{name} must be seconds in (0, {MAX_POINT_TIMEOUT_S:g}], "
-            f"got {seconds!r}"
+            f"{name} must be finite seconds > 0, got {seconds!r}"
         )
     return seconds
 
@@ -299,10 +286,11 @@ def _check_timeout(seconds: float, name: str) -> float:
 class SuperviseConfig:
     """Knobs of the supervision layer (see the module docstring).
 
-    ``point_timeout_s=None`` means "derive from the point" when timeouts
-    are needed (chaos active, or supervision explicitly activated) and
-    "no timeout" otherwise.  ``max_attempts`` bounds every retry cause
-    together.
+    A config with a point timeout or an enabled chaos plan is *active*:
+    its sweeps run on owned workers, and a point without an explicit
+    limit gets a derived one.  An inactive config has no timeout, and
+    its sweeps with one job or one point run in the calling process.
+    ``max_attempts`` bounds every retry cause together.
     """
 
     point_timeout_s: Optional[float] = None
@@ -318,8 +306,9 @@ class SuperviseConfig:
 
     @property
     def is_active(self) -> bool:
-        """Whether any supervision feature is actually requested; only
-        then does a point without an explicit limit get a derived one."""
+        """Whether a timeout or chaos is requested; only then does a
+        point without an explicit limit get a derived one, and only then
+        does a one-job sweep leave the calling process."""
         return self.point_timeout_s is not None or (
             self.chaos is not None and self.chaos.enabled
         )
@@ -460,65 +449,39 @@ class SweepResult:
 # --------------------------------------------------------------------- #
 
 
-def _worker_entry(
-    point,
-    key: str,
-    attempt: int,
-    timeout_s: Optional[float],
-    chaos: Optional[ChaosPlan],
-    obs,
-    check,
-    in_pool: bool,
-) -> dict:
-    """One supervised attempt: chaos, watchdog, simulate, encode.
-
-    Runs in a pooled worker (``in_pool=True``) or inline in the parent
-    for sequential sweeps.  The watchdog arms *before* chaos so an
-    injected hang is caught exactly like a real one.
-    """
-    from repro.runner.pool import _simulate_encoded, point_label
-
-    label = point_label(point)
-    with watchdog(timeout_s, f"point {label} (attempt {attempt})"):
-        if chaos is not None and chaos.enabled:
-            fate = chaos.decide(key, attempt)
-            if fate == "kill":
-                if in_pool:
-                    # A hard worker death: the parent sees the worker's
-                    # pipe close, exactly like an OOM kill.
-                    os._exit(42)
-                raise ChaosKilled(
-                    f"chaos killed point {label} (attempt {attempt})"
-                )
-            if fate == "hang":
-                time.sleep(chaos.hang_s)
-        return _simulate_encoded(point, obs, check)
-
-
 class _RemoteTraceback(Exception):
     """A worker's formatted traceback, chained as the ``__cause__`` of
     the exception the worker's point raised."""
 
 
 def _worker_main(conn, parent_end) -> None:
-    """Body of one pooled worker process.
+    """Body of one owned worker process.
 
-    Runs each :func:`_worker_entry` argument tuple the parent sends on
-    *conn*, one at a time, and replies ``(payload, None, None)`` or
-    ``(None, exception, traceback text)``.  An exception that does not
-    survive a pickle round trip is replaced by a :class:`RuntimeError`
-    naming its type and message.  Ctrl-C is the parent's to handle: it
-    kills its workers on the way out.  The worker closes its copy of
-    the parent's end, so a parent that dies without killing it leaves
-    the worker a closed pipe to exit on rather than a wait forever.
+    Runs each point the parent sends on *conn*, one at a time: it rolls
+    the chaos dice, then simulates and replies ``(payload, None, None)``
+    or ``(None, exception, traceback text)``.  A chaos kill is a hard
+    worker death, so the parent sees the pipe close exactly as after an
+    OOM kill.  An exception that does not survive a pickle round trip is
+    replaced by a :class:`RuntimeError` naming its type and message.
+    Ctrl-C is the parent's to handle: it kills its workers on the way
+    out.  The worker closes its copy of the parent's end, so a parent
+    that dies without killing it leaves the worker a closed pipe to exit
+    on rather than a wait forever.
     """
+    from repro.runner import pool
+
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
-            args = conn.recv()
+            point, key, attempt, chaos, obs, check = conn.recv()
+            fate = chaos.decide(key, attempt) if chaos is not None else None
+            if fate == "kill":
+                os._exit(42)
+            if fate == "hang":
+                time.sleep(chaos.hang_s)
             try:
-                reply = (_worker_entry(*args, in_pool=True), None, None)
+                reply = (pool._simulate_encoded(point, obs, check), None, None)
             except Exception as exc:
                 tb = "".join(traceback.format_exception(exc))
                 try:
@@ -532,7 +495,7 @@ def _worker_main(conn, parent_end) -> None:
 
 
 class _Worker:
-    """One pooled worker process, the parent's end of its pipe, and the
+    """One owned worker process, the parent's end of its pipe, and the
     task it holds (``None`` while idle)."""
 
     def __init__(self) -> None:
@@ -575,10 +538,11 @@ class _Task:
 class _Supervisor:
     """Executes a batch of tasks under one :class:`SuperviseConfig`.
 
-    Shared state machine for the pooled and sequential paths: attempts
-    either complete (``on_complete`` fires, for cache/counters), time
-    out, crash, or error; transient causes reschedule with backoff until
-    ``max_attempts``, then become :class:`PointFailure` records.
+    On owned workers an attempt completes (``on_complete`` fires, for
+    cache/counters), times out, crashes, or errors; transient causes
+    reschedule with backoff until ``max_attempts``, then become
+    :class:`PointFailure` records.  In process an attempt only completes
+    or errors.
     """
 
     def __init__(
@@ -617,7 +581,7 @@ class _Supervisor:
     def _ticker(self) -> Iterator[None]:
         """Tick from one daemon thread while the wrapped block runs.
 
-        The sequential path simulates on the calling thread, so nothing
+        The in-process path simulates on the calling thread, so nothing
         else would tick between a point's start and its completion.
         """
         if self.tick is None:
@@ -681,7 +645,6 @@ class _Supervisor:
             return None
         task.attempt += 1
         task.not_before = now + backoff_for(task.attempt)
-        task.deadline = float("inf")
         self.on_event("retry", task)
         _log.warning(
             "%s; retry %d/%d in %.2fs",
@@ -704,59 +667,40 @@ class _Supervisor:
         if self.strict_errors:
             raise exc
 
-    # -- sequential path -------------------------------------------- #
+    # -- in-process path ------------------------------------------- #
 
-    def run_sequential(self, tasks: list) -> None:
-        queue = deque(tasks)
-        while queue:
-            task = queue.popleft()
-            delay = task.not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+    def run_in_process(self, tasks: list) -> None:
+        """Simulate *tasks* in order on the calling thread.  Only an
+        unsupervised sweep comes here (no timeout, no chaos), so a point
+        either completes or fails as ``error``."""
+        from repro.runner import pool
+
+        for task in tasks:
             self.on_event("start", task)
             try:
-                payload = _worker_entry(
-                    task.point,
-                    task.key,
-                    task.attempt,
-                    task.timeout_s,
-                    self.cfg.chaos,
-                    self.obs,
-                    self.check,
-                    in_pool=False,
+                payload = pool._simulate_encoded(
+                    task.point, self.obs, self.check
                 )
-            except PointTimeoutError as exc:
-                again = self._retry_or_fail(
-                    task, "timeout", str(exc), time.monotonic()
-                )
-                if again is not None:
-                    queue.append(again)
-            except ChaosKilled as exc:
-                again = self._retry_or_fail(
-                    task, "crash", str(exc), time.monotonic()
-                )
-                if again is not None:
-                    queue.append(again)
             except Exception as exc:
                 self._handle_error(task, exc)
             else:
                 self._complete(task, payload)
 
-    # -- pooled path ------------------------------------------------ #
+    # -- owned-worker path ------------------------------------------ #
 
-    def run_pooled(self, tasks: list, jobs: int) -> None:
+    def run_on_workers(self, tasks: list, jobs: int) -> None:
         """Run *tasks* longest first on ``min(jobs, len(tasks))`` worker
         processes this supervisor owns, one point per worker.
 
         A worker that replies gets its next point before the parent
         stores the reply, so it never idles through a cache write; the
-        point's ``start`` event and hard deadline count from that
-        hand-over.  A worker that dies, or that the parent kills past
-        its hard deadline, costs the point it held one attempt, and only
-        that worker is replaced.  The parent starts no thread here (a
-        fork with threads alive can deadlock a worker); it ticks after
-        every wait instead.  Every worker is killed and reaped before
-        this returns or raises."""
+        point's ``start`` event and deadline (hand-over time plus its
+        timeout) count from that hand-over.  A worker that dies, or that
+        the parent kills at its point's deadline, costs the point it
+        held one attempt, and only that worker is replaced.  The parent
+        starts no thread here (a fork with threads alive can deadlock a
+        worker); it ticks after every wait instead.  Every worker is
+        killed and reaped before this returns or raises."""
         nworkers = min(jobs, len(tasks))
         # sorted() is stable: equal hints keep their input order.
         ready: deque = deque(
@@ -809,31 +753,20 @@ class _Supervisor:
                         idle.append(worker)
                     if exc is None:
                         self._complete(task, payload)
-                    elif isinstance(exc, PointTimeoutError):
-                        again = self._retry_or_fail(
-                            task, "timeout", str(exc), now
-                        )
-                        if again is not None:
-                            waiting.append(again)
                     else:
                         exc.__cause__ = _RemoteTraceback(f'\n"""\n{tb}"""')
                         self._handle_error(task, exc)
                 for conn, worker in list(busy.items()):
-                    if worker.task.deadline > now:
+                    task = worker.task
+                    if task.deadline > now:
                         continue
-                    # The in-worker alarm should have fired long ago: the
-                    # worker is wedged beyond Python's reach.
-                    _log.warning(
-                        "point %s overran its hard deadline; killing its "
-                        "worker",
-                        worker.task.label,
-                    )
                     del busy[conn]
                     worker.stop()
                     again = self._retry_or_fail(
-                        worker.task,
+                        task,
                         "timeout",
-                        "hard-killed after overrunning its deadline",
+                        f"point {task.label} (attempt {task.attempt}) "
+                        f"exceeded its {task.timeout_s:g}s wall-clock limit",
                         now,
                     )
                     if again is not None:
@@ -845,12 +778,9 @@ class _Supervisor:
     def _hand_over(
         self, worker: _Worker, task: _Task, busy: dict, now: float
     ) -> None:
-        """Send *task* to the idle *worker* and arm its hard deadline."""
+        """Send *task* to the idle *worker* and arm its deadline."""
         worker.task = task
-        if task.timeout_s is not None:
-            task.deadline = now + task.timeout_s + GRACE_S
-        else:
-            task.deadline = float("inf")
+        task.deadline = now + (task.timeout_s or float("inf"))
         busy[worker.conn] = worker
         self.on_event("start", task)
         try:
@@ -859,7 +789,6 @@ class _Supervisor:
                     task.point,
                     task.key,
                     task.attempt,
-                    task.timeout_s,
                     self.cfg.chaos,
                     self.obs,
                     self.check,
@@ -888,11 +817,16 @@ def execute_supervised(
     payload)`` fires as each point lands (cache/counters hook);
     ``on_event(kind, task)`` fires on start/retry/timeout/crash/failed
     transitions (counters + progress hook); ``tick()`` is called at
-    least once per :data:`TICK_S` while points run, from the parent's
-    main thread (pooled) or from one daemon ticker thread (sequential,
-    whose main thread is busy simulating).  With ``strict_errors`` deterministic simulation errors
-    re-raise immediately (the historical contract); otherwise they
-    become structured failures like everything else.
+    least once per :data:`TICK_S` while points run.  With
+    ``strict_errors`` deterministic simulation errors re-raise
+    immediately (the historical contract); otherwise they become
+    structured failures like everything else.
+
+    A sweep with no timeout, no enabled chaos plan and one job or one
+    point runs in the calling process, ticked from one daemon ticker
+    thread while the calling thread simulates.  Every other sweep runs
+    on ``min(jobs, len(items))`` owned workers and ticks on the calling
+    thread.
     """
     sup = _Supervisor(
         cfg,
@@ -913,16 +847,15 @@ def execute_supervised(
         )
         for index, point, key, label in items
     ]
-    if jobs > 1 and len(tasks) > 1:
-        sup.run_pooled(tasks, jobs)
+    if cfg.is_active or (jobs > 1 and len(tasks) > 1):
+        sup.run_on_workers(tasks, jobs)
     else:
         with sup._ticker():
-            sup.run_sequential(tasks)
+            sup.run_in_process(tasks)
     return sup.payloads, sup.failures
 
 
 __all__ = [
-    "ChaosKilled",
     "ChaosPlan",
     "PointFailure",
     "PointTimeoutError",

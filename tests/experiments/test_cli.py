@@ -34,9 +34,13 @@ def test_run_model_experiment(capsys):
     assert "VMesh pred us" in out
 
 
-def test_run_unknown_id():
-    with pytest.raises(KeyError):
+def test_run_unknown_id(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "'nope'" in err
+    assert "'fig1_ar_midplane'" in err and "'all'" in err
 
 
 def test_bad_scale_rejected():
@@ -187,6 +191,7 @@ def test_quiet_and_verbose_flags():
     "flags, env, named",
     [
         (["--point-timeout", "nan"], {}, "point_timeout_s"),
+        (["--point-timeout", "inf"], {}, "point_timeout_s"),
         (["--retries", "-1"], {}, "max_attempts"),
         (["--trace-sample", "0", "--trace", "t.json"], {}, "trace_sample"),
         ([], {"REPRO_CHAOS": "bogus"}, "REPRO_CHAOS"),
@@ -195,9 +200,15 @@ def test_quiet_and_verbose_flags():
         ([], {"REPRO_SCALE": "huge"}, "'huge'"),
         (["--jobs", "-2"], {}, "jobs must be >= 0"),
         ([], {"REPRO_JOBS": "-2"}, "REPRO_JOBS must be >= 0"),
+        (["--trace", "missing/t.json"], {}, "--trace"),
+        (["--metrics", "missing/m.json"], {}, "--metrics"),
+        (["--profile", "missing/p.json"], {}, "--profile"),
+        (["--metrics", "."], {}, "--metrics"),
+        (["--report", os.devnull], {}, "--report"),
     ],
     ids=[
         "point-timeout",
+        "point-timeout-inf",
         "retries",
         "trace-sample",
         "chaos",
@@ -206,6 +217,11 @@ def test_quiet_and_verbose_flags():
         "env-scale",
         "jobs-negative",
         "env-jobs-negative",
+        "trace-dir-missing",
+        "metrics-dir-missing",
+        "profile-dir-missing",
+        "metrics-is-a-dir",
+        "report-not-a-dir",
     ],
 )
 def test_bad_run_setting_is_a_usage_error(

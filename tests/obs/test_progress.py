@@ -14,6 +14,7 @@ import io
 import logging
 import os
 import threading
+import time
 
 import pytest
 
@@ -326,18 +327,29 @@ class TestSweepIntegration:
         finished = [m for m in messages if m.startswith("sweep finished:")]
         assert finished and "2/2 done" in finished[0]
 
-    def test_supervised_sweep_ticks_the_renderer(self, monkeypatch):
+    def test_in_process_sweep_ticks_from_its_ticker_thread(
+        self, monkeypatch
+    ):
+        import repro.runner.pool as pool_mod
+
         monkeypatch.setenv("REPRO_PROGRESS", "1")
+        monkeypatch.setenv("REPRO_CACHE", "0")
         monkeypatch.setattr(supervise, "TICK_S", 0.01)
         probe = _install_probe(monkeypatch)
+        real = pool_mod._simulate_encoded
+
+        def slow(point, obs, check):
+            # Keep each point in flight for a few tick periods.
+            time.sleep(0.1)
+            return real(point, obs, check)
+
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", slow)
         shape = TorusShape.parse("2x2x2")
         pts = [SimPoint(ARDirect(), shape, m, seed=1) for m in (32, 64)]
-        # A chaos hang keeps each point in flight for a few tick periods.
-        cfg = SuperviseConfig(chaos=ChaosPlan(hang_prob=1.0, hang_s=0.1))
-        sweep = run_sweep(pts, jobs=1, supervise=cfg)
+        sweep = run_sweep(pts, jobs=1)
         assert sweep.failures == []
-        # The sequential path ticks from its ticker thread, which is
-        # gone once the sweep returns.
+        # The in-process path simulates on the calling thread and ticks
+        # from its ticker thread, which is gone once the sweep returns.
         assert set(probe.tick_threads) == {"sweep-ticker"}
         assert not [
             t for t in threading.enumerate() if t.name == "sweep-ticker"
@@ -352,8 +364,8 @@ class TestSweepIntegration:
         probe = _install_probe(monkeypatch)
         shape = TorusShape.parse("2x2x2")
         pts = [SimPoint(ARDirect(), shape, m, seed=1) for m in (32, 64)]
-        # Every attempt stalls for 0.8 s before simulating, in the
-        # parent (jobs=1) or in a pool worker (jobs=2); no event
+        # Every attempt stalls for 0.8 s in a worker before simulating
+        # (chaos puts even a jobs=1 sweep on one worker); no event
         # arrives meanwhile, so only ticks can name the slow point.
         cfg = SuperviseConfig(chaos=ChaosPlan(hang_prob=1.0, hang_s=0.8))
         sweep = run_sweep(pts, jobs=jobs, supervise=cfg)
@@ -362,10 +374,9 @@ class TestSweepIntegration:
         assert any(
             f"slowest {point_label(pt)} " in out for pt in pts
         ), out
-        if jobs > 1:
-            # The pooled path ticks on the parent's own thread: it
-            # starts no thread of its own before forking workers.
-            assert set(probe.tick_threads) == {"MainThread"}
+        # The owned-worker path ticks on the parent's own thread: it
+        # starts no thread of its own before forking workers.
+        assert set(probe.tick_threads) == {"MainThread"}
 
     def test_progress_off_is_silent(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_PROGRESS", "0")

@@ -21,7 +21,6 @@ from repro.runner import (
     run_sweep,
 )
 from repro.runner.supervise import (
-    MAX_POINT_TIMEOUT_S,
     ChaosPlan,
     PointTimeoutError,
     SuperviseConfig,
@@ -68,6 +67,12 @@ def _points(n=3):
 
 def _bits(runs):
     return [json.dumps(encode_run(r), sort_keys=True) for r in runs]
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the parent's patches only when forked",
+)
 
 
 class TestChaosPlan:
@@ -169,15 +174,12 @@ class TestConfig:
             SuperviseConfig(max_attempts=0)
         with pytest.raises(ValueError):
             SuperviseConfig(point_timeout_s=0.0)
-        # Limits the watchdog's setitimer cannot arm fail at construction,
-        # not inside every point.
-        for bad in (float("nan"), float("inf"), 1e10):
+        # A limit must be finite: NaN and inf fail at construction.  No
+        # timer arms it, so any finite limit is accepted.
+        for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="point_timeout_s"):
                 SuperviseConfig(point_timeout_s=bad)
-        # The cap itself is accepted, and the timer can arm it.
-        cap = SuperviseConfig(point_timeout_s=MAX_POINT_TIMEOUT_S)
-        with watchdog(cap.point_timeout_s, "cap"):
-            pass
+        assert SuperviseConfig(point_timeout_s=1e10).point_timeout_s == 1e10
         with pytest.raises(TypeError, match="max_attempts"):
             SuperviseConfig(max_attempts=1.5)
         cfg = SuperviseConfig(max_attempts=3.0)
@@ -233,7 +235,7 @@ class TestConfig:
 
 
 class TestRunSweepChaos:
-    def test_sequential_chaos_kill_converges_bit_identically(
+    def test_one_worker_chaos_kill_converges_bit_identically(
         self, fast_backoff
     ):
         pts = _points(3)
@@ -249,7 +251,7 @@ class TestRunSweepChaos:
         # through it, so results must be byte-identical regardless.
         assert _bits(sweep.runs) == _bits(clean)
 
-    def test_sequential_chaos_kill_cold_cache(
+    def test_one_worker_chaos_kill_cold_cache(
         self, monkeypatch, fast_backoff
     ):
         pts = _points(3)
@@ -311,11 +313,12 @@ class TestRunSweepChaos:
         assert not sweep.complete
         assert sweep.completed == 0
         assert sweep.runs == [None, None]
-        assert len(sweep.failures) == 2
-        for f, p in zip(sweep.failures, pts):
+        # One worker fails the points longest first: match by index.
+        assert sorted(f.index for f in sweep.failures) == [0, 1]
+        for f in sweep.failures:
             assert f.kind == "crash"
             assert f.attempts == 2
-            assert f.key == point_key(p)
+            assert f.key == point_key(pts[f.index])
             d = f.to_dict()
             assert json.loads(json.dumps(d)) == d
 
@@ -331,6 +334,7 @@ class TestRunSweepChaos:
         assert len(ei.value.sweep.failures) == 2
         assert "crash" in str(ei.value)
 
+    @needs_fork
     def test_deterministic_error_reraises_unchanged(self, monkeypatch):
         import repro.runner.pool as pool_mod
 
@@ -371,12 +375,6 @@ def _exit_on(poison, monkeypatch):
         return real(point, obs, check)
 
     monkeypatch.setattr(pool_mod, "_simulate_encoded", dying)
-
-
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers see the parent's patches only when forked",
-)
 
 
 class TestPooledQueue:
@@ -434,10 +432,9 @@ class TestPooledQueue:
     ):
         # Two points too big to finish within the 1 s limit take both
         # workers; two small ones wait for a worker, and chaos stalls
-        # each small one for 0.6 s before it simulates.  Its hard
-        # deadline (limit + grace) must count from its hand-over to a
-        # worker, about 1 s in, not from the start of the sweep.
-        monkeypatch.setattr(supervise, "GRACE_S", 0.3)
+        # each small one for 0.6 s before it simulates.  Its deadline
+        # (the limit) must count from its hand-over to a worker, about
+        # 1 s in, not from the start of the sweep.
         big = [
             SimPoint(ARDirect(), TorusShape.parse("8x8x4"), 512, seed=s)
             for s in (1, 2)
@@ -614,6 +611,67 @@ class TestPooledWorkers:
         # Two first workers, then one replacement per retried crash.
         assert len(threads) == 4
         assert set(threads) == {before}
+
+
+class TestWhereSweepsRun:
+    def test_timeout_holds_off_the_main_thread(self, monkeypatch):
+        # The parent kills the worker of a point past its limit, so the
+        # limit holds on any thread; no alarm is armed anywhere.
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        cfg = SuperviseConfig(
+            point_timeout_s=0.5,
+            chaos=ChaosPlan(hang_prob=1.0, hang_s=5.0),
+            max_attempts=1,
+        )
+        out: dict = {}
+
+        def sweep() -> None:
+            t0 = time.monotonic()
+            out["sweep"] = run_sweep(_points(1), jobs=1, supervise=cfg)
+            out["elapsed"] = time.monotonic() - t0
+
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        (failure,) = out["sweep"].failures
+        assert (failure.kind, failure.attempts) == ("timeout", 1)
+        assert "exceeded its 0.5s wall-clock limit" in failure.error
+        assert out["elapsed"] < 3.0
+        assert not multiprocessing.active_children()
+
+    @needs_fork
+    def test_timed_one_job_sweep_runs_in_a_child(self, monkeypatch):
+        import repro.runner.pool as pool_mod
+
+        def whoami(point, obs, check):
+            raise RuntimeError(f"pid {os.getpid()}")
+
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", whoami)
+        cfg = SuperviseConfig(point_timeout_s=30.0)
+        (failure,) = run_sweep(_points(1), jobs=1, supervise=cfg).failures
+        assert failure.kind == "error"
+        assert failure.error.startswith("RuntimeError: pid ")
+        assert failure.error != f"RuntimeError: pid {os.getpid()}"
+
+    def test_unsupervised_one_job_sweep_stays_in_process(self, monkeypatch):
+        import repro.runner.pool as pool_mod
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        real = pool_mod._simulate_encoded
+        seen: list = []
+
+        def spy(point, obs, check):
+            seen.append((os.getpid(), multiprocessing.active_children()))
+            return real(point, obs, check)
+
+        monkeypatch.setattr(pool_mod, "_simulate_encoded", spy)
+        # A disabled chaos plan supervises nothing either.
+        for cfg in (None, SuperviseConfig(chaos=ChaosPlan())):
+            seen.clear()
+            assert run_sweep(_points(2), jobs=1, supervise=cfg).complete
+            assert seen == [(os.getpid(), [])] * 2
+            assert not multiprocessing.active_children()
 
 
 class TestResumeFromCache:
